@@ -5,7 +5,6 @@ from .causal import (
     CausalityTable,
     apply_strength_updates,
     build_causal_view,
-    causality_weight,
     default_causality_table,
 )
 from .cot import ChainOfThought, build_cot_prompt, parse_cot, render_cot, segment_pairs
@@ -27,11 +26,12 @@ from .graph import (
     KnowledgeGraph,
     ingest_triples,
     load_graph,
+    load_triples,
     save_graph,
     shortest_path_length,
 )
-from .harness import Mode, Pipeline, PredictionRecord, QAItem, run_evaluation, run_pipeline
-from .linker import LinkerIndex, build_index, link
+from .harness import Mode, Pipeline, PredictionRecord, QAItem, run_evaluation
+from .linker import LinkerIndex, build_index
 from .llm import LlmGateway, LlmRequest, LlmResponse, MockTranscript, ModelAssignment, extract_answer_label
 from .metrics import Metrics, compute_metrics
 from .retrieval import (

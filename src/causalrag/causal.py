@@ -61,11 +61,6 @@ def default_causality_table() -> CausalityTable:
     return CausalityTable(weights=dict(DEFAULT_CAUSALITY_WEIGHTS))
 
 
-def causality_weight(table: CausalityTable, predicate: str) -> float:
-    """Cause-effect weight of a relation label (total over all labels)."""
-    return table.weight(predicate)
-
-
 @dataclass(frozen=True)
 class CausalGraphView:
     """Thresholded subview of a knowledge graph.
@@ -73,6 +68,12 @@ class CausalGraphView:
     Membership and per-edge strength overrides live here; the base graph is
     shared and never mutated. Views are immutable value objects, so revised
     views can be created freely while readers keep using old ones.
+
+    The membership rule, at the view's ``theta``: an edge with a mined
+    override is a member when the override is >= theta; any other edge is a
+    member when its label weight and its stored strength are both >= theta.
+    ``build_causal_view`` and ``apply_strength_updates`` both decide through
+    ``_is_member``, so a revised view equals a fresh count of the rule.
     """
 
     base: KnowledgeGraph
@@ -80,25 +81,16 @@ class CausalGraphView:
     member_edges: frozenset[int]
     overrides: Mapping[int, float] = field(default_factory=dict)
 
-    def __post_init__(self):
-        object.__setattr__(self, "overrides", dict(self.overrides))
-
     # Traversal protocol shared with KnowledgeGraph -------------------------
 
     def has_node(self, node_id: str) -> bool:
         return self.base.has_node(node_id)
-
-    def node(self, node_id: str):
-        return self.base.node(node_id)
 
     def edge(self, index: int) -> KgEdge:
         return self.base.edge(index)
 
     def out_edges(self, node_id: str) -> tuple[int, ...]:
         return tuple(i for i in self.base.out_edges(node_id) if i in self.member_edges)
-
-    def in_edges(self, node_id: str) -> tuple[int, ...]:
-        return tuple(i for i in self.base.in_edges(node_id) if i in self.member_edges)
 
     def effective_strength(self, index: int) -> float:
         override = self.overrides.get(index)
@@ -110,9 +102,6 @@ class CausalGraphView:
     def edge_count(self) -> int:
         return len(self.member_edges)
 
-    def contains_edge(self, index: int) -> bool:
-        return index in self.member_edges
-
     def member_node_ids(self) -> frozenset[str]:
         ids: set[str] = set()
         for idx in self.member_edges:
@@ -122,21 +111,33 @@ class CausalGraphView:
         return frozenset(ids)
 
 
+def _is_member(
+    theta: float,
+    override: float | None,
+    label_weight: float | None = None,
+    strength: float | None = None,
+) -> bool:
+    """The membership rule stated on ``CausalGraphView``."""
+    if override is not None:
+        return override >= theta
+    return label_weight >= theta and strength >= theta
+
+
 def build_causal_view(
     graph: KnowledgeGraph, table: CausalityTable, theta: float
 ) -> CausalGraphView:
-    """Keep only the edges whose causality weight clears ``theta``.
+    """The view of ``graph`` at ``theta``, before any strength update.
 
-    An edge is a member when both the label weight and its stored strength
-    reach the threshold; with table-defaulted strengths (the normal case)
-    the two tests coincide. An empty view is legal and only warned about.
+    This is the only way to get a view at a given theta. With
+    table-defaulted strengths (the normal case) the label and strength
+    tests coincide. An empty view is legal and only warned about.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValidationError(f"theta must be in [0, 1], got {theta}")
     members = frozenset(
         idx
         for idx, edge in enumerate(graph.edges)
-        if table.weight(edge.predicate) >= theta and edge.strength >= theta
+        if _is_member(theta, None, table.weight(edge.predicate), edge.strength)
     )
     if not members:
         logger.warning("causal view is empty at theta=%s", theta)
@@ -144,44 +145,28 @@ def build_causal_view(
 
 
 def apply_strength_updates(
-    view: CausalGraphView,
-    updates: Mapping[tuple[str, str, str], float],
-    theta: float | None = None,
+    view: CausalGraphView, updates: Mapping[tuple[str, str, str], float]
 ) -> CausalGraphView:
-    """Fold externally mined strengths into a view, returning a new view.
+    """Fold externally mined strengths into a view at its own theta.
 
-    Triples whose new strength reaches ``theta`` are added to the view (or
-    revised in place); triples falling below it are demoted out of the view.
-    The base graph is untouched either way. Every updated triple must exist
-    in the base graph.
+    Each updated triple gets an override and joins or leaves the view by the
+    membership rule; every other edge keeps its membership. Returns a new
+    view; the base graph is untouched. Every updated triple must exist in
+    the base graph.
     """
-    if theta is None:
-        theta = view.theta
-    if not 0.0 <= theta <= 1.0:
-        raise ValidationError(f"theta must be in [0, 1], got {theta}")
-
-    resolved: dict[int, float] = {}
+    members = set(view.member_edges)
+    overrides = dict(view.overrides)
     for triple, strength in updates.items():
         if not 0.0 <= strength <= 1.0:
             raise ValidationError(f"update strength {strength} for {triple} outside [0, 1]")
-        resolved[view.base.edge_index(*triple)] = strength
-
-    members = set(view.member_edges)
-    overrides = dict(view.overrides)
-    for idx, strength in resolved.items():
+        idx = view.base.edge_index(*triple)
         overrides[idx] = strength
-        if strength >= theta:
+        if _is_member(view.theta, strength):
             members.add(idx)
         else:
             members.discard(idx)
-    if theta != view.theta:
-        members = {
-            idx
-            for idx in members
-            if (overrides.get(idx, view.base.edge(idx).strength)) >= theta
-        }
     return CausalGraphView(
-        base=view.base, theta=theta, member_edges=frozenset(members), overrides=overrides
+        base=view.base, theta=view.theta, member_edges=frozenset(members), overrides=overrides
     )
 
 

@@ -193,24 +193,20 @@ def cmd_causal_stats(args) -> int:
 
 
 def cmd_update_strengths(args) -> int:
-    config = load_config(args.config)
+    config = _resolve_config(args)
     graph = load_graph(args.graph)
-    theta = args.theta if args.theta is not None else config.theta
-    view = build_causal_view(graph, config.causality, theta)
+    view = build_causal_view(graph, config.causality, config.theta)
     with open(args.updates, encoding="utf-8") as fh:
         updates = parse_strength_updates(fh)
 
     before = view.member_edges
-    updated = apply_strength_updates(view, updates, theta)
+    updated = apply_strength_updates(view, updates)
     added = len(updated.member_edges - before)
     demoted = len(before - updated.member_edges)
-    revised = sum(
-        1
-        for triple in updates
-        if graph.edge_index(*triple) in before and graph.edge_index(*triple) in updated.member_edges
-    )
+    updated_edges = {graph.edge_index(*triple) for triple in updates}
+    revised = len(updated_edges & before & updated.member_edges)
     print(
-        f"applied {len(updates)} updates at theta={theta}: "
+        f"applied {len(updates)} updates at theta={view.theta}: "
         f"added={added} revised={revised} demoted={demoted}"
     )
     print(f"view edges: {len(before)} -> {len(updated.member_edges)}")

@@ -77,7 +77,7 @@ def default_config() -> PipelineConfig:
     return PipelineConfig(
         causality=default_causality_table(),
         theta=DEFAULT_THETA,
-        retrieval=RetrievalConfig(theta=DEFAULT_THETA),
+        retrieval=RetrievalConfig(),
         enhancer=EnhancerConfig(),
         assignment=ModelAssignment(),
     )
@@ -104,7 +104,6 @@ def config_from_mapping(data: Mapping[str, Any]) -> PipelineConfig:
         max_hops=int(retrieval_data.get("max_hops", 3)),
         k=int(retrieval_data.get("k", 5)),
         distance_slack=int(retrieval_data.get("distance_slack", 1)),
-        theta=theta,
     )
 
     enhancer_data = data.get("enhancer", {}) or {}
@@ -167,11 +166,7 @@ def apply_overrides(
     """Fold command-line overrides into a loaded config (flags win)."""
     updated = config
     if theta is not None:
-        if not 0.0 <= theta <= 1.0:
-            raise ValidationError(f"theta must be in [0, 1], got {theta}")
-        updated = replace(
-            updated, theta=theta, retrieval=replace(updated.retrieval, theta=theta)
-        )
+        updated = replace(updated, theta=theta)
     if k is not None or max_hops is not None:
         updated = replace(
             updated,

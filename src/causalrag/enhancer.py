@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 from .cot import ChainOfThought, format_options, render_cot
 from .errors import ValidationError
 from .graph import KnowledgeGraph
-from .retrieval import GraphPath
+from .retrieval import GraphPath, _selection_key
 from .templates import NO_EVIDENCE_MARKER, fill_template, load_template
 
 logger = logging.getLogger(__name__)
@@ -71,10 +71,6 @@ def _merge_key(path: GraphPath) -> tuple[str, str, frozenset[str]]:
     return (path.nodes[0], path.nodes[-1], frozenset(path.nodes[1:-1]))
 
 
-def _representative_key(path: GraphPath):
-    return (-path.score, path.length, path.node_key(), path.reversed, path.edges)
-
-
 def fuse_paths(pools: Iterable[Sequence[GraphPath]]) -> list[FusedPath]:
     """Union segment pools and merge paths sharing (start, end, intermediates).
 
@@ -88,7 +84,7 @@ def fuse_paths(pools: Iterable[Sequence[GraphPath]]) -> list[FusedPath]:
             groups.setdefault(_merge_key(path), []).append(path)
     fused = []
     for members in groups.values():
-        representative = min(members, key=_representative_key)
+        representative = min(members, key=_selection_key)
         fused.append(FusedPath(path=representative, merge_count=len(members)))
     return fused
 

@@ -168,7 +168,7 @@ class Pipeline:
             if mode is Mode.KG_ONLY:
                 evidence = self._kg_only_evidence(item, trace)
             else:
-                evidence = self._cot_evidence(item, mode, trace)
+                evidence = self._cot_evidence(item, mode, query_cuis, trace)
             predicted = self._infer(item, evidence, trace)
             return PredictionRecord(
                 item_id=item.id, gold=item.gold, predicted=predicted, trace=trace
@@ -228,7 +228,9 @@ class Pipeline:
         trace["final_path_count"] = len(selected)
         return render_paths_block(selected, self.graph)
 
-    def _cot_evidence(self, item: QAItem, mode: Mode, trace: dict) -> str:
+    def _cot_evidence(
+        self, item: QAItem, mode: Mode, query_cuis: frozenset[str], trace: dict
+    ) -> str:
         prompt = build_cot_prompt(item.question, item.options, self._cot_template)
         cot_text = self._call("cot", prompt, trace)
         cot = parse_cot(cot_text)
@@ -260,7 +262,6 @@ class Pipeline:
             return self._paths_and_cot_block(raw_paths, cot)
 
         fused = fuse_paths([entry.paths for entry in retrievals.values()])
-        query_cuis = self._query_entities(item)
         query_semtypes: set[str] = set()
         for cui in query_cuis:
             query_semtypes |= self.graph.node(cui).semantic_types
@@ -304,11 +305,6 @@ class Pipeline:
         predicted = extract_answer_label(answer_text, item.labels)
         trace["inference_text"] = answer_text
         return predicted
-
-
-def run_pipeline(item: QAItem, mode: Mode, pipeline: Pipeline) -> PredictionRecord:
-    """Answer a single item under the given mode."""
-    return pipeline.answer(item, mode)
 
 
 def run_evaluation(pipeline: Pipeline, items: Iterable[QAItem], mode: Mode) -> dict:

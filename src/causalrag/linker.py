@@ -107,8 +107,3 @@ def load_alias_file(path) -> list[tuple[str, str]]:
                 continue
             rows.append((fields[0], fields[1]))
     return rows
-
-
-def link(index: LinkerIndex, text: str) -> frozenset[str]:
-    """Module-level alias for ``LinkerIndex.link``."""
-    return index.link(text)

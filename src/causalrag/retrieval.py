@@ -31,7 +31,6 @@ class RetrievalConfig:
     max_hops: int = 3
     k: int = 5
     distance_slack: int = 1
-    theta: float = 0.5
 
     def __post_init__(self):
         if self.max_hops < 1:
@@ -40,8 +39,6 @@ class RetrievalConfig:
             raise ValidationError(f"k must be >= 1, got {self.k}")
         if self.distance_slack < 0:
             raise ValidationError(f"distance_slack must be >= 0, got {self.distance_slack}")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValidationError(f"theta must be in [0, 1], got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -214,7 +211,7 @@ def prune_and_select(
     config: RetrievalConfig,
     distance_source,
 ) -> list[GraphPath]:
-    """Drop loopy and detour paths, then keep the top-k of the rest.
+    """Drop detour paths, then keep the top-k of the rest.
 
     A path is a detour when its length exceeds the shortest same-tier
     distance between its endpoints by more than ``distance_slack``.
@@ -223,8 +220,6 @@ def prune_and_select(
     shortest_cache: dict[tuple[str, str], int | None] = {}
     kept: list[GraphPath] = []
     for path in candidates:
-        if len(set(path.nodes)) != len(path.nodes):
-            continue
         endpoints = path.endpoints
         if endpoints not in shortest_cache:
             shortest_cache[endpoints] = shortest_path_length(
@@ -270,40 +265,21 @@ def retrieve_for_cot(
     nothing within ``max_hops`` in either tier, contribute empty entries with
     a reason code; the chain as a whole never fails here.
     """
+    pairs = segment_pairs(cot)
+    linked = [tuple(sorted(linker.link(text))) for text in cot.segments] if pairs else []
     results: dict[int, SegmentRetrieval] = {}
-    for index, (source_text, target_text) in enumerate(segment_pairs(cot)):
-        from_ids = tuple(sorted(linker.link(source_text)))
-        to_ids = tuple(sorted(linker.link(target_text)))
-        if not from_ids or not to_ids:
-            results[index] = SegmentRetrieval(
-                segment_index=index,
-                source_text=source_text,
-                target_text=target_text,
-                source_entities=from_ids,
-                target_entities=to_ids,
-                tier=None,
-                candidate_count=0,
-                paths=(),
-                reason=REASON_NO_ENTITIES,
-            )
-            continue
-        candidates = find_paths(causal_view, base, from_ids, to_ids, config, segment_index=index)
-        if not candidates:
-            results[index] = SegmentRetrieval(
-                segment_index=index,
-                source_text=source_text,
-                target_text=target_text,
-                source_entities=from_ids,
-                target_entities=to_ids,
-                tier=None,
-                candidate_count=0,
-                paths=(),
-                reason=REASON_NO_PATHS,
-            )
-            continue
-        tier = candidates[0].tier
-        distance_source = causal_view if tier == TIER_CAUSAL else base
-        selected = prune_and_select(candidates, config, distance_source)
+    for index, (source_text, target_text) in enumerate(pairs):
+        from_ids, to_ids = linked[index], linked[index + 1]
+        tier, candidates, selected = None, [], []
+        if not (from_ids and to_ids):
+            reason = REASON_NO_ENTITIES
+        else:
+            candidates = find_paths(causal_view, base, from_ids, to_ids, config, segment_index=index)
+            reason = None if candidates else REASON_NO_PATHS
+        if candidates:
+            tier = candidates[0].tier
+            distance_source = causal_view if tier == TIER_CAUSAL else base
+            selected = prune_and_select(candidates, config, distance_source)
         results[index] = SegmentRetrieval(
             segment_index=index,
             source_text=source_text,
@@ -313,5 +289,6 @@ def retrieve_for_cot(
             tier=tier,
             candidate_count=len(candidates),
             paths=tuple(selected),
+            reason=reason,
         )
     return results

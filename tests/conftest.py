@@ -37,6 +37,18 @@ def make_graph(edge_specs, node_types=None, aliases=None) -> KnowledgeGraph:
     return KnowledgeGraph(nodes, edges)
 
 
+class RecordingLinker:
+    """Delegates to a real linker and records every text it is asked to link."""
+
+    def __init__(self, index):
+        self.index = index
+        self.texts: list[str] = []
+
+    def link(self, text: str) -> frozenset[str]:
+        self.texts.append(text)
+        return self.index.link(text)
+
+
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES

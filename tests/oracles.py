@@ -2,12 +2,26 @@
 
 These deliberately avoid the library's search code: simple paths come from
 filtering node permutations rather than DFS, and metrics come from an
-explicit confusion-matrix table. Keep them slow and obvious.
+explicit confusion-matrix table, and causal-view membership is recounted
+edge by edge from the stated rule. Keep them slow and obvious.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
+
+
+def recount_view_members(graph, table, theta, overrides):
+    """Causal-view members by the rule: an override alone decides its edge;
+    any other edge needs label weight >= theta and strength >= theta."""
+    members = set()
+    for idx, edge in enumerate(graph.edges):
+        if idx in overrides:
+            if overrides[idx] >= theta:
+                members.add(idx)
+        elif table.weight(edge.predicate) >= theta and edge.strength >= theta:
+            members.add(idx)
+    return members
 
 
 def brute_force_simple_paths(graph, allowed_edges, start, goal, max_hops):

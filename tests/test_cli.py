@@ -4,9 +4,12 @@ import json
 
 import pytest
 
+from causalrag.causal import default_causality_table
 from causalrag.cli import main
+from causalrag.graph import load_triples
 
 from .conftest import FIXTURES
+from .oracles import recount_view_members
 
 
 @pytest.fixture
@@ -287,6 +290,47 @@ def test_update_strengths_reports_transitions(artifact, tmp_path, capsys):
     assert code == 0
     assert "added=1 revised=1 demoted=1" in captured
     assert "13 -> 13" in captured
+
+
+def test_update_strengths_at_another_theta_matches_a_recount(artifact, tmp_path, capsys):
+    rows = {
+        ("C006", "ASSOCIATED_WITH", "C001"): 0.8,
+        ("C001", "CAUSES", "C002"): 0.2,
+        ("C007", "CAUSES", "C008"): 0.95,
+    }
+    updates = tmp_path / "updates.tsv"
+    updates.write_text(
+        "".join(f"{s}\t{p}\t{o}\t{v}\n" for (s, p, o), v in rows.items()), encoding="utf-8"
+    )
+    code = main(
+        ["update-strengths", "--graph", str(artifact), "--updates", str(updates), "--theta", "0.85"]
+    )
+    captured = capsys.readouterr().out
+    assert code == 0
+
+    theta = 0.85
+    table = default_causality_table()
+    graph = load_triples(FIXTURES / "triples.tsv", table.weight)
+    overrides = {graph.edge_index(*triple): value for triple, value in rows.items()}
+    before = recount_view_members(graph, table, theta, {})
+    after = recount_view_members(graph, table, theta, overrides)
+    added, demoted = len(after - before), len(before - after)
+    revised = len(overrides.keys() & before & after)
+    assert f"at theta=0.85: added={added} revised={revised} demoted={demoted}" in captured
+    assert f"view edges: {len(before)} -> {len(after)}" in captured
+
+
+@pytest.mark.parametrize("command", ["evaluate", "update-strengths"])
+def test_theta_outside_range_exits_2(artifact, command, tmp_path, capsys):
+    args = [command, "--graph", str(artifact), "--config", str(FIXTURES / "config.yaml"), "--theta", "1.5"]
+    if command == "evaluate":
+        args += ["--dataset", str(FIXTURES / "dataset.jsonl")]
+    else:
+        updates = tmp_path / "updates.tsv"
+        updates.write_text("C001\tCAUSES\tC002\t0.2\n", encoding="utf-8")
+        args += ["--updates", str(updates)]
+    assert main(args) == 2
+    assert "theta must be in [0, 1]" in capsys.readouterr().err
 
 
 def test_update_strengths_unknown_triple_exits_1(artifact, tmp_path, capsys):

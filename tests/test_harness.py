@@ -17,13 +17,12 @@ from causalrag.harness import (
     load_dataset,
     render_report,
     run_evaluation,
-    run_pipeline,
     summarize_report,
 )
 from causalrag.linker import build_index
 from causalrag.llm import EndpointConfig, LlmGateway, LlmResponse, MockTranscript
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, RecordingLinker
 
 EXPECTED_CALLS = {
     Mode.FULL: {"cot": 1, "enhance": 1, "infer": 1},
@@ -101,7 +100,7 @@ def test_stage_call_counts_match_mode(mode):
     pipeline = build_fixture_pipeline(mode)
     items = load_dataset(FIXTURES / "dataset.jsonl")
     for item in items:
-        record = run_pipeline(item, mode, pipeline)
+        record = pipeline.answer(item, mode)
         assert _stage_counts(record) == EXPECTED_CALLS[mode], (mode, item.id)
 
 
@@ -149,6 +148,18 @@ def test_full_mode_uses_causal_paths_everywhere():
             assert entry["tier"] == "causal"
             assert entry["kept"] >= 1
         assert record.trace["final_path_count"] >= 1
+
+
+@pytest.mark.parametrize("mode", [Mode.FULL, Mode.NO_LLM_ENHANCED])
+def test_each_text_is_linked_once_per_item(mode):
+    pipeline = build_fixture_pipeline(mode)
+    linker = pipeline.linker = RecordingLinker(pipeline.linker)
+    for item in load_dataset(FIXTURES / "dataset.jsonl"):
+        linker.texts.clear()
+        record = pipeline.answer(item, mode)
+        segments = record.trace["cot"]["segments"]
+        assert len(linker.texts) == len(segments) + 1, item.id
+        assert sorted(linker.texts[1:]) == sorted(segments)
 
 
 def test_no_enhancer_keeps_raw_segment_paths():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 from causalrag.graph import ConceptNode, KgEdge, KnowledgeGraph
-from causalrag.linker import build_index, link, load_alias_file, normalize_surface
+from causalrag.linker import build_index, load_alias_file, normalize_surface
 
 
 def _graph(nodes):
@@ -143,7 +143,7 @@ def test_alias_file_merged_and_unknown_cui_skipped(tmp_path, caplog):
     assert any("unknown CUI" in message for message in caplog.messages)
 
 
-def test_module_level_link_helper():
+def test_link_on_index():
     graph = _graph([("C1", "Stroke", ()), ("C2", "Aspirin", ())])
     index = build_index(graph)
-    assert link(index, "stroke risk") == {"C1"}
+    assert index.link("stroke risk") == {"C1"}

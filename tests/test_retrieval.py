@@ -25,7 +25,7 @@ from causalrag.retrieval import (
     retrieve_for_cot,
 )
 
-from .conftest import make_graph
+from .conftest import RecordingLinker, make_graph
 from .oracles import brute_force_find_paths
 
 
@@ -118,7 +118,7 @@ def test_causal_first_guarantee_and_score_floor():
     )
     theta = 0.5
     view = build_causal_view(graph, default_causality_table(), theta)
-    config = RetrievalConfig(theta=theta)
+    config = RetrievalConfig()
 
     connected = find_paths(view, graph, {"A"}, {"C"}, config)
     assert connected and all(p.tier == "causal" for p in connected)
@@ -255,6 +255,22 @@ def test_retrieve_for_cot_records_missing_entities():
     assert results[1].reason == REASON_NO_ENTITIES
 
 
+def test_retrieve_for_cot_links_each_segment_once():
+    graph = _toy_linker_graph()
+    view = build_causal_view(graph, default_causality_table(), 0.5)
+    linker = RecordingLinker(build_index(graph))
+    segments = (
+        "chronic hypertension strains vessels",
+        "stroke risk increases sharply",
+        "kidney disease can follow",
+        "hypertension worsens",
+    )
+    cot = ChainOfThought(raw="", segments=segments)
+    results = retrieve_for_cot(cot, linker, view, graph, RetrievalConfig())
+    assert sorted(results) == [0, 1, 2]
+    assert sorted(linker.texts) == sorted(segments)
+
+
 def test_retrieve_for_cot_single_segment_empty():
     graph = _toy_linker_graph()
     view = build_causal_view(graph, default_causality_table(), 0.5)
@@ -318,7 +334,7 @@ def test_find_paths_matches_bruteforce_oracle_sample():
         theta = rng.choice([0.0, 0.3, 0.5, 0.8])
         view = build_causal_view(graph, table, theta)
         max_hops = rng.randint(1, 4)
-        config = RetrievalConfig(max_hops=max_hops, theta=theta)
+        config = RetrievalConfig(max_hops=max_hops)
         node_ids = list(graph.node_ids())
         from_set = set(rng.sample(node_ids, k=min(len(node_ids), rng.randint(1, 2))))
         to_set = set(rng.sample(node_ids, k=min(len(node_ids), rng.randint(1, 2))))
