@@ -102,6 +102,11 @@ class CausalGraphView:
     def edge_count(self) -> int:
         return len(self.member_edges)
 
+    def touches(self, node_id: str) -> bool:
+        """Whether a member edge starts or ends at ``node_id``; unknown ids raise."""
+        base = self.base
+        return not self.member_edges.isdisjoint(base.out_edges(node_id) + base.in_edges(node_id))
+
     def member_node_ids(self) -> frozenset[str]:
         ids: set[str] = set()
         for idx in self.member_edges:

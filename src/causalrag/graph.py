@@ -36,9 +36,6 @@ STRENGTH_COLUMN = "strength"
 _ARTIFACT_MAGIC = b"CRAG"
 _ARTIFACT_VERSION = 1
 
-DIRECTIONS = ("out", "in", "both")
-
-
 @dataclass(frozen=True)
 class ConceptNode:
     """A concept identified by CUI, with its surface forms and type codes."""
@@ -147,9 +144,6 @@ class KnowledgeGraph:
                 f"triple ({subject!r}, {predicate!r}, {object_!r}) not in graph"
             ) from None
 
-    def has_triple(self, subject: str, predicate: str, object_: str) -> bool:
-        return (subject, predicate, object_) in self._by_triple
-
     @property
     def node_count(self) -> int:
         return len(self._nodes)
@@ -175,22 +169,6 @@ class KnowledgeGraph:
         if node_id not in self._nodes:
             raise NotFoundError(f"unknown node id {node_id!r}")
         return tuple(self._reverse[node_id])
-
-    def neighbors(self, node_id: str, direction: str = "out") -> list[KgEdge]:
-        """Edges incident to ``node_id`` in the requested direction.
-
-        Order is stable: ascending edge index. With ``direction="both"`` a
-        self-loop appears once, not twice.
-        """
-        if direction not in DIRECTIONS:
-            raise ValidationError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-        if direction == "out":
-            indices: Iterable[int] = self.out_edges(node_id)
-        elif direction == "in":
-            indices = self.in_edges(node_id)
-        else:
-            indices = sorted(set(self.out_edges(node_id)) | set(self.in_edges(node_id)))
-        return [self._edges[i] for i in indices]
 
 
 def shortest_path_length(source, start: str, goal: str, max_hops: int) -> int | None:
@@ -314,17 +292,7 @@ def ingest_triples(
         triple = (subj_cui, predicate, obj_cui)
         if triple in edge_strengths:
             duplicates += 1
-            previous = edge_strengths[triple]
-            if strength != previous:
-                logger.warning(
-                    "duplicate triple %s with conflicting strength (%s vs %s); keeping max",
-                    triple,
-                    previous,
-                    strength,
-                )
-            else:
-                logger.warning("duplicate triple %s; keeping one edge", triple)
-            edge_strengths[triple] = max(previous, strength)
+            edge_strengths[triple] = max(edge_strengths[triple], strength)
         else:
             edge_strengths[triple] = strength
 
@@ -336,6 +304,10 @@ def ingest_triples(
         raise IngestionError(f"all {rows_total} data rows were malformed")
     if malformed:
         logger.warning("skipped %d malformed triple rows", malformed)
+    if duplicates:
+        logger.warning(
+            "collapsed %d duplicate triple rows, keeping each triple's max strength", duplicates
+        )
 
     nodes = [
         ConceptNode(

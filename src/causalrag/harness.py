@@ -144,7 +144,6 @@ class Pipeline:
         self.linker = linker
         self.gateway = gateway
         self.config = config
-        self._causal_node_ids = causal_view.member_node_ids()
         self._cot_template = load_template("cot_generation.txt", config.cot_template_path)
         self._enhance_template = load_template("path_enhancement.txt", config.enhance_template_path)
         self._infer_template = load_template("answer_inference.txt", config.inference_template_path)
@@ -158,7 +157,7 @@ class Pipeline:
         query_cuis = self._query_entities(item)
         trace["query_entities"] = sorted(query_cuis)
 
-        if not (query_cuis & self._causal_node_ids):
+        if not any(self.causal_view.touches(cui) for cui in query_cuis):
             trace["note"] = "no linked entity maps into the causal subgraph"
             return PredictionRecord(
                 item_id=item.id, gold=item.gold, predicted=None, unmapped=True, trace=trace
@@ -215,7 +214,7 @@ class Pipeline:
         candidates = find_paths(
             None, self.graph, from_ids, to_ids, self.config.retrieval, segment_index=0
         )
-        selected = prune_and_select(candidates, self.config.retrieval, self.graph)
+        selected = prune_and_select(candidates, self.config.retrieval)
         trace["retrieval"] = [
             {
                 "segment_index": 0,

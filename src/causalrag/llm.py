@@ -190,8 +190,11 @@ def _http_transport(request: LlmRequest, endpoint: EndpointConfig) -> LlmRespons
 
 
 class LlmGateway:
-    """Stage-tagged completion client with retries, mock replay, and a
-    configurable in-flight cap for live calls."""
+    """Stage-tagged completion client with retries and mock replay.
+
+    Each calling thread makes one call at a time, so the number of live calls
+    in flight is bounded by the caller's worker count.
+    """
 
     def __init__(
         self,
@@ -200,7 +203,6 @@ class LlmGateway:
         transport: Callable[[LlmRequest, EndpointConfig], LlmResponse] | None = None,
         max_attempts: int = 3,
         backoff_seconds: float = 0.5,
-        max_in_flight: int = 4,
     ):
         if max_attempts < 1:
             raise ValidationError(f"max_attempts must be >= 1, got {max_attempts}")
@@ -209,7 +211,6 @@ class LlmGateway:
         self._transport = transport or _http_transport
         self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
-        self._in_flight = threading.Semaphore(max_in_flight)
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         if request.model == MOCK_MODEL:
@@ -230,25 +231,24 @@ class LlmGateway:
                 f"no endpoint configured (set {ENDPOINT_ENV}) for model {request.model!r}"
             )
         last_error: TransportError | None = None
-        with self._in_flight:
-            for attempt in range(self.max_attempts):
-                try:
-                    return self._transport(request, self.endpoint)
-                except TransportError as exc:
-                    last_error = exc
-                    if not getattr(exc, "transient", False):
-                        raise
-                    if attempt + 1 < self.max_attempts:
-                        delay = self.backoff_seconds * (2**attempt)
-                        logger.warning(
-                            "transient LLM failure (attempt %d/%d): %s; retrying in %.1fs",
-                            attempt + 1,
-                            self.max_attempts,
-                            exc,
-                            delay,
-                        )
-                        if delay > 0:
-                            time.sleep(delay)
+        for attempt in range(self.max_attempts):
+            try:
+                return self._transport(request, self.endpoint)
+            except TransportError as exc:
+                last_error = exc
+                if not getattr(exc, "transient", False):
+                    raise
+                if attempt + 1 < self.max_attempts:
+                    delay = self.backoff_seconds * (2**attempt)
+                    logger.warning(
+                        "transient LLM failure (attempt %d/%d): %s; retrying in %.1fs",
+                        attempt + 1,
+                        self.max_attempts,
+                        exc,
+                        delay,
+                    )
+                    if delay > 0:
+                        time.sleep(delay)
         raise TransportError(
             f"giving up after {self.max_attempts} attempts: {last_error}"
         )

@@ -15,7 +15,6 @@ from typing import Iterable, Iterator
 
 from .cot import ChainOfThought, segment_pairs
 from .errors import NotFoundError, ValidationError
-from .graph import shortest_path_length
 
 TIER_CAUSAL = "causal"
 TIER_FALLBACK = "fallback"
@@ -190,6 +189,12 @@ def find_paths(
     across the whole pair set. Passing ``causal_view=None`` skips the causal
     tier entirely (correlation-based retrieval). Empty entity sets yield an
     empty result; unknown node ids raise.
+
+    Completeness, which ``prune_and_select`` relies on: for every endpoint
+    pair among the returned paths, every simple path of at most ``max_hops``
+    edges between them in the returned tier's container is returned too.
+    Each pair's forward listing is complete, a reversed listing is complete
+    for the flipped pair, and deduplication drops only identical paths.
     """
     from_ids = sorted(set(from_set))
     to_ids = sorted(set(to_set))
@@ -206,29 +211,23 @@ def find_paths(
     return _collect_tier(base, TIER_FALLBACK, from_ids, to_ids, config, segment_index)
 
 
-def prune_and_select(
-    candidates: list[GraphPath],
-    config: RetrievalConfig,
-    distance_source,
-) -> list[GraphPath]:
+def prune_and_select(candidates: list[GraphPath], config: RetrievalConfig) -> list[GraphPath]:
     """Drop detour paths, then keep the top-k of the rest.
 
-    A path is a detour when its length exceeds the shortest same-tier
-    distance between its endpoints by more than ``distance_slack``.
-    ``distance_source`` must be the container matching the candidates' tier.
+    A path is a detour when its length exceeds the shortest distance between
+    its endpoints by more than ``distance_slack``. That distance is the
+    length of the shortest candidate with the same endpoints: ``find_paths``
+    lists every simple path of at most ``max_hops`` edges for each endpoint
+    pair it returns, and a shortest path is always simple.
     """
-    shortest_cache: dict[tuple[str, str], int | None] = {}
-    kept: list[GraphPath] = []
+    shortest: dict[tuple[str, str], int] = {}
     for path in candidates:
-        endpoints = path.endpoints
-        if endpoints not in shortest_cache:
-            shortest_cache[endpoints] = shortest_path_length(
-                distance_source, endpoints[0], endpoints[1], config.max_hops
-            )
-        shortest = shortest_cache[endpoints]
-        if shortest is None or path.length > shortest + config.distance_slack:
-            continue
-        kept.append(path)
+        shortest[path.endpoints] = min(path.length, shortest.get(path.endpoints, path.length))
+    kept = [
+        path
+        for path in candidates
+        if path.length <= shortest[path.endpoints] + config.distance_slack
+    ]
     kept.sort(key=_selection_key)
     return kept[: config.k]
 
@@ -278,8 +277,7 @@ def retrieve_for_cot(
             reason = None if candidates else REASON_NO_PATHS
         if candidates:
             tier = candidates[0].tier
-            distance_source = causal_view if tier == TIER_CAUSAL else base
-            selected = prune_and_select(candidates, config, distance_source)
+            selected = prune_and_select(candidates, config)
         results[index] = SegmentRetrieval(
             segment_index=index,
             source_text=source_text,

@@ -3,12 +3,16 @@
 These deliberately avoid the library's search code: simple paths come from
 filtering node permutations rather than DFS, and metrics come from an
 explicit confusion-matrix table, and causal-view membership is recounted
-edge by edge from the stated rule. Keep them slow and obvious.
+edge by edge from the stated rule. The one library call is the detour
+reference's BFS, ``graph.shortest_path_length``, which the graph tests check
+against their own BFS. Keep them slow and obvious.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
+
+from causalrag.graph import shortest_path_length
 
 
 def recount_view_members(graph, table, theta, overrides):
@@ -91,6 +95,21 @@ def brute_force_find_paths(graph, view, from_set, to_set, max_hops):
             return causal
     all_edges = range(graph.edge_count)
     return run_tier(all_edges, graph.effective_strength, "fallback")
+
+
+def prune_with_bfs_distances(candidates, config, container):
+    """Reference for prune_and_select: each path's detour is measured against
+    a fresh BFS distance between its endpoints in ``container`` (the view
+    for causal-tier candidates, the base graph otherwise), then the kept
+    paths are ordered by score, length, node string, direction and edges."""
+    kept = []
+    for path in candidates:
+        start, goal = path.nodes[0], path.nodes[-1]
+        shortest = shortest_path_length(container, start, goal, config.max_hops)
+        if shortest is not None and len(path.edges) <= shortest + config.distance_slack:
+            kept.append(path)
+    kept.sort(key=lambda p: (-p.score, len(p.edges), "->".join(p.nodes), p.reversed, p.edges))
+    return kept[: config.k]
 
 
 def brute_force_metrics(golds, predictions):

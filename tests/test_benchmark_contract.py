@@ -44,6 +44,8 @@ def test_benchmark_instrumentation_installs_and_restores(monkeypatch):
         assert ("causalrag.retrieval", "find_paths") in replaced
         assert ("causalrag.causal", "CausalGraphView", "out_edges") in replaced
         assert ("causalrag.linker", "LinkerIndex", "link") in replaced
+        assert ("causalrag.graph", "shortest_path_length") in replaced
+        assert ("causalrag.causal", "CausalGraphView", "member_node_ids") in replaced
     finally:
         inst.uninstall()
 

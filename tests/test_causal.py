@@ -156,30 +156,40 @@ def test_member_strengths_stay_above_theta_after_update_sequences(chain_view):
 _GRID = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
 
 
+_PREDICATES = ("CAUSES", "TREATS", "ASSOCIATED_WITH", "RELATED_TO")
+
+
+def _random_graph_and_table(rng: random.Random):
+    node_count = rng.randint(2, 8)
+    specs, seen = [], set()
+    for _ in range(rng.randint(1, 20)):
+        subject, object_ = rng.sample(range(node_count), 2)
+        triple = (f"N{subject}", rng.choice(_PREDICATES), f"N{object_}")
+        if triple not in seen:
+            seen.add(triple)
+            specs.append((*triple, rng.choice(_GRID)))
+    table = CausalityTable(
+        weights={p: rng.choice(_GRID) for p in _PREDICATES[:3]},
+        default_weight=rng.choice(_GRID),
+    )
+    return make_graph(specs), specs, table
+
+
+def _random_batch(rng: random.Random, specs):
+    chosen = rng.sample(specs, rng.randint(0, len(specs)))
+    return {spec[:3]: rng.choice(_GRID) for spec in chosen}
+
+
 def test_updates_keep_members_equal_to_a_recount_of_the_rule():
     rng = random.Random(2501)
-    predicates = ("CAUSES", "TREATS", "ASSOCIATED_WITH", "RELATED_TO")
     for _ in range(250):
-        node_count = rng.randint(2, 8)
-        specs, seen = [], set()
-        for _ in range(rng.randint(1, 20)):
-            subject, object_ = rng.sample(range(node_count), 2)
-            triple = (f"N{subject}", rng.choice(predicates), f"N{object_}")
-            if triple not in seen:
-                seen.add(triple)
-                specs.append((*triple, rng.choice(_GRID)))
-        graph = make_graph(specs)
-        table = CausalityTable(
-            weights={p: rng.choice(_GRID) for p in predicates[:3]},
-            default_weight=rng.choice(_GRID),
-        )
+        graph, specs, table = _random_graph_and_table(rng)
         theta = rng.choice(_GRID)
         view = build_causal_view(graph, table, theta)
         overrides = {}
         assert view.member_edges == recount_view_members(graph, table, theta, overrides)
         for _ in range(rng.randint(1, 6)):
-            chosen = rng.sample(specs, rng.randint(0, len(specs)))
-            batch = {spec[:3]: rng.choice(_GRID) for spec in chosen}
+            batch = _random_batch(rng, specs)
             view = apply_strength_updates(view, batch)
             overrides.update({graph.edge_index(*t): s for t, s in batch.items()})
             assert view.theta == theta
@@ -188,6 +198,24 @@ def test_updates_keep_members_equal_to_a_recount_of_the_rule():
             unchanged = apply_strength_updates(view, {})
             assert unchanged.member_edges == view.member_edges
             assert unchanged.overrides == view.overrides
+
+
+def test_touches_agrees_with_member_node_ids_across_updates():
+    rng = random.Random(2502)
+    touched = untouched = 0
+    for _ in range(200):
+        graph, specs, table = _random_graph_and_table(rng)
+        view = build_causal_view(graph, table, rng.choice(_GRID))
+        for _ in range(rng.randint(1, 4)):
+            member_nodes = view.member_node_ids()
+            for node_id in graph.node_ids():
+                assert view.touches(node_id) == (node_id in member_nodes)
+            touched += len(member_nodes)
+            untouched += graph.node_count - len(member_nodes)
+            view = apply_strength_updates(view, _random_batch(rng, specs))
+        with pytest.raises(NotFoundError):
+            view.touches("missing")
+    assert touched and untouched
 
 
 def test_view_never_contains_foreign_edges(chain_graph):

@@ -63,11 +63,15 @@ def test_ingest_duplicate_triple_collapses_with_warning(caplog):
                 HEADER,
                 row("C1", "Alpha", "CAUSES", "C2", "Beta"),
                 row("C1", "Alpha", "CAUSES", "C2", "Beta"),
+                row("C1", "Alpha", "CAUSES", "C2", "Beta"),
+                row("C1", "Alpha", "CAUSES", "C2", "Beta"),
             ]
         )
     assert graph.edge_count == 1
-    assert graph.stats.duplicate_triples == 1
-    assert any("duplicate triple" in message for message in caplog.messages)
+    assert graph.stats.duplicate_triples == 3
+    duplicate_warnings = [m for m in caplog.messages if "duplicate triple" in m]
+    assert len(duplicate_warnings) == 1
+    assert "3 duplicate triple rows" in duplicate_warnings[0]
 
 
 def test_ingest_conflicting_strength_keeps_max():
@@ -194,31 +198,12 @@ def test_graph_rejects_unknown_endpoints_and_bad_strength():
         make_graph([("A", "CAUSES", "B", 1.5)])
 
 
-def test_neighbors_directions():
-    graph = make_graph(
-        [
-            ("N", "CAUSES", "X", 0.9),
-            ("N", "CAUSES", "Y", 0.9),
-            ("Z", "CAUSES", "N", 0.9),
-        ]
-    )
-    assert len(graph.neighbors("N", "out")) == 2
-    assert len(graph.neighbors("N", "in")) == 1
-    assert len(graph.neighbors("N", "both")) == 3
-    assert graph.neighbors("X", "out") == []
-
-
-def test_neighbors_unknown_node_and_direction():
+def test_adjacency_unknown_node():
     graph = make_graph([("A", "CAUSES", "B", 0.9)])
     with pytest.raises(NotFoundError):
-        graph.neighbors("missing")
-    with pytest.raises(ValidationError):
-        graph.neighbors("A", "sideways")
-
-
-def test_neighbors_self_loop_counted_once_for_both():
-    graph = make_graph([("A", "CAUSES", "A", 0.9)])
-    assert len(graph.neighbors("A", "both")) == 1
+        graph.out_edges("missing")
+    with pytest.raises(NotFoundError):
+        graph.in_edges("missing")
 
 
 # -- shortest paths -----------------------------------------------------------

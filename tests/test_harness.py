@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import threading
 from collections import Counter
 from dataclasses import replace
 
@@ -134,6 +135,29 @@ def test_parallel_live_evaluation_matches_sequential_results():
         return [(r["item_id"], r["predicted"]) for r in report["records"]]
 
     assert run(1) == run(4)
+
+
+def test_live_calls_in_flight_reach_the_worker_count():
+    workers = 6
+    barrier = threading.Barrier(workers, timeout=3)
+
+    def transport(request, endpoint):
+        if request.stage == "cot":
+            barrier.wait()  # passes only once every worker is inside a call
+            return LlmResponse(text="hypertension strains vessels → stroke risk rises → 80")
+        return LlmResponse(text="Answer: A")
+
+    template = load_dataset(FIXTURES / "dataset.jsonl")[0]
+    items = [replace(template, id=f"q{n}") for n in range(workers)]
+    gateway = LlmGateway(endpoint=EndpointConfig(url="http://example/llm"), transport=transport)
+    pipeline = build_fixture_pipeline(Mode.NO_LLM_ENHANCED, gateway=gateway)
+    pipeline.config = replace(
+        apply_overrides(pipeline.config, cot_model="live-a", infer_model="live-a"),
+        workers=workers,
+    )
+    report = run_evaluation(pipeline, items, Mode.NO_LLM_ENHANCED)
+    assert report["error_count"] == 0
+    assert [r["predicted"] for r in report["records"]] == ["A"] * workers
 
 
 def test_full_mode_uses_causal_paths_everywhere():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +27,7 @@ from causalrag.retrieval import (
 )
 
 from .conftest import RecordingLinker, make_graph
-from .oracles import brute_force_find_paths
+from .oracles import brute_force_find_paths, prune_with_bfs_distances
 
 
 def _path(nodes, strengths, tier="causal", edges=None, reversed_=False):
@@ -162,14 +163,14 @@ def test_parallel_predicates_yield_distinct_paths():
 # -- pruning and selection ----------------------------------------------------------
 
 
-def test_top_k_by_score(chain_graph):
+def test_top_k_by_score():
     paths = [
         _path(["A", "B"], [0.9], edges=[0]),
         _path(["B", "C"], [0.8], edges=[1]),
         _path(["A", "C"], [0.7], edges=[2]),
     ]
     config = RetrievalConfig(k=2)
-    kept = prune_and_select(paths, config, chain_graph)
+    kept = prune_and_select(paths, config)
     assert [p.score for p in kept] == [0.9, 0.8]
 
 
@@ -184,25 +185,25 @@ def test_detour_beyond_slack_pruned():
     )
     short = _path(["A", "B"], [0.9], edges=[0])
     long = _path(["A", "X", "Y", "B"], [0.9, 0.9, 0.9], edges=[1, 2, 3])
-    kept = prune_and_select([short, long], RetrievalConfig(distance_slack=1), graph)
+    kept = prune_and_select([short, long], RetrievalConfig(distance_slack=1))
     assert kept == [short]
-    kept_slack2 = prune_and_select([short, long], RetrievalConfig(distance_slack=2), graph)
+    kept_slack2 = prune_and_select([short, long], RetrievalConfig(distance_slack=2))
     assert long in kept_slack2
 
 
-def test_selection_tie_breaks_are_deterministic(chain_graph):
+def test_selection_tie_breaks_are_deterministic():
     same_score = [
         _path(["B", "C"], [0.8], edges=[1]),
         _path(["A", "B"], [0.8], edges=[0]),
     ]
-    kept = prune_and_select(same_score, RetrievalConfig(k=2), chain_graph)
+    kept = prune_and_select(same_score, RetrievalConfig(k=2))
     assert [p.nodes for p in kept] == [("A", "B"), ("B", "C")]  # canonical string order
 
 
 def test_selected_paths_bounded_by_max_hops(chain_graph, chain_view):
     config = RetrievalConfig(max_hops=1)
     paths = find_paths(chain_view, chain_graph, {"A"}, {"C"}, config)
-    selected = prune_and_select(paths, config, chain_view) if paths else []
+    selected = prune_and_select(paths, config) if paths else []
     assert all(p.length <= config.max_hops for p in selected)
 
 
@@ -347,3 +348,31 @@ def test_find_paths_matches_bruteforce_oracle_sample():
             assert got_tier == tier
             assert got_reversed == is_reversed
             assert got_score == pytest.approx(score, abs=1e-12)
+
+
+def test_prune_matches_bfs_detour_reference_on_random_searches():
+    rng = random.Random(20250411)
+    tiers = {"causal": 0, "fallback": 0, "no-view": 0}
+    pruned = 0
+    for _ in range(220):
+        graph, table = _random_graph(rng)
+        view = build_causal_view(graph, table, rng.choice([0.0, 0.3, 0.5, 0.8]))
+        config = RetrievalConfig(
+            max_hops=rng.randint(1, 4), k=rng.randint(1, 6), distance_slack=rng.randint(0, 2)
+        )
+        node_ids = list(graph.node_ids())
+        from_set = set(rng.sample(node_ids, k=min(len(node_ids), rng.randint(1, 3))))
+        to_set = set(rng.sample(node_ids, k=min(len(node_ids), rng.randint(1, 3))))
+        for causal_view in (view, None):
+            candidates = find_paths(causal_view, graph, from_set, to_set, config)
+            if not candidates:
+                continue
+            tier = candidates[0].tier
+            tiers["no-view" if causal_view is None else tier] += 1
+            container = view if tier == "causal" else graph
+            expected = prune_with_bfs_distances(candidates, config, container)
+            assert prune_and_select(candidates, config) == expected
+            unlimited = replace(config, k=len(candidates))
+            pruned += len(candidates) - len(prune_and_select(candidates, unlimited))
+    assert all(tiers.values()), tiers
+    assert pruned
