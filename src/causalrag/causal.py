@@ -92,6 +92,9 @@ class CausalGraphView:
     def out_edges(self, node_id: str) -> tuple[int, ...]:
         return tuple(i for i in self.base.out_edges(node_id) if i in self.member_edges)
 
+    def in_edges(self, node_id: str) -> tuple[int, ...]:
+        return tuple(i for i in self.base.in_edges(node_id) if i in self.member_edges)
+
     def effective_strength(self, index: int) -> float:
         override = self.overrides.get(index)
         return override if override is not None else self.base.edge(index).strength

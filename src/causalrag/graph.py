@@ -11,6 +11,7 @@ after construction.
 
 from __future__ import annotations
 
+import io
 import logging
 import pickle
 import struct
@@ -358,7 +359,11 @@ def save_graph(graph: KnowledgeGraph, path) -> None:
 
 
 def load_graph(path) -> KnowledgeGraph:
-    """Load a graph artifact, refusing unknown formats and versions."""
+    """Load a graph artifact, refusing unknown formats and versions.
+
+    The payload is decoded as plain data only, so an artifact cannot run
+    code; a truncated or corrupt one raises ``ArtifactError``.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 6 or blob[:4] != _ARTIFACT_MAGIC:
@@ -368,14 +373,42 @@ def load_graph(path) -> KnowledgeGraph:
         raise ArtifactError(
             f"{path}: artifact version {version} unsupported (expected {_ARTIFACT_VERSION})"
         )
-    payload = pickle.loads(blob[6:])
-    nodes = [
-        ConceptNode(id=nid, name=name, semantic_types=frozenset(types), aliases=frozenset(aliases))
-        for nid, name, types, aliases in payload["nodes"]
-    ]
-    edges = [
-        KgEdge(subject=s, predicate=p, object=o, strength=strength)
-        for s, p, o, strength in payload["edges"]
-    ]
-    stats = IngestStats(*payload["stats"])
-    return KnowledgeGraph(nodes, edges, stats=stats)
+    try:
+        payload = _PlainDataUnpickler(io.BytesIO(blob[6:])).load()
+        nodes = [
+            ConceptNode(id=nid, name=name, semantic_types=frozenset(types), aliases=frozenset(aliases))
+            for nid, name, types, aliases in payload["nodes"]
+        ]
+        edges = [
+            KgEdge(subject=s, predicate=p, object=o, strength=strength)
+            for s, p, o, strength in payload["edges"]
+        ]
+        return KnowledgeGraph(nodes, edges, stats=IngestStats(*payload["stats"]))
+    except _PAYLOAD_ERRORS as exc:
+        raise ArtifactError(f"{path}: corrupt graph artifact ({exc})") from exc
+
+
+class _PlainDataUnpickler(pickle.Unpickler):
+    """Decodes only plain data (dicts, lists, tuples, strings, numbers, None).
+
+    Every class or callable reference is refused before it is imported, so
+    loading an artifact can never run code named in it.
+    """
+
+    def find_class(self, module: str, name: str):
+        raise ArtifactError(f"payload references {module}.{name}")
+
+
+# What a corrupt payload raises, from decoding it or from building the graph.
+_PAYLOAD_ERRORS = (
+    ArtifactError,
+    ValidationError,
+    pickle.UnpicklingError,
+    EOFError,
+    UnicodeDecodeError,
+    ValueError,
+    OverflowError,
+    TypeError,
+    KeyError,
+    AttributeError,
+)

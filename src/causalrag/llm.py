@@ -240,7 +240,7 @@ class LlmGateway:
                     raise
                 if attempt + 1 < self.max_attempts:
                     delay = self.backoff_seconds * (2**attempt)
-                    logger.warning(
+                    logger.debug(
                         "transient LLM failure (attempt %d/%d): %s; retrying in %.1fs",
                         attempt + 1,
                         self.max_attempts,

@@ -5,12 +5,16 @@ filtering node permutations rather than DFS, and metrics come from an
 explicit confusion-matrix table, and causal-view membership is recounted
 edge by edge from the stated rule. The one library call is the detour
 reference's BFS, ``graph.shortest_path_length``, which the graph tests check
-against their own BFS. Keep them slow and obvious.
+against their own BFS. The exception is ``reference_find_paths``: it keeps
+the unpruned DFS that ``find_paths`` used before its goal-directed search,
+as the slow reference that search must match path for path, in order.
+Keep them slow and obvious.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
+from typing import Iterator
 
 from causalrag.graph import shortest_path_length
 
@@ -95,6 +99,78 @@ def brute_force_find_paths(graph, view, from_set, to_set, max_hops):
             return causal
     all_edges = range(graph.edge_count)
     return run_tier(all_edges, graph.effective_strength, "fallback")
+
+
+def enumerate_simple_paths_unpruned(
+    source, start: str, goal: str, max_hops: int
+) -> Iterator[tuple[tuple[str, ...], tuple[int, ...]]]:
+    """Depth-first enumeration of loop-free directed paths start -> goal.
+
+    Neighbors expand in ascending edge-index order, which makes the yield
+    order (and everything built on it) deterministic.
+
+    This is ``retrieval._enumerate_simple_paths`` as it was before the
+    goal-directed pruning: it scans every out-edge of every node it enters.
+    """
+    if start == goal:
+        return
+    node_stack = [start]
+    edge_stack: list[int] = []
+    on_path = {start}
+
+    def walk(node: str) -> Iterator[tuple[tuple[str, ...], tuple[int, ...]]]:
+        for idx in source.out_edges(node):
+            target = source.edge(idx).object
+            if target in on_path:
+                continue
+            node_stack.append(target)
+            edge_stack.append(idx)
+            if target == goal:
+                yield tuple(node_stack), tuple(edge_stack)
+            elif len(edge_stack) < max_hops:
+                on_path.add(target)
+                yield from walk(target)
+                on_path.discard(target)
+            node_stack.pop()
+            edge_stack.pop()
+
+    yield from walk(start)
+
+
+def reference_find_paths(causal_view, base, from_set, to_set, max_hops, segment_index=0):
+    """``find_paths`` on the unpruned DFS, as an ordered list of
+    (nodes, edges, strengths, tier, segment index, reversed) tuples."""
+
+    def run_tier(source, tier):
+        results, seen, reversed_pairs = [], set(), []
+
+        def emit(nodes, edges, is_reversed):
+            if (nodes, edges) not in seen:
+                seen.add((nodes, edges))
+                strengths = tuple(source.effective_strength(i) for i in edges)
+                results.append((nodes, edges, strengths, tier, segment_index, is_reversed))
+
+        for a in sorted(set(from_set)):
+            for b in sorted(set(to_set)):
+                if a == b:
+                    continue
+                forward = list(enumerate_simple_paths_unpruned(source, a, b, max_hops))
+                for nodes, edges in forward:
+                    emit(nodes, edges, False)
+                if not forward:
+                    reversed_pairs.append((a, b))
+        for a, b in reversed_pairs:
+            for nodes, edges in enumerate_simple_paths_unpruned(source, b, a, max_hops):
+                emit(nodes, edges, True)
+        return results
+
+    if not from_set or not to_set:
+        return []
+    if causal_view is not None:
+        causal = run_tier(causal_view, "causal")
+        if causal:
+            return causal
+    return run_tier(base, "fallback")
 
 
 def prune_with_bfs_distances(candidates, config, container):

@@ -218,6 +218,25 @@ def test_touches_agrees_with_member_node_ids_across_updates():
     assert touched and untouched
 
 
+def test_in_edges_are_the_member_edges_into_each_node_across_updates():
+    rng = random.Random(2503)
+    kept = dropped = 0
+    for _ in range(200):
+        graph, specs, table = _random_graph_and_table(rng)
+        view = build_causal_view(graph, table, rng.choice(_GRID))
+        for _ in range(rng.randint(1, 4)):
+            for node_id in graph.node_ids():
+                into = [i for i, e in enumerate(graph.edges) if e.object == node_id]
+                expected = tuple(i for i in into if i in view.member_edges)
+                assert view.in_edges(node_id) == expected
+                kept += len(expected)
+                dropped += len(into) - len(expected)
+            view = apply_strength_updates(view, _random_batch(rng, specs))
+        with pytest.raises(NotFoundError):
+            view.in_edges("missing")
+    assert kept and dropped
+
+
 def test_view_never_contains_foreign_edges(chain_graph):
     view = build_causal_view(chain_graph, default_causality_table(), 0.3)
     assert all(0 <= idx < chain_graph.edge_count for idx in view.member_edges)

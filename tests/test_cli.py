@@ -349,3 +349,13 @@ def test_artifact_version_mismatch_exits_1(artifact, tmp_path, capsys):
     code = main(["causal-stats", "--graph", str(broken)])
     assert code == 1
     assert "version" in capsys.readouterr().err
+
+
+def test_truncated_artifact_exits_1_without_traceback(artifact, tmp_path, capsys):
+    truncated = tmp_path / "truncated.crag"
+    truncated.write_bytes(artifact.read_bytes()[:-40])
+    code = main(["causal-stats", "--graph", str(truncated)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 from collections import deque
 
@@ -296,6 +297,49 @@ def test_artifact_round_trip(tmp_path):
     assert [n.id for n in loaded.nodes()] == [n.id for n in graph.nodes()]
     assert loaded.node("C1").semantic_types == {"dsyn"}
     assert loaded.stats == graph.stats
+
+
+_LOAD_CALLS: list[tuple] = []
+
+
+def _record_load(*args):
+    _LOAD_CALLS.append(args)
+    return []
+
+
+class _Hostile:
+    """Unpickles by calling ``_record_load``, as a code-running payload would."""
+
+    def __reduce__(self):
+        return (_record_load, ("ran",))
+
+
+def _artifact_header(tmp_path) -> bytes:
+    path = tmp_path / "header.crag"
+    save_graph(make_graph([("A", "CAUSES", "B", 0.9)]), path)
+    return path.read_bytes()[:6]
+
+
+def test_artifact_payload_cannot_run_code(tmp_path):
+    payload = {"nodes": _Hostile(), "edges": [], "stats": (0, 0, 0)}
+    path = tmp_path / "hostile.crag"
+    path.write_bytes(_artifact_header(tmp_path) + pickle.dumps(payload, protocol=4))
+    with pytest.raises(ArtifactError) as info:
+        load_graph(path)
+    assert str(path) in str(info.value) and "_record_load" in str(info.value)
+    assert _LOAD_CALLS == []
+
+
+def test_truncated_artifact_is_an_artifact_error(tmp_path):
+    graph = make_graph([("A", "CAUSES", "B", 0.9), ("B", "TREATS", "C", 0.7)])
+    path = tmp_path / "graph.crag"
+    save_graph(graph, path)
+    blob = path.read_bytes()
+    for end in range(6, len(blob)):
+        path.write_bytes(blob[:end])
+        with pytest.raises(ArtifactError, match="corrupt") as info:
+            load_graph(path)
+        assert info.value.__cause__ is not None
 
 
 def test_artifact_rejects_bad_magic_and_version(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import threading
 from collections import Counter
 from dataclasses import replace
@@ -9,7 +10,7 @@ import pytest
 
 from causalrag.causal import build_causal_view
 from causalrag.config import apply_overrides, load_config
-from causalrag.errors import DatasetError
+from causalrag.errors import DatasetError, TransportError
 from causalrag.graph import load_triples
 from causalrag.harness import (
     Mode,
@@ -223,6 +224,33 @@ def test_transcript_failure_degrades_to_abstain():
     record = pipeline.answer(items[0], Mode.FULL)
     assert record.predicted is None
     assert record.error and "TranscriptError" in record.error
+
+
+def test_flaky_endpoint_warns_once_per_degraded_item(caplog):
+    def transport(request, endpoint):
+        error = TransportError("status 503")
+        error.transient = True
+        raise error
+
+    gateway = LlmGateway(
+        endpoint=EndpointConfig(url="http://example/llm"),
+        transport=transport,
+        max_attempts=3,
+        backoff_seconds=0.0,
+    )
+    pipeline = build_fixture_pipeline(Mode.FULL, gateway=gateway)
+    pipeline.config = apply_overrides(
+        pipeline.config, cot_model="live-a", enhance_model="live-a", infer_model="live-a"
+    )
+    item = load_dataset(FIXTURES / "dataset.jsonl")[0]
+    with caplog.at_level(logging.DEBUG, logger="causalrag"):
+        record = pipeline.answer(item, Mode.FULL)
+    assert record.error and "3 attempts" in record.error
+    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert [(r.name, r.getMessage().split(":")[0]) for r in warnings] == [
+        ("causalrag.harness", f"item {item.id} degraded to abstain")
+    ]
+    assert sum(r.name == "causalrag.llm" for r in caplog.records) == 2
 
 
 def test_cross_model_stage_routing():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,21 @@ def test_retry_then_success():
     response = gateway.complete(_request(model="gpt-model"))
     assert response.text == "fine"
     assert calls["n"] == 3
+
+
+def test_transient_retries_log_at_debug_only(caplog):
+    transport, _ = _failing_transport(2)
+    gateway = LlmGateway(
+        endpoint=EndpointConfig(url="http://example/llm"),
+        transport=transport,
+        max_attempts=3,
+        backoff_seconds=0.0,
+    )
+    with caplog.at_level(logging.DEBUG, logger="causalrag.llm"):
+        gateway.complete(_request(model="gpt-model"))
+    records = [r for r in caplog.records if r.name == "causalrag.llm"]
+    assert [r.levelno for r in records] == [logging.DEBUG, logging.DEBUG]
+    assert all("retrying" in r.getMessage() for r in records)
 
 
 def test_three_transient_failures_exhaust_retries():

@@ -11,6 +11,7 @@ from causalrag.causal import (
     build_causal_view,
     default_causality_table,
 )
+from causalrag import retrieval
 from causalrag.cot import ChainOfThought
 from causalrag.errors import NotFoundError, ValidationError
 from causalrag.graph import ConceptNode, KgEdge, KnowledgeGraph
@@ -27,7 +28,12 @@ from causalrag.retrieval import (
 )
 
 from .conftest import RecordingLinker, make_graph
-from .oracles import brute_force_find_paths, prune_with_bfs_distances
+from .oracles import (
+    brute_force_find_paths,
+    enumerate_simple_paths_unpruned,
+    prune_with_bfs_distances,
+    reference_find_paths,
+)
 
 
 def _path(nodes, strengths, tier="causal", edges=None, reversed_=False):
@@ -376,3 +382,114 @@ def test_prune_matches_bfs_detour_reference_on_random_searches():
             pruned += len(candidates) - len(prune_and_select(candidates, unlimited))
     assert all(tiers.values()), tiers
     assert pruned
+
+
+# -- goal-directed search against the unpruned DFS ------------------------------------
+
+
+def _as_rows(paths):
+    return [(p.nodes, p.edges, p.strengths, p.tier, p.segment_index, p.reversed) for p in paths]
+
+
+def test_find_paths_equals_the_unpruned_reference_in_order():
+    rng = random.Random(20251018)
+    seen = {"causal": 0, "fallback": 0, "no-view": 0, "reversed": 0, "self-loop": 0, "parallel": 0}
+    paths_by_hops = dict.fromkeys(range(1, 6), 0)
+    for graph_no in range(1000):
+        graph, table = _random_graph(rng)
+        seen["self-loop"] += any(e.subject == e.object for e in graph.edges)
+        seen["parallel"] += len({(e.subject, e.object) for e in graph.edges}) < graph.edge_count
+        view = build_causal_view(graph, table, rng.choice([0.0, 0.3, 0.5, 0.8]))
+        max_hops = 1 + graph_no % 5
+        config = RetrievalConfig(max_hops=max_hops)
+        node_ids = list(graph.node_ids())
+        from_set = set(rng.sample(node_ids, k=min(len(node_ids), rng.randint(1, 3))))
+        to_set = set(rng.sample(node_ids, k=min(len(node_ids), rng.randint(1, 3))))
+        segment_index = rng.randint(0, 3)
+        for causal_view in (view, None):
+            actual = _as_rows(find_paths(causal_view, graph, from_set, to_set, config, segment_index))
+            expected = reference_find_paths(causal_view, graph, from_set, to_set, max_hops, segment_index)
+            assert actual == expected
+            if actual:
+                seen["no-view" if causal_view is None else actual[0][3]] += 1
+                seen["reversed"] += any(row[5] for row in actual)
+                paths_by_hops[max_hops] += len(actual)
+    assert all(seen.values()), seen
+    assert all(paths_by_hops.values()), paths_by_hops
+
+
+class _OutEdgeRecorder:
+    """A container that records every node whose out-edges are read."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.out_calls: list[str] = []
+
+    def __getattr__(self, name):
+        return getattr(self.graph, name)
+
+    def out_edges(self, node_id):
+        self.out_calls.append(node_id)
+        return self.graph.out_edges(node_id)
+
+
+class _RecordingLookups(dict):
+    """``into_goal`` that records which nodes take their last hop from it."""
+
+    def __init__(self, mapping, log):
+        super().__init__(mapping)
+        self.log = log
+
+    def get(self, key, default=None):
+        self.log.append(key)
+        return super().get(key, default)
+
+
+def _fan(max_hops: int):
+    """A tree of fan-out 3 from S, ``max_hops - 1`` levels deep, so each
+    node's DFS depth is its level. Every third node of the deepest level has
+    two parallel edges into G; every deepest node also has two dead-end
+    edges; the first node of each shallower level has an edge into G."""
+    specs, depth, level = [], {"S": 0}, ["S"]
+    for d in range(1, max_hops):
+        nxt = []
+        for parent in level:
+            for k in range(3):
+                child = f"{parent}.{k}"
+                specs.append((parent, "CAUSES", child, 0.9))
+                depth[child] = d
+                nxt.append(child)
+        specs.append((level[0], "CAUSES", "G", 0.9))
+        level = nxt
+    into_goal = set()
+    for k, node in enumerate(level):
+        if k % 3 == 0:
+            specs += [(node, "CAUSES", "G", 0.9), (node, "TREATS", "G", 0.7)]
+            into_goal.add(node)
+        specs += [(node, "CAUSES", f"{node}.x{j}", 0.9) for j in range(2)]
+    return make_graph(specs), depth, into_goal
+
+
+@pytest.mark.parametrize("max_hops", [1, 2, 3, 4])
+def test_goal_directed_search_reads_no_out_edges_one_hop_short(max_hops, monkeypatch):
+    graph, depth, into_goal = _fan(max_hops)
+    entered: list[str] = []
+    edges_into = retrieval._edges_into
+    monkeypatch.setattr(
+        retrieval, "_edges_into", lambda source, goal: _RecordingLookups(edges_into(source, goal), entered)
+    )
+    recorder = _OutEdgeRecorder(graph)
+    config = RetrievalConfig(max_hops=max_hops)
+
+    paths = find_paths(None, recorder, {"S"}, {"G"}, config)
+
+    assert _as_rows(paths) == reference_find_paths(None, graph, {"S"}, {"G"}, max_hops)
+    assert len(paths) == 2 * len(into_goal) + max_hops - 1
+    assert all(depth[node] <= max_hops - 2 for node in recorder.out_calls)
+    assert sorted(recorder.out_calls) == sorted(n for n, d in depth.items() if d <= max_hops - 2)
+    # The level before the last enters only the nodes with an edge into G.
+    assert sorted(entered) == sorted(into_goal)
+
+    unpruned = _OutEdgeRecorder(graph)
+    list(enumerate_simple_paths_unpruned(unpruned, "S", "G", max_hops))
+    assert sorted(unpruned.out_calls) == sorted(depth)
