@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: build-graph, answer, evaluate, causal-stats, update-strengths.
-Exit codes: 0 success, 1 data error, 2 usage or I/O error, 3 transport error.
+Exit codes: 0 success, 1 data error (text that is not UTF-8 included), 2 usage,
+config or I/O error, 3 a failed LLM stage (transport, transcript or CoT parse).
 """
 
 from __future__ import annotations
@@ -12,24 +13,21 @@ import logging
 import sys
 
 from .causal import apply_strength_updates, build_causal_view, parse_strength_updates
-from .config import PipelineConfig, apply_overrides, load_config
-from .errors import (
-    ArtifactError,
-    DatasetError,
-    IngestionError,
-    NotFoundError,
-    TranscriptError,
-    TransportError,
-    ValidationError,
-)
+from .config import PipelineConfig, load_config
+from .errors import STAGE_ERRORS, CausalRagError, ValidationError
 from .graph import load_graph, load_triples, save_graph
 from .harness import Mode, Pipeline, QAItem, load_dataset, render_report, run_evaluation, summarize_report
 from .linker import build_index, load_alias_file
-from .llm import EndpointConfig, LlmGateway, MockTranscript
+from .llm import STAGES, EndpointConfig, LlmGateway, MockTranscript
 
 logger = logging.getLogger(__name__)
 
 MODE_FLAGS = [mode.flag for mode in Mode]
+
+# The first class an error is an instance of picks its exit code.
+_EXIT_CODES = (
+    (ValidationError, 2), (STAGE_ERRORS, 3), (CausalRagError, 1), (UnicodeDecodeError, 1), (OSError, 2)
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,17 +97,14 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args) -> PipelineConfig:
-    config = load_config(args.config)
-    return apply_overrides(
-        config,
-        theta=args.theta,
-        k=getattr(args, "k", None),
-        max_hops=getattr(args, "max_hops", None),
-        keep_ratio=getattr(args, "keep_ratio", None),
-        cot_model=getattr(args, "cot_model", None),
-        enhance_model=getattr(args, "enhance_model", None),
-        infer_model=getattr(args, "infer_model", None),
-    )
+    """The config file with the given flags laid over it (unset flags are None)."""
+    flags = vars(args)
+    return load_config(args.config, {
+        "theta": args.theta,
+        "retrieval": {"k": flags.get("k"), "max_hops": flags.get("max_hops")},
+        "enhancer": {"keep_ratio": flags.get("keep_ratio")},
+        "models": {stage: flags.get(f"{stage}_model") for stage in STAGES},
+    })
 
 
 def _build_pipeline(args, config: PipelineConfig) -> Pipeline:
@@ -225,18 +220,9 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (IngestionError, DatasetError, ArtifactError, NotFoundError) as exc:
+    except (CausalRagError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TransportError, TranscriptError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -1,16 +1,18 @@
-"""Pipeline configuration: defaults, YAML loading, and flag overrides.
+"""Pipeline configuration: defaults, and the one reader from YAML and flags.
 
-Every numeric knob of the pipeline lives here so experiments never require
-code edits. Precedence is command-line flags over config file over built-in
-defaults, enforced by the CLI calling ``apply_overrides`` on a loaded
-config.
+``config_from_mapping`` is the only route from outside values to a
+``PipelineConfig``. Its readers take every default from ``default_config()``
+and raise ``ValidationError`` naming the key path. ``load_config`` lays the
+command-line flags over the file's mapping first, so flags win over the file
+and the file over the defaults, key by key.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
-from typing import Any, Mapping
+import math
+from dataclasses import dataclass, fields, replace
+from typing import Any, Iterable, Mapping
 
 import yaml
 
@@ -21,13 +23,6 @@ from .llm import ModelAssignment
 from .retrieval import RetrievalConfig
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_WORKERS = 4
-DEFAULT_COT_TEMPERATURE = 0.7
-DEFAULT_ENHANCE_TEMPERATURE = 0.0
-DEFAULT_INFER_TEMPERATURE = 0.0
-
-_KNOWN_KEYS = {"causality", "theta", "retrieval", "enhancer", "prompts", "models", "workers", "temperatures"}
 
 
 @dataclass(frozen=True)
@@ -40,10 +35,10 @@ class PipelineConfig:
     cot_template_path: str | None = None
     enhance_template_path: str | None = None
     inference_template_path: str | None = None
-    workers: int = DEFAULT_WORKERS
-    cot_temperature: float = DEFAULT_COT_TEMPERATURE
-    enhance_temperature: float = DEFAULT_ENHANCE_TEMPERATURE
-    infer_temperature: float = DEFAULT_INFER_TEMPERATURE
+    workers: int = 4
+    cot_temperature: float = 0.7
+    enhance_temperature: float = 0.0
+    infer_temperature: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
@@ -83,108 +78,118 @@ def default_config() -> PipelineConfig:
     )
 
 
-def config_from_mapping(data: Mapping[str, Any]) -> PipelineConfig:
-    unknown = set(data) - _KNOWN_KEYS
+# prompts and temperatures name PipelineConfig fields by suffix: prompts.cot
+# is cot_template_path, temperatures.infer is infer_temperature.
+_SUFFIXED_SECTIONS = {"prompts": "_template_path", "temperatures": "_temperature"}
+_TOP_KEYS = ("causality", "theta", "workers", "retrieval", "enhancer", "models", *_SUFFIXED_SECTIONS)
+
+
+def _warn_unknown(section: Mapping, known: Iterable[str], prefix: str = "") -> None:
+    unknown = sorted(f"{prefix}{key}" for key in section if key not in known)
     if unknown:
-        logger.warning("ignoring unknown config keys: %s", ", ".join(sorted(unknown)))
+        logger.warning("ignoring unknown config keys: %s", ", ".join(unknown))
 
-    causality_data = data.get("causality", {}) or {}
-    if causality_data:
-        causality = CausalityTable(
-            weights=dict(causality_data.get("weights", {})),
-            default_weight=float(causality_data.get("default_weight", 0.05)),
-        )
-    else:
-        causality = default_causality_table()
 
-    theta = float(data.get("theta", DEFAULT_THETA))
+def _section(data: Mapping, key: str, prefix: str = "") -> Mapping:
+    """``data[key]`` as a mapping; a missing or null section reads as ``{}``."""
+    value = data.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ValidationError(f"{prefix}{key}: expected a mapping, got {value!r}")
+    return value
 
-    retrieval_data = data.get("retrieval", {}) or {}
-    retrieval = RetrievalConfig(
-        max_hops=int(retrieval_data.get("max_hops", 3)),
-        k=int(retrieval_data.get("k", 5)),
-        distance_slack=int(retrieval_data.get("distance_slack", 1)),
+
+def _coerce(value: Any, like: Any, path: str) -> Any:
+    """``value`` as the type of ``like``; a ``None`` default takes a string or null.
+
+    Ints accept integral numbers and digit strings, floats accept finite
+    numbers and numeric strings; neither accepts a boolean.
+    """
+    if like is None or isinstance(like, str):
+        if isinstance(value, str) or (like is None and value is None):
+            return value
+    elif isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            if isinstance(like, float) and math.isfinite(float(value)):
+                return float(value)
+            if isinstance(like, int) and not (isinstance(value, float) and not value.is_integer()):
+                return int(value)
+        except (ValueError, OverflowError):
+            pass
+    kind = "str" if like is None else type(like).__name__
+    raise ValidationError(f"{path}: expected {kind}, got {value!r}")
+
+
+def _field(section: Mapping, key: str, default: Any, path: str) -> Any:
+    return _coerce(section[key], default, path) if key in section else default
+
+
+def _read_section(data: Mapping, key: str, target: Any, suffix: str = "") -> Any:
+    """``target`` with section ``key`` read into its fields, found by name plus ``suffix``.
+
+    A new dataclass field needs no edit here. Unknown keys warn.
+    """
+    section = _section(data, key)
+    names = {f.name.removesuffix(suffix): f.name for f in fields(target) if f.name.endswith(suffix)}
+    _warn_unknown(section, names, f"{key}.")
+    return replace(target, **{
+        name: _field(section, option, getattr(target, name), f"{key}.{option}")
+        for option, name in names.items()
+    })
+
+
+def _causality(data: Mapping, default: CausalityTable) -> CausalityTable:
+    """A given ``weights`` table replaces the default table; ``default_weight`` alone keeps it."""
+    section = _section(data, "causality")
+    _warn_unknown(section, ("weights", "default_weight"), "causality.")
+    weights, path = default.weights, "causality.weights"
+    if "weights" in section:
+        weights = {
+            _coerce(label, "", path): _coerce(weight, default.default_weight, f"{path}.{label}")
+            for label, weight in _section(section, "weights", "causality.").items()
+        }
+    default_weight = _field(section, "default_weight", default.default_weight, "causality.default_weight")
+    return CausalityTable(weights=weights, default_weight=default_weight)
+
+
+def config_from_mapping(data: Mapping[str, Any]) -> PipelineConfig:
+    """Read a config mapping; missing keys keep ``default_config()``'s values."""
+    base = default_config()
+    _warn_unknown(data, _TOP_KEYS)
+    config = replace(
+        base,
+        causality=_causality(data, base.causality),
+        theta=_field(data, "theta", base.theta, "theta"),
+        workers=_field(data, "workers", base.workers, "workers"),
+        retrieval=_read_section(data, "retrieval", base.retrieval),
+        enhancer=_read_section(data, "enhancer", base.enhancer),
+        assignment=_read_section(data, "models", base.assignment),
     )
-
-    enhancer_data = data.get("enhancer", {}) or {}
-    enhancer = EnhancerConfig(
-        alpha=float(enhancer_data.get("alpha", 0.4)),
-        beta=float(enhancer_data.get("beta", 0.3)),
-        gamma=float(enhancer_data.get("gamma", 0.3)),
-        keep_ratio=float(enhancer_data.get("keep_ratio", 0.4)),
-    )
-
-    models_data = data.get("models", {}) or {}
-    assignment = ModelAssignment(
-        cot=str(models_data.get("cot", "mock")),
-        enhance=str(models_data.get("enhance", "mock")),
-        infer=str(models_data.get("infer", "mock")),
-    )
-
-    prompts_data = data.get("prompts", {}) or {}
-    temperatures = data.get("temperatures", {}) or {}
-
-    return PipelineConfig(
-        causality=causality,
-        theta=theta,
-        retrieval=retrieval,
-        enhancer=enhancer,
-        assignment=assignment,
-        cot_template_path=prompts_data.get("cot") or None,
-        enhance_template_path=prompts_data.get("enhance") or None,
-        inference_template_path=prompts_data.get("inference") or None,
-        workers=int(data.get("workers", DEFAULT_WORKERS)),
-        cot_temperature=float(temperatures.get("cot", DEFAULT_COT_TEMPERATURE)),
-        enhance_temperature=float(temperatures.get("enhance", DEFAULT_ENHANCE_TEMPERATURE)),
-        infer_temperature=float(temperatures.get("infer", DEFAULT_INFER_TEMPERATURE)),
-    )
+    for key, suffix in _SUFFIXED_SECTIONS.items():
+        config = _read_section(data, key, config, suffix)
+    return config
 
 
-def load_config(path: str | None = None) -> PipelineConfig:
-    """Load a YAML config file, or the built-in defaults when no path given."""
-    if path is None:
-        return default_config()
-    with open(path, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
-    if data is None:
-        return default_config()
-    if not isinstance(data, Mapping):
-        raise ValidationError(f"{path}: config root must be a mapping")
-    return config_from_mapping(data)
+def _overlay(data: Mapping, overrides: Mapping) -> dict:
+    """``data`` with the non-null leaves of ``overrides`` laid over it, section by section."""
+    merged = dict(data)
+    for key, value in overrides.items():
+        if isinstance(value, Mapping):
+            merged[key] = _overlay(_section(data, key), value)
+        elif value is not None:
+            merged[key] = value
+    return merged
 
 
-def apply_overrides(
-    config: PipelineConfig,
-    theta: float | None = None,
-    k: int | None = None,
-    max_hops: int | None = None,
-    keep_ratio: float | None = None,
-    cot_model: str | None = None,
-    enhance_model: str | None = None,
-    infer_model: str | None = None,
-) -> PipelineConfig:
-    """Fold command-line overrides into a loaded config (flags win)."""
-    updated = config
-    if theta is not None:
-        updated = replace(updated, theta=theta)
-    if k is not None or max_hops is not None:
-        updated = replace(
-            updated,
-            retrieval=replace(
-                updated.retrieval,
-                k=k if k is not None else updated.retrieval.k,
-                max_hops=max_hops if max_hops is not None else updated.retrieval.max_hops,
-            ),
-        )
-    if keep_ratio is not None:
-        updated = replace(updated, enhancer=replace(updated.enhancer, keep_ratio=keep_ratio))
-    if cot_model or enhance_model or infer_model:
-        updated = replace(
-            updated,
-            assignment=ModelAssignment(
-                cot=cot_model or updated.assignment.cot,
-                enhance=enhance_model or updated.assignment.enhance,
-                infer=infer_model or updated.assignment.infer,
-            ),
-        )
-    return updated
+def load_config(path: str | None = None, overrides: Mapping | None = None) -> PipelineConfig:
+    """Read a YAML config file (or none), lay ``overrides`` over it, and build the config."""
+    data: Mapping = {}
+    if path is not None:
+        with open(path, "rb") as fh:
+            try:
+                loaded = yaml.safe_load(fh)
+            except (yaml.YAMLError, ValueError, AttributeError) as exc:  # bad dates and tags raise the last two
+                raise ValidationError(f"{path}: invalid YAML: {exc}") from None
+        data = _section({path: loaded}, path)  # the root reads like any section
+    return config_from_mapping(_overlay(data, overrides or {}))

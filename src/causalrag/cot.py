@@ -13,13 +13,11 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import CotParseError, ValidationError
-from .templates import load_template
+from .templates import fill_template, load_template
 
 ARROW = "→"
 _SPLIT_RE = re.compile(r"→|->")
 _INT_RE = re.compile(r"[+-]?\d+")
-
-COT_STAGE = "cot"
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ def build_cot_prompt(question: str, options, template: str | None = None) -> str
         raise ValidationError("question must be non-empty")
     block = format_options(options)
     tpl = template if template is not None else load_template("cot_generation.txt")
-    return tpl.replace("{question}", question.strip()).replace("{options}", block)
+    return fill_template(tpl, question=question.strip(), options=block)
 
 
 def parse_cot(raw: str) -> ChainOfThought:

@@ -35,11 +35,12 @@ class EnhancerConfig:
     keep_ratio: float = 0.4
 
     def __post_init__(self):
+        # written as not (in range) so that NaN fails every check
         for name, value in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
-            if value < 0:
+            if not value >= 0:
                 raise ValidationError(f"{name} must be >= 0, got {value}")
         total = self.alpha + self.beta + self.gamma
-        if abs(total - 1.0) > _WEIGHT_SUM_TOLERANCE:
+        if not abs(total - 1.0) <= _WEIGHT_SUM_TOLERANCE:
             raise ValidationError(
                 f"alpha + beta + gamma must equal 1, got {total}"
             )

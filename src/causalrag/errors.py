@@ -35,3 +35,7 @@ class TransportError(CausalRagError):
 
 class TranscriptError(CausalRagError):
     """Mock transcript replay could not satisfy a request."""
+
+
+# A failed LLM stage: the harness degrades the item to an abstain, the CLI exits 3.
+STAGE_ERRORS = (TransportError, TranscriptError, CotParseError)

@@ -27,7 +27,7 @@ from .enhancer import (
     score_paths,
     select_final,
 )
-from .errors import CotParseError, DatasetError, TranscriptError, TransportError, ValidationError
+from .errors import STAGE_ERRORS, DatasetError, ValidationError
 from .graph import KnowledgeGraph
 from .llm import LlmGateway, LlmRequest, extract_answer_label
 from .metrics import compute_metrics
@@ -172,7 +172,7 @@ class Pipeline:
             return PredictionRecord(
                 item_id=item.id, gold=item.gold, predicted=predicted, trace=trace
             )
-        except (TransportError, TranscriptError, CotParseError) as exc:
+        except STAGE_ERRORS as exc:
             if strict:
                 raise
             logger.warning("item %s degraded to abstain: %s", item.id, exc)

@@ -118,9 +118,12 @@ class MockTranscript:
                     continue
                 try:
                     record = json.loads(line)
-                    entries.append((record["stage"], record["ordinal"], record["text"]))
+                    stage, ordinal, text = record["stage"], record["ordinal"], record["text"]
+                    if not (isinstance(stage, str) and isinstance(text, str) and type(ordinal) is int):
+                        raise TypeError("stage and text must be strings and ordinal an integer")
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise ValidationError(f"{path}: transcript line {line_no}: {exc}") from None
+                entries.append((stage, ordinal, text))
         return cls(entries)
 
     def __len__(self) -> int:

@@ -359,3 +359,58 @@ def test_truncated_artifact_exits_1_without_traceback(artifact, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+# -- bad inputs: one documented exit code each, an error line, no traceback -------
+
+
+def _bad_input_args(case, artifact, tmp_path):
+    bad = tmp_path / "bad"
+    if case == "blank-cot-reply":
+        bad.write_text(json.dumps({"stage": "cot", "ordinal": 0, "text": "  "}) + "\n", encoding="utf-8")
+        return [
+            "answer", "--graph", str(artifact), "--question", "Which cancer follows smoking?",
+            "--option", "A=Lung cancer", "--option", "B=Stroke", "--mock-transcript", str(bad),
+        ]
+    if case == "non-utf8-triples":
+        bad.write_bytes((FIXTURES / "triples.tsv").read_bytes() + b"C9\t\xff\xfe\tx\tCAUSES\tC1\ty\tz\n")
+        return ["build-graph", str(bad), "--output", str(tmp_path / "g.crag")]
+    evaluate = ["evaluate", "--graph", str(artifact), "--dataset", str(FIXTURES / "dataset.jsonl")]
+    if case == "non-utf8-dataset":
+        bad.write_bytes(b'{"id": "q\xff"}\n')
+        return evaluate[:-1] + [str(bad)]
+    if case == "wrong-type-transcript":
+        bad.write_text(json.dumps({"stage": "cot", "ordinal": "x", "text": "a"}) + "\n", encoding="utf-8")
+        return evaluate + ["--mock-transcript", str(bad)]
+    bad.write_bytes(
+        {
+            "invalid-yaml": b"retrieval: [1, 2\n",
+            "non-utf8-yaml": b"theta: \xff\n",
+            "wrong-type-config": b"retrieval:\n  max_hops: x\n",
+            "non-mapping-section": b"models: 5\n",
+            "null-workers": b"workers: null\n",
+        }[case]
+    )
+    return evaluate + ["--config", str(bad), "--k", "2"]
+
+
+@pytest.mark.parametrize(
+    "case, code, message",
+    [
+        ("blank-cot-reply", 3, "no reasoning segments"),
+        ("non-utf8-triples", 1, "utf-8"),
+        ("non-utf8-dataset", 1, "utf-8"),
+        ("wrong-type-transcript", 2, "transcript line 1"),
+        ("invalid-yaml", 2, "invalid YAML"),
+        ("non-utf8-yaml", 2, "invalid YAML"),
+        ("wrong-type-config", 2, "retrieval.max_hops: expected int, got 'x'"),
+        ("non-mapping-section", 2, "models: expected a mapping, got 5"),
+        ("null-workers", 2, "workers: expected int, got None"),
+    ],
+)
+def test_bad_input_exits_with_its_code_without_traceback(artifact, tmp_path, capsys, case, code, message):
+    assert main(_bad_input_args(case, artifact, tmp_path)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert message in err
+    assert "Traceback" not in err

@@ -187,6 +187,13 @@ def test_weights_must_sum_to_one():
         EnhancerConfig(keep_ratio=1.5)
 
 
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+def test_nan_weight_is_rejected(name):
+    weights = {"alpha": 0.4, "beta": 0.3, "gamma": 0.3, name: math.nan}
+    with pytest.raises(ValidationError, match=name):
+        EnhancerConfig(**weights)
+
+
 def test_total_score_monotone_in_each_component():
     config = EnhancerConfig(alpha=0.4, beta=0.3, gamma=0.3)
     base = total_score(0.4, 0.4, 0.4, config)

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from causalrag.causal import build_causal_view
-from causalrag.config import apply_overrides, load_config
+from causalrag.config import load_config
 from causalrag.errors import DatasetError, TransportError
 from causalrag.graph import load_triples
 from causalrag.harness import (
@@ -22,7 +22,7 @@ from causalrag.harness import (
     summarize_report,
 )
 from causalrag.linker import build_index
-from causalrag.llm import EndpointConfig, LlmGateway, LlmResponse, MockTranscript
+from causalrag.llm import EndpointConfig, LlmGateway, LlmResponse, MockTranscript, ModelAssignment
 
 from .conftest import FIXTURES, RecordingLinker
 
@@ -127,9 +127,8 @@ def test_parallel_live_evaluation_matches_sequential_results():
         gateway = LlmGateway(endpoint=EndpointConfig(url="http://example/llm"), transport=transport)
         pipeline = build_fixture_pipeline(Mode.FULL, gateway=gateway)
         pipeline.config = replace(
-            apply_overrides(
-                pipeline.config, cot_model="live-a", enhance_model="live-a", infer_model="live-a"
-            ),
+            pipeline.config,
+            assignment=ModelAssignment(cot="live-a", enhance="live-a", infer="live-a"),
             workers=workers,
         )
         report = run_evaluation(pipeline, items, Mode.FULL)
@@ -153,8 +152,7 @@ def test_live_calls_in_flight_reach_the_worker_count():
     gateway = LlmGateway(endpoint=EndpointConfig(url="http://example/llm"), transport=transport)
     pipeline = build_fixture_pipeline(Mode.NO_LLM_ENHANCED, gateway=gateway)
     pipeline.config = replace(
-        apply_overrides(pipeline.config, cot_model="live-a", infer_model="live-a"),
-        workers=workers,
+        pipeline.config, assignment=ModelAssignment(cot="live-a", infer="live-a"), workers=workers
     )
     report = run_evaluation(pipeline, items, Mode.NO_LLM_ENHANCED)
     assert report["error_count"] == 0
@@ -239,8 +237,8 @@ def test_flaky_endpoint_warns_once_per_degraded_item(caplog):
         backoff_seconds=0.0,
     )
     pipeline = build_fixture_pipeline(Mode.FULL, gateway=gateway)
-    pipeline.config = apply_overrides(
-        pipeline.config, cot_model="live-a", enhance_model="live-a", infer_model="live-a"
+    pipeline.config = replace(
+        pipeline.config, assignment=ModelAssignment(cot="live-a", enhance="live-a", infer="live-a")
     )
     item = load_dataset(FIXTURES / "dataset.jsonl")[0]
     with caplog.at_level(logging.DEBUG, logger="causalrag"):
@@ -267,8 +265,9 @@ def test_cross_model_stage_routing():
     gateway = LlmGateway(endpoint=EndpointConfig(url="http://example/llm"), transport=transport)
     pipeline = build_fixture_pipeline(Mode.FULL, gateway=gateway)
     # wire stage models like the cross-model protocol: small CoT, big rest
-    pipeline.config = apply_overrides(
-        pipeline.config, cot_model="small-model", enhance_model="big-model", infer_model="big-model"
+    pipeline.config = replace(
+        pipeline.config,
+        assignment=ModelAssignment(cot="small-model", enhance="big-model", infer="big-model"),
     )
     items = load_dataset(FIXTURES / "dataset.jsonl")
     record = pipeline.answer(items[0], Mode.FULL)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import random
 from pathlib import Path
 
 import pytest
@@ -12,10 +13,13 @@ from causalrag.llm import (
     LlmGateway,
     LlmRequest,
     LlmResponse,
+    STAGES,
     MockTranscript,
     ModelAssignment,
     extract_answer_label,
 )
+
+from .conftest import FIXTURES
 
 
 def _request(stage="cot", model="mock", prompt="hello"):
@@ -73,6 +77,53 @@ def test_transcript_rejects_duplicates_and_bad_stage():
         MockTranscript([("cot", 0, "a"), ("cot", 0, "b")])
     with pytest.raises(ValidationError):
         MockTranscript([("warmup", 0, "a")])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("ordinal", "x"), ("ordinal", "1"), ("ordinal", True), ("ordinal", 1.0), ("ordinal", None),
+     ("text", 5), ("text", None), ("text", ["a"]), ("stage", 1), ("stage", None)],
+)
+def test_transcript_load_rejects_wrong_types(tmp_path, field, value):
+    record = {"stage": "infer", "ordinal": 1, "text": "Answer: A", field: value}
+    path = tmp_path / "t.jsonl"
+    path.write_text(
+        json.dumps({"stage": "infer", "ordinal": 0, "text": "Answer: B"}) + "\n" + json.dumps(record) + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValidationError, match="transcript line 2"):
+        MockTranscript.load(path)
+
+
+def test_transcript_load_fuzz_raises_only_validation_errors(tmp_path):
+    lines = (FIXTURES / "transcript_full.jsonl").read_text(encoding="utf-8").splitlines()
+    values = [None, True, 0, -1, 1.5, "", "x", "cot", [], [1], {}, {"a": 1}]
+    rng = random.Random(7)
+    path = tmp_path / "t.jsonl"
+    rejected = 0
+    for _ in range(600):
+        mutated = list(lines)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(mutated))
+            record = json.loads(mutated[at])
+            if rng.random() < 0.2:
+                del record[rng.choice(sorted(record))]
+            else:
+                record[rng.choice(("stage", "ordinal", "text"))] = rng.choice(values)
+            mutated[at] = json.dumps(record)
+        path.write_text("\n".join(mutated) + "\n", encoding="utf-8")
+        try:
+            transcript = MockTranscript.load(path)
+        except ValidationError:
+            rejected += 1
+            continue
+        for stage in STAGES:
+            try:
+                while True:
+                    assert isinstance(transcript.next_response(stage)[1], str)
+            except TranscriptError:
+                pass
+    assert 0 < rejected < 600
 
 
 def test_mock_replay_deterministic():
