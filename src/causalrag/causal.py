@@ -74,12 +74,24 @@ class CausalGraphView:
     member when its label weight and its stored strength are both >= theta.
     ``build_causal_view`` and ``apply_strength_updates`` both decide through
     ``_is_member``, so a revised view equals a fresh count of the rule.
+
+    The path search reads ``successors`` and ``edges_into``. Each view
+    memoises them per node on first read, by filtering the base graph's
+    memo entries through ``member_edges``. An entry is a pure function of
+    the immutable view, so concurrent fills race benignly. A revised view
+    starts with an empty memo, so no entry can outlive a membership change.
     """
 
     base: KnowledgeGraph
     theta: float
     member_edges: frozenset[int]
     overrides: Mapping[int, float] = field(default_factory=dict)
+    _successors: dict[str, tuple[tuple[int, str], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _edges_into: dict[str, dict[str, tuple[int, ...]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # Traversal protocol shared with KnowledgeGraph -------------------------
 
@@ -94,6 +106,32 @@ class CausalGraphView:
 
     def in_edges(self, node_id: str) -> tuple[int, ...]:
         return tuple(i for i in self.base.in_edges(node_id) if i in self.member_edges)
+
+    def successors(self, node_id: str) -> tuple[tuple[int, str], ...]:
+        """The base graph's ``successors`` entry, member edges only (pairs shared)."""
+        try:
+            return self._successors[node_id]
+        except KeyError:
+            pass
+        members = self.member_edges
+        pairs = tuple(pair for pair in self.base.successors(node_id) if pair[0] in members)
+        self._successors[node_id] = pairs
+        return pairs
+
+    def edges_into(self, goal: str) -> dict[str, tuple[int, ...]]:
+        """The base graph's ``edges_into`` entry, member edges only; do not change it."""
+        try:
+            return self._edges_into[goal]
+        except KeyError:
+            pass
+        members = self.member_edges
+        into = {}
+        for subject, idxs in self.base.edges_into(goal).items():
+            kept = tuple(idx for idx in idxs if idx in members)
+            if kept:
+                into[subject] = kept
+        self._edges_into[goal] = into
+        return into
 
     def effective_strength(self, index: int) -> float:
         override = self.overrides.get(index)

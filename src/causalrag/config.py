@@ -45,6 +45,10 @@ class PipelineConfig:
             raise ValidationError(f"theta must be in [0, 1], got {self.theta}")
         if self.workers < 1:
             raise ValidationError(f"workers must be >= 1, got {self.workers}")
+        for stage in ("cot", "enhance", "infer"):
+            temperature = getattr(self, f"{stage}_temperature")
+            if not (temperature >= 0):
+                raise ValidationError(f"temperatures.{stage} must be >= 0, got {temperature}")
 
     def echo(self) -> dict:
         """Fully resolved knobs for embedding in reports."""

@@ -112,6 +112,9 @@ class KnowledgeGraph:
             self._reverse[edge.object].append(idx)
 
         self.stats = stats or IngestStats()
+        # Search memos, filled per node on first read (see ``successors``).
+        self._successors: dict[str, tuple[tuple[int, str], ...]] = {}
+        self._edges_into: dict[str, dict[str, tuple[int, ...]]] = {}
 
     # -- lookups -------------------------------------------------------------
 
@@ -170,6 +173,36 @@ class KnowledgeGraph:
         if node_id not in self._nodes:
             raise NotFoundError(f"unknown node id {node_id!r}")
         return tuple(self._reverse[node_id])
+
+    # The path search's two reads. Each entry is built on the node's first
+    # read and kept: it is a pure function of the immutable graph, so two
+    # threads filling the same entry store equal values and the race is benign.
+
+    def successors(self, node_id: str) -> tuple[tuple[int, str], ...]:
+        """``(edge index, object)`` for each out-edge, ascending edge index."""
+        try:
+            return self._successors[node_id]
+        except KeyError:
+            pass
+        pairs = tuple((idx, self._edges[idx].object) for idx in self.out_edges(node_id))
+        self._successors[node_id] = pairs
+        return pairs
+
+    def edges_into(self, goal: str) -> dict[str, tuple[int, ...]]:
+        """Each node with an edge into ``goal`` -> those edges, ascending index.
+
+        The returned mapping is the memo entry itself; callers must not change it.
+        """
+        try:
+            return self._edges_into[goal]
+        except KeyError:
+            pass
+        grouped: dict[str, list[int]] = {}
+        for idx in self.in_edges(goal):
+            grouped.setdefault(self._edges[idx].subject, []).append(idx)
+        into = {subject: tuple(idxs) for subject, idxs in grouped.items()}
+        self._edges_into[goal] = into
+        return into
 
 
 def shortest_path_length(source, start: str, goal: str, max_hops: int) -> int | None:

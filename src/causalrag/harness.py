@@ -117,7 +117,8 @@ def load_dataset(path) -> list[QAItem]:
                     options={str(k): str(v) for k, v in record["options"].items()},
                     gold=str(record["answer"]),
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, AttributeError, ValidationError) as exc:
+            # ValueError covers bad JSON and over-long integers; RecursionError, deep nesting.
+            except (ValueError, RecursionError, KeyError, TypeError, AttributeError, ValidationError) as exc:
                 raise DatasetError(f"{path}: line {line_no}: {exc}") from None
             if item.id in seen_ids:
                 raise DatasetError(f"{path}: line {line_no}: duplicate item id {item.id!r}")

@@ -68,8 +68,9 @@ def build_index(
 ) -> LinkerIndex:
     """Index every node name and alias; optional (cui, alias) rows merge in.
 
-    Rows naming a CUI absent from the graph are skipped with a warning so a
-    shared alias file can cover more concepts than one graph contains.
+    Rows naming a CUI absent from the graph are skipped, with one warning
+    for all of them, so a shared alias file can cover more concepts than one
+    graph contains.
     """
     entries: dict[tuple[str, ...], set[str]] = {}
 
@@ -84,18 +85,26 @@ def build_index(
         for alias in node.aliases:
             add(alias, node.id)
 
+    unknown = 0
     for cui, alias in extra_aliases:
-        if not graph.has_node(cui):
-            logger.warning("alias file names unknown CUI %r; skipped", cui)
-            continue
-        add(alias, cui)
+        if graph.has_node(cui):
+            add(alias, cui)
+        else:
+            unknown += 1
+    if unknown:
+        logger.warning("skipped %d alias rows naming an unknown CUI", unknown)
 
     return LinkerIndex(entries)
 
 
 def load_alias_file(path) -> list[tuple[str, str]]:
-    """Read supplementary aliases from a TSV of cui<TAB>alias rows."""
+    """Read supplementary aliases from a TSV of cui<TAB>alias rows.
+
+    Blank lines and '#' comments are skipped; rows without a CUI and an
+    alias are dropped, with one warning carrying their count.
+    """
     rows: list[tuple[str, str]] = []
+    malformed = 0
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.rstrip("\n").rstrip("\r")
@@ -104,6 +113,9 @@ def load_alias_file(path) -> list[tuple[str, str]]:
                 continue
             fields = [f.strip() for f in line.split("\t")]
             if len(fields) < 2 or not fields[0] or not fields[1]:
+                malformed += 1
                 continue
             rows.append((fields[0], fields[1]))
+    if malformed:
+        logger.warning("%s: skipped %d malformed alias rows", path, malformed)
     return rows

@@ -91,53 +91,52 @@ def path_score(path: GraphPath) -> float:
     return sum(path.strengths) / len(path.edges)
 
 
-def _edges_into(source, goal: str) -> dict[str, list[int]]:
-    """Each node with an edge into ``goal`` -> those edges, ascending index."""
-    into: dict[str, list[int]] = {}
-    for idx in source.in_edges(goal):
-        into.setdefault(source.edge(idx).subject, []).append(idx)
-    return into
-
-
 def _enumerate_simple_paths(
-    source, start: str, goal: str, max_hops: int, into_goal: dict[str, list[int]]
+    source, start: str, goal: str, max_hops: int, into_goal: dict[str, tuple[int, ...]]
 ) -> Iterator[tuple[tuple[str, ...], tuple[int, ...]]]:
     """Depth-first enumeration of loop-free directed paths start -> goal.
 
-    ``into_goal`` is ``_edges_into(source, goal)``. A node one hop short of
+    ``into_goal`` is ``source.edges_into(goal)``. A node one hop short of
     ``max_hops`` takes its last hop from it instead of scanning its
-    out-edges, and the level before enters a non-goal node only if it has
+    successors, and the level before enters a non-goal node only if it has
     an edge into the goal: any other node is at least two hops away, so
     the pruning drops no path. Neighbors expand in ascending edge-index
     order, which makes the yield order (and everything built on it)
-    deterministic.
+    deterministic. The stack of successor iterators is explicit, so a
+    finished search leaves no reference cycle holding ``source``.
     """
     if start == goal:
+        return
+    last = max_hops - 1
+    if last == 0:
+        for idx in into_goal.get(start, ()):
+            yield (start, goal), (idx,)
         return
     node_stack = [start]
     edge_stack: list[int] = []
     on_path = {start}
-    last = max_hops - 1
-
-    def walk(node: str, depth: int) -> Iterator[tuple[tuple[str, ...], tuple[int, ...]]]:
-        if depth == last:
-            for idx in into_goal.get(node, ()):
-                yield (*node_stack, goal), (*edge_stack, idx)
-            return
-        for idx in source.out_edges(node):
-            target = source.edge(idx).object
+    # frames[d] walks the successors of node_stack[d]; a target enters at depth len(frames).
+    frames = [iter(source.successors(start))]
+    while frames:
+        for idx, target in frames[-1]:
             if target == goal:
                 yield (*node_stack, goal), (*edge_stack, idx)
-            elif target not in on_path and (depth + 1 < last or target in into_goal):
+            elif target in on_path:
+                continue
+            elif len(frames) < last:
                 node_stack.append(target)
                 edge_stack.append(idx)
                 on_path.add(target)
-                yield from walk(target, depth + 1)
-                on_path.discard(target)
-                node_stack.pop()
+                frames.append(iter(source.successors(target)))
+                break
+            elif target in into_goal:
+                for last_idx in into_goal[target]:
+                    yield (*node_stack, target, goal), (*edge_stack, idx, last_idx)
+        else:
+            frames.pop()
+            if frames:
+                on_path.discard(node_stack.pop())
                 edge_stack.pop()
-
-    yield from walk(start, 0)
 
 
 def _collect_tier(
@@ -153,7 +152,6 @@ def _collect_tier(
     seen: set[tuple[tuple[str, ...], tuple[int, ...]]] = set()
     paths: list[GraphPath] = []
     needs_reverse: list[tuple[str, str]] = []
-    into_goal = {b: _edges_into(source, b) for b in tos}
 
     def emit(nodes: tuple[str, ...], edges: tuple[int, ...], is_reversed: bool) -> None:
         key = (nodes, edges)
@@ -177,7 +175,7 @@ def _collect_tier(
             if a == b:
                 continue
             found_any = False
-            for nodes, edges in _enumerate_simple_paths(source, a, b, config.max_hops, into_goal[b]):
+            for nodes, edges in _enumerate_simple_paths(source, a, b, config.max_hops, source.edges_into(b)):
                 found_any = True
                 emit(nodes, edges, False)
             if not found_any:
@@ -186,9 +184,7 @@ def _collect_tier(
     # Direction-flipped search only for pairs the forward pass left empty,
     # after all forward paths, so forward duplicates win the dedup.
     for a, b in needs_reverse:
-        if a not in into_goal:
-            into_goal[a] = _edges_into(source, a)
-        for nodes, edges in _enumerate_simple_paths(source, b, a, config.max_hops, into_goal[a]):
+        for nodes, edges in _enumerate_simple_paths(source, b, a, config.max_hops, source.edges_into(a)):
             emit(nodes, edges, True)
 
     return paths

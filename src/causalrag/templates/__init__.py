@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
 from importlib import resources
 
 from ..errors import ValidationError
 
 NO_EVIDENCE_MARKER = "[no graph evidence found]"
+
+_PLACEHOLDER_RE = re.compile(r"\{(\w+)\}")
 
 
 def load_template(name: str, override_path: str | None = None) -> str:
@@ -21,8 +24,10 @@ def load_template(name: str, override_path: str | None = None) -> str:
 
 
 def fill_template(template: str, **values: str) -> str:
-    """Substitute {name} placeholders literally (stray braces stay untouched)."""
-    text = template
-    for key, value in values.items():
-        text = text.replace("{" + key + "}", value)
-    return text
+    """Substitute {name} placeholders in one pass over the template.
+
+    A substituted value is never scanned again, so a question holding
+    ``{options}`` stays literal; unknown placeholders and stray braces stay
+    untouched.
+    """
+    return _PLACEHOLDER_RE.sub(lambda m: values.get(m.group(1), m.group(0)), template)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -235,6 +237,94 @@ def test_in_edges_are_the_member_edges_into_each_node_across_updates():
         with pytest.raises(NotFoundError):
             view.in_edges("missing")
     assert kept and dropped
+
+
+def _recount_search_reads(graph, members, node_id):
+    """``successors`` and ``edges_into`` of ``node_id`` over ``members``, from the edge list."""
+    successors = tuple((i, e.object) for i, e in enumerate(graph.edges) if e.subject == node_id and i in members)
+    into: dict[str, tuple[int, ...]] = {}
+    for i, e in enumerate(graph.edges):
+        if e.object == node_id and i in members:
+            into[e.subject] = into.get(e.subject, ()) + (i,)
+    return successors, into
+
+
+def _check_search_memo(container, graph, members, rng, share=1.0):
+    """Read ``share`` of the nodes, in random order and twice each (the first
+    read may fill the memo, the second reads it), against a recount of
+    ``members``."""
+    node_ids = list(graph.node_ids())
+    rng.shuffle(node_ids)
+    for node_id in node_ids[: round(share * len(node_ids))]:
+        successors, into = _recount_search_reads(graph, members, node_id)
+        for _ in range(2):
+            assert container.successors(node_id) == successors
+            assert container.edges_into(node_id) == into
+        # A view shares the base graph's (edge, target) pairs instead of copying them.
+        base_pairs = {id(pair) for pair in graph.successors(node_id)}
+        assert {id(pair) for pair in container.successors(node_id)} <= base_pairs
+    for read in (container.successors, container.edges_into):
+        with pytest.raises(NotFoundError):
+            read("missing")
+
+
+def test_search_memo_equals_a_recount_across_update_chains():
+    rng = random.Random(2504)
+    checked_views = kept = dropped = 0
+    for _ in range(200):
+        graph, specs, table = _random_graph_and_table(rng)
+        all_edges = frozenset(range(graph.edge_count))
+        _check_search_memo(graph, graph, all_edges, rng, share=rng.random())
+        view = build_causal_view(graph, table, rng.choice(_GRID))
+        for _ in range(rng.randint(1, 4)):
+            # Warm part of the parent, derive two siblings from it, then read
+            # all three: no entry may leak between a parent and its revisions.
+            _check_search_memo(view, graph, view.member_edges, rng, share=rng.random())
+            siblings = [apply_strength_updates(view, _random_batch(rng, specs)) for _ in range(2)]
+            for sibling in siblings:
+                _check_search_memo(sibling, graph, sibling.member_edges, rng)
+            _check_search_memo(view, graph, view.member_edges, rng)
+            checked_views += 3
+            kept += len(view.member_edges)
+            dropped += graph.edge_count - len(view.member_edges)
+            view = rng.choice(siblings)
+        _check_search_memo(graph, graph, all_edges, rng)
+    assert checked_views and kept and dropped
+
+
+def test_search_memo_fills_race_benignly_across_threads():
+    rng = random.Random(2505)
+    specs = {(f"N{rng.randrange(40)}", rng.choice(_PREDICATES), f"N{rng.randrange(40)}") for _ in range(400)}
+    graph = make_graph([(*triple, rng.choice(_GRID)) for triple in sorted(specs) if triple[0] != triple[2]])
+    view = build_causal_view(graph, default_causality_table(), 0.5)
+    node_ids = list(graph.node_ids())
+    expected = [
+        (container, {n: _recount_search_reads(graph, members, n) for n in node_ids})
+        for container, members in ((graph, range(graph.edge_count)), (view, view.member_edges))
+    ]
+    mismatches: list[str] = []
+
+    def reader(seed: int) -> None:
+        # Every thread fills the same entries, in its own order.
+        order = random.Random(seed).sample(node_ids, len(node_ids))
+        for container, want in expected:
+            for node_id in order:
+                if (container.successors(node_id), container.edges_into(node_id)) != want[node_id]:
+                    mismatches.append(node_id)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+    assert len(view._successors) == len(view._edges_into) == len(node_ids)
 
 
 def test_view_never_contains_foreign_edges(chain_graph):

@@ -414,3 +414,20 @@ def test_bad_input_exits_with_its_code_without_traceback(artifact, tmp_path, cap
     assert err.startswith("error:")
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("stage, value", [("cot", "-1"), ("enhance", "-0.5"), ("infer", "-1e-9")])
+def test_negative_temperature_exits_2_before_any_graph_is_built(tmp_path, capsys, monkeypatch, stage, value):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built before the config was checked")
+
+    monkeypatch.setattr("causalrag.cli.load_graph", no_graph)
+    monkeypatch.setattr("causalrag.cli.load_triples", no_graph)
+    config = tmp_path / "config.yaml"
+    config.write_text(f"temperatures:\n  {stage}: {value}\n", encoding="utf-8")
+    args = ["--graph", str(tmp_path / "g.crag"), "--config", str(config)]
+    assert main(["evaluate", *args, "--dataset", str(FIXTURES / "dataset.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"temperatures.{stage} must be >= 0, got {float(value)}" in err
+    assert "Traceback" not in err

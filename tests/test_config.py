@@ -157,6 +157,15 @@ def test_bad_values_name_their_key_path(data, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("stage", ["cot", "enhance", "infer"])
+def test_temperatures_are_range_checked_when_read(stage):
+    with pytest.raises(ValidationError, match=rf"^temperatures\.{stage} must be >= 0, got -0\.5$"):
+        config_from_mapping({"temperatures": {stage: -0.5}})
+    with pytest.raises(ValidationError, match=rf"^temperatures\.{stage} must be >= 0, got nan$"):
+        PipelineConfig(**{**vars(default_config()), f"{stage}_temperature": math.nan})
+    assert getattr(config_from_mapping({"temperatures": {stage: 0}}), f"{stage}_temperature") == 0.0
+
+
 def test_null_sections_read_as_empty():
     sections = [key for key, value in _readme_config().items() if isinstance(value, dict)]
     assert len(sections) == 6

@@ -14,6 +14,7 @@ from causalrag.cot import (
     segment_pairs,
 )
 from causalrag.errors import CotParseError, ValidationError
+from causalrag.templates import fill_template, load_template
 
 
 # -- prompt construction ----------------------------------------------------------
@@ -34,6 +35,20 @@ def test_prompt_rejects_empty_question_and_few_options():
         build_cot_prompt("   ", {"A": "x", "B": "y"})
     with pytest.raises(ValidationError):
         build_cot_prompt("q?", {"A": "only one"})
+
+
+def test_placeholders_inside_values_stay_literal():
+    question = "Which of {options} fits the {evidence} and {unknown}?"
+    prompt = build_cot_prompt(question, {"A": "x", "B": "y"}, template="Q: {question}\nO: {options}")
+    assert prompt == f"Q: {question}\nO: A. x\nB. y"
+
+    inference = fill_template(
+        load_template("answer_inference.txt"), question=question, options="A. x", evidence="E {question}"
+    )
+    assert f"Question: {question}\n" in inference
+    assert "Evidence:\nE {question}\n" in inference
+    assert inference.count("A. x") == 1
+    assert fill_template("{a}{b} {c} {}", a="{b}", b="2") == "{b}2 {c} {}"
 
 
 def test_prompt_rejects_duplicate_labels():

@@ -1,0 +1,144 @@
+"""Seeded fuzz of the text-file loaders: only the package's errors may escape.
+
+Each case mutates a valid input line by line and character by character
+(cut, duplicate and swap lines; insert, drop and replace characters, with
+tabs, comment marks, numbers at and beyond the edges of their ranges,
+braces and non-ASCII text), and the dataset also field by field. A loader
+either returns a well-formed result or raises a ``CausalRagError``.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import random
+
+from causalrag.causal import parse_strength_updates
+from causalrag.errors import CausalRagError
+from causalrag.graph import ingest_triples
+from causalrag.harness import load_dataset
+from causalrag.linker import load_alias_file
+
+from .conftest import FIXTURES
+
+CASES = 300
+
+_PIECES = (
+    "\t", "\t\t", "#", " ", "\r", "", "x", "0", "1", "-1", "0.5", "1.5", "nan", "inf", "-inf", "1e999",
+    "9" * 5000, "{", "}", "[", "]", '"', ":", ",", "null", "true", "é", "→", " ", "\x00", "﻿",
+)
+
+
+def _mutate(rng: random.Random, lines: list[str]) -> list[str]:
+    lines = list(lines)
+    for _ in range(rng.randint(1, 4)):
+        op = rng.randrange(6)
+        at = rng.randrange(len(lines)) if lines else 0
+        if op == 0 and lines:
+            del lines[at]
+        elif op == 1 and lines:
+            lines.insert(rng.randrange(len(lines) + 1), lines[at])
+        elif op == 2 and len(lines) > 1:
+            other = rng.randrange(len(lines))
+            lines[at], lines[other] = lines[other], lines[at]
+        elif op == 3:
+            lines.insert(at, "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 6))))
+        elif lines:
+            line = lines[at]
+            cut = rng.randint(0, len(line))
+            end = cut + (rng.randint(0, 4) if op == 4 else 0)
+            lines[at] = line[:cut] + rng.choice(_PIECES) + line[end:]
+    return lines
+
+
+def _fuzz(tmp_path, fixture_lines, load, seed, mutate=_mutate) -> tuple[int, int]:
+    """Run ``load`` on ``CASES`` mutated files; returns (accepted, rejected)."""
+    rng = random.Random(seed)
+    path = tmp_path / "fuzzed"
+    accepted = rejected = 0
+    for _ in range(CASES):
+        path.write_text("\n".join(mutate(rng, fixture_lines)) + "\n", encoding="utf-8")
+        try:
+            load(path)
+        except CausalRagError:
+            rejected += 1
+        else:
+            accepted += 1
+    return accepted, rejected
+
+
+def _read_lines(path):
+    with open(path, encoding="utf-8") as fh:
+        return list(fh)
+
+
+def test_ingest_triples_fuzz_raises_only_package_errors(tmp_path):
+    lines = (FIXTURES / "triples.tsv").read_text(encoding="utf-8").splitlines()
+
+    def load(path):
+        graph = ingest_triples(_read_lines(path))
+        assert graph.edge_count >= 1
+        assert all(0.0 <= edge.strength <= 1.0 for edge in graph.edges)
+
+    accepted, rejected = _fuzz(tmp_path, lines, load, seed=8101)
+    assert accepted and rejected
+
+
+def test_parse_strength_updates_fuzz_raises_only_package_errors(tmp_path):
+    lines = ["subject_cui\tpredicate\tobject_cui\tstrength", "# curated"] + [
+        f"C00{i}\tCAUSES\tC00{i + 1}\t0.{i}" for i in range(1, 8)
+    ]
+
+    def load(path):
+        updates = parse_strength_updates(_read_lines(path))
+        assert all(0.0 <= strength <= 1.0 for strength in updates.values())
+
+    accepted, rejected = _fuzz(tmp_path, lines, load, seed=8102)
+    assert accepted and rejected
+
+
+def test_load_alias_file_fuzz_raises_only_package_errors(tmp_path):
+    lines = ["# cui\talias", "C001\thigh blood pressure", "C008\tlung carcinoma", "C004\theart attack"]
+
+    def load(path):
+        rows = load_alias_file(path)
+        assert all(cui and alias and "\t" not in cui + alias for cui, alias in rows)
+
+    accepted, _ = _fuzz(tmp_path, lines, load, seed=8103)
+    assert accepted == CASES  # bad rows are dropped, never fatal
+
+
+_JSON_VALUES = (None, True, 0, -1, 1.5, math.inf, "", "x", "A", [], [1], {}, {"A": 1}, {"A": "x", "A ": "y"})
+
+
+def _mutate_dataset(rng: random.Random, lines: list[str]) -> list[str]:
+    if rng.random() < 0.4:
+        return _mutate(rng, lines)
+    lines = list(lines)
+    at = rng.randrange(len(lines))
+    record = json.loads(lines[at])
+    roll = rng.random()
+    if roll < 0.15:
+        del record[rng.choice(sorted(record))]
+    elif roll < 0.3:
+        lines[at] = rng.choice(("[" * rng.choice((2, 5000)) + "]" * 2, '{"id": ' + "9" * 5000 + "}"))
+        return lines
+    elif roll < 0.6:
+        record[rng.choice(("id", "question", "options", "answer"))] = rng.choice(_JSON_VALUES)
+    else:
+        options = record["options"]
+        options[rng.choice(sorted(options) + ["E", ""])] = rng.choice(_JSON_VALUES)
+    lines[at] = json.dumps(record)  # writes inf as Infinity, which json reads back
+    return lines
+
+
+def test_load_dataset_fuzz_raises_only_package_errors(tmp_path):
+    lines = (FIXTURES / "dataset.jsonl").read_text(encoding="utf-8").splitlines()
+
+    def load(path):
+        items = load_dataset(path)
+        assert items and len({item.id for item in items}) == len(items)
+        assert all(item.gold in item.options for item in items)
+
+    accepted, rejected = _fuzz(tmp_path, lines, load, seed=8104, mutate=_mutate_dataset)
+    assert accepted and rejected

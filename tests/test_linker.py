@@ -143,6 +143,25 @@ def test_alias_file_merged_and_unknown_cui_skipped(tmp_path, caplog):
     assert any("unknown CUI" in message for message in caplog.messages)
 
 
+def test_alias_problems_warn_once_with_their_counts(tmp_path, caplog):
+    graph = _graph([("C1", "Myocardial Infarction", ()), ("C2", "Aspirin", ())])
+    alias_path = tmp_path / "aliases.tsv"
+    alias_path.write_text(
+        "C1\theart attack\nC9\tghost\nC8\tphantom\nC9\tspectre\n"
+        "C2\nC2\t\n\tnameless\n  \n# comment\nC2\tASA\textra\n",
+        encoding="utf-8",
+    )
+    with caplog.at_level("WARNING", logger="causalrag"):
+        rows = load_alias_file(alias_path)
+        index = build_index(graph, rows)
+    assert rows == [("C1", "heart attack"), ("C9", "ghost"), ("C8", "phantom"), ("C9", "spectre"), ("C2", "ASA")]
+    assert index.link("asa after a heart attack") == {"C1", "C2"}
+    assert caplog.messages == [
+        f"{alias_path}: skipped 3 malformed alias rows",
+        "skipped 3 alias rows naming an unknown CUI",
+    ]
+
+
 def test_link_on_index():
     graph = _graph([("C1", "Stroke", ()), ("C2", "Aspirin", ())])
     index = build_index(graph)

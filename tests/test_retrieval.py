@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -11,7 +13,6 @@ from causalrag.causal import (
     build_causal_view,
     default_causality_table,
 )
-from causalrag import retrieval
 from causalrag.cot import ChainOfThought
 from causalrag.errors import NotFoundError, ValidationError
 from causalrag.graph import ConceptNode, KgEdge, KnowledgeGraph
@@ -141,6 +142,24 @@ def test_causal_first_guarantee_and_score_floor():
     view2 = build_causal_view(graph2, default_causality_table(), theta)
     fallback = find_paths(view2, graph2, {"A"}, {"D"}, config)
     assert fallback and all(p.tier == "fallback" for p in fallback)
+
+
+@pytest.mark.parametrize("max_hops", [1, 2, 3])
+def test_finished_search_leaves_no_cycle_holding_the_view(chain_graph, max_hops):
+    # With the cycle collector off, only reference counting can free the view:
+    # a search that left a reference cycle through its frames would pin it.
+    view = build_causal_view(chain_graph, default_causality_table(), 0.5)
+    config = RetrievalConfig(max_hops=max_hops)
+    gc.collect()
+    gc.disable()
+    try:
+        for from_set, to_set in (({"A"}, {"C"}), ({"C"}, {"A"}), ({"A", "B"}, {"A", "B", "C"})):
+            assert find_paths(view, chain_graph, from_set, to_set, config)
+        freed = weakref.ref(view)
+        del view
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_find_paths_uses_view_override_strengths(chain_graph, chain_view):
@@ -419,11 +438,14 @@ def test_find_paths_equals_the_unpruned_reference_in_order():
 
 
 class _OutEdgeRecorder:
-    """A container that records every node whose out-edges are read."""
+    """A container that records every node whose out-edges are read, through
+    ``successors`` (the search) or ``out_edges`` (the unpruned reference), and
+    every node that takes its last hop from a goal's ``edges_into``."""
 
     def __init__(self, graph):
         self.graph = graph
         self.out_calls: list[str] = []
+        self.entered: list[str] = []
 
     def __getattr__(self, name):
         return getattr(self.graph, name)
@@ -432,9 +454,16 @@ class _OutEdgeRecorder:
         self.out_calls.append(node_id)
         return self.graph.out_edges(node_id)
 
+    def successors(self, node_id):
+        self.out_calls.append(node_id)
+        return self.graph.successors(node_id)
+
+    def edges_into(self, goal):
+        return _RecordingLookups(self.graph.edges_into(goal), self.entered)
+
 
 class _RecordingLookups(dict):
-    """``into_goal`` that records which nodes take their last hop from it."""
+    """``edges_into`` that records which nodes take their last hop from it."""
 
     def __init__(self, mapping, log):
         super().__init__(mapping)
@@ -443,6 +472,10 @@ class _RecordingLookups(dict):
     def get(self, key, default=None):
         self.log.append(key)
         return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.log.append(key)
+        return super().__getitem__(key)
 
 
 def _fan(max_hops: int):
@@ -471,13 +504,8 @@ def _fan(max_hops: int):
 
 
 @pytest.mark.parametrize("max_hops", [1, 2, 3, 4])
-def test_goal_directed_search_reads_no_out_edges_one_hop_short(max_hops, monkeypatch):
+def test_goal_directed_search_reads_no_out_edges_one_hop_short(max_hops):
     graph, depth, into_goal = _fan(max_hops)
-    entered: list[str] = []
-    edges_into = retrieval._edges_into
-    monkeypatch.setattr(
-        retrieval, "_edges_into", lambda source, goal: _RecordingLookups(edges_into(source, goal), entered)
-    )
     recorder = _OutEdgeRecorder(graph)
     config = RetrievalConfig(max_hops=max_hops)
 
@@ -488,7 +516,7 @@ def test_goal_directed_search_reads_no_out_edges_one_hop_short(max_hops, monkeyp
     assert all(depth[node] <= max_hops - 2 for node in recorder.out_calls)
     assert sorted(recorder.out_calls) == sorted(n for n, d in depth.items() if d <= max_hops - 2)
     # The level before the last enters only the nodes with an edge into G.
-    assert sorted(entered) == sorted(into_goal)
+    assert sorted(recorder.entered) == sorted(into_goal)
 
     unpruned = _OutEdgeRecorder(graph)
     list(enumerate_simple_paths_unpruned(unpruned, "S", "G", max_hops))
