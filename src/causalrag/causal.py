@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
@@ -69,6 +71,11 @@ class CausalGraphView:
     shared and never mutated. Views are immutable value objects, so revised
     views can be created freely while readers keep using old ones.
 
+    Membership is one byte per base edge: ``mask[i]`` is 1 when edge ``i``
+    is a member. ``member_edges`` is the same set as a frozenset, derived
+    from the mask on first read and cached; a revision copies the mask
+    instead of rebuilding a hash set.
+
     The membership rule, at the view's ``theta``: an edge with a mined
     override is a member when the override is >= theta; any other edge is a
     member when its label weight and its stored strength are both >= theta.
@@ -77,14 +84,15 @@ class CausalGraphView:
 
     The path search reads ``successors`` and ``edges_into``. Each view
     memoises them per node on first read, by filtering the base graph's
-    memo entries through ``member_edges``. An entry is a pure function of
-    the immutable view, so concurrent fills race benignly. A revised view
-    starts with an empty memo, so no entry can outlive a membership change.
+    memo entries through the mask. An entry, like ``member_edges``, is a
+    pure function of the immutable view, so concurrent fills race benignly.
+    A revised view starts with an empty memo, so no entry can outlive a
+    membership change.
     """
 
     base: KnowledgeGraph
     theta: float
-    member_edges: frozenset[int]
+    mask: bytes = field(repr=False)
     overrides: Mapping[int, float] = field(default_factory=dict)
     _successors: dict[str, tuple[tuple[int, str], ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -102,10 +110,12 @@ class CausalGraphView:
         return self.base.edge(index)
 
     def out_edges(self, node_id: str) -> tuple[int, ...]:
-        return tuple(i for i in self.base.out_edges(node_id) if i in self.member_edges)
+        mask = self.mask
+        return tuple(i for i in self.base.out_edges(node_id) if mask[i])
 
     def in_edges(self, node_id: str) -> tuple[int, ...]:
-        return tuple(i for i in self.base.in_edges(node_id) if i in self.member_edges)
+        mask = self.mask
+        return tuple(i for i in self.base.in_edges(node_id) if mask[i])
 
     def successors(self, node_id: str) -> tuple[tuple[int, str], ...]:
         """The base graph's ``successors`` entry, member edges only (pairs shared)."""
@@ -113,8 +123,8 @@ class CausalGraphView:
             return self._successors[node_id]
         except KeyError:
             pass
-        members = self.member_edges
-        pairs = tuple(pair for pair in self.base.successors(node_id) if pair[0] in members)
+        mask = self.mask
+        pairs = tuple(pair for pair in self.base.successors(node_id) if mask[pair[0]])
         self._successors[node_id] = pairs
         return pairs
 
@@ -124,10 +134,10 @@ class CausalGraphView:
             return self._edges_into[goal]
         except KeyError:
             pass
-        members = self.member_edges
+        mask = self.mask
         into = {}
         for subject, idxs in self.base.edges_into(goal).items():
-            kept = tuple(idx for idx in idxs if idx in members)
+            kept = tuple(idx for idx in idxs if mask[idx])
             if kept:
                 into[subject] = kept
         self._edges_into[goal] = into
@@ -135,26 +145,28 @@ class CausalGraphView:
 
     def effective_strength(self, index: int) -> float:
         override = self.overrides.get(index)
-        return override if override is not None else self.base.edge(index).strength
+        return override if override is not None else self.base.effective_strength(index)
 
     # Introspection ----------------------------------------------------------
 
+    @cached_property
+    def member_edges(self) -> frozenset[int]:
+        return frozenset(compress(range(len(self.mask)), self.mask))
+
     @property
     def edge_count(self) -> int:
-        return len(self.member_edges)
+        return self.mask.count(1)
 
     def touches(self, node_id: str) -> bool:
         """Whether a member edge starts or ends at ``node_id``; unknown ids raise."""
-        base = self.base
-        return not self.member_edges.isdisjoint(base.out_edges(node_id) + base.in_edges(node_id))
+        base, mask = self.base, self.mask
+        return any(mask[i] for i in base.out_edges(node_id) + base.in_edges(node_id))
 
     def member_node_ids(self) -> frozenset[str]:
-        ids: set[str] = set()
-        for idx in self.member_edges:
-            edge = self.base.edge(idx)
-            ids.add(edge.subject)
-            ids.add(edge.object)
-        return frozenset(ids)
+        columns, ids = self.base.columns, self.base.node_ids()
+        ends = set(compress(columns.subjects, self.mask))
+        ends.update(compress(columns.objects, self.mask))
+        return frozenset(ids[i] for i in ends)
 
 
 def _is_member(
@@ -180,14 +192,15 @@ def build_causal_view(
     """
     if not 0.0 <= theta <= 1.0:
         raise ValidationError(f"theta must be in [0, 1], got {theta}")
-    members = frozenset(
-        idx
-        for idx, edge in enumerate(graph.edges)
-        if _is_member(theta, None, table.weight(edge.predicate), edge.strength)
+    weights = [table.weight(predicate) for predicate in graph.predicate_names]
+    columns = graph.columns
+    mask = bytes(
+        _is_member(theta, None, weights[predicate], strength)
+        for predicate, strength in zip(columns.predicates, columns.strengths)
     )
-    if not members:
+    if 1 not in mask:
         logger.warning("causal view is empty at theta=%s", theta)
-    return CausalGraphView(base=graph, theta=theta, member_edges=members)
+    return CausalGraphView(base=graph, theta=theta, mask=mask)
 
 
 def apply_strength_updates(
@@ -200,20 +213,15 @@ def apply_strength_updates(
     view; the base graph is untouched. Every updated triple must exist in
     the base graph.
     """
-    members = set(view.member_edges)
+    mask = bytearray(view.mask)
     overrides = dict(view.overrides)
     for triple, strength in updates.items():
         if not 0.0 <= strength <= 1.0:
             raise ValidationError(f"update strength {strength} for {triple} outside [0, 1]")
         idx = view.base.edge_index(*triple)
         overrides[idx] = strength
-        if _is_member(view.theta, strength):
-            members.add(idx)
-        else:
-            members.discard(idx)
-    return CausalGraphView(
-        base=view.base, theta=view.theta, member_edges=frozenset(members), overrides=overrides
-    )
+        mask[idx] = _is_member(view.theta, strength)
+    return CausalGraphView(base=view.base, theta=view.theta, mask=bytes(mask), overrides=overrides)
 
 
 def parse_strength_updates(lines: Iterable[str]) -> dict[tuple[str, str, str], float]:

@@ -14,7 +14,7 @@ import sys
 
 from .causal import apply_strength_updates, build_causal_view, parse_strength_updates
 from .config import PipelineConfig, load_config
-from .errors import STAGE_ERRORS, CausalRagError, ValidationError
+from .errors import STAGE_ERRORS, CausalRagError, ValidationError, naming_undecodable
 from .graph import load_graph, load_triples, save_graph
 from .harness import Mode, Pipeline, QAItem, load_dataset, render_report, run_evaluation, summarize_report
 from .linker import build_index, load_alias_file
@@ -111,13 +111,17 @@ def _build_pipeline(args, config: PipelineConfig) -> Pipeline:
     graph = load_graph(args.graph)
     view = build_causal_view(graph, config.causality, config.theta)
     if args.strength_updates:
-        with open(args.strength_updates, encoding="utf-8") as fh:
-            view = apply_strength_updates(view, parse_strength_updates(fh))
+        view = apply_strength_updates(view, _read_updates(args.strength_updates))
     aliases = load_alias_file(args.aliases) if args.aliases else ()
     linker = build_index(graph, aliases)
     transcript = MockTranscript.load(args.mock_transcript) if args.mock_transcript else None
     gateway = LlmGateway(endpoint=EndpointConfig.from_env(), transcript=transcript)
     return Pipeline(graph=graph, causal_view=view, linker=linker, gateway=gateway, config=config)
+
+
+def _read_updates(path) -> dict[tuple[str, str, str], float]:
+    with naming_undecodable(path), open(path, encoding="utf-8") as fh:
+        return parse_strength_updates(fh)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -191,8 +195,7 @@ def cmd_update_strengths(args) -> int:
     config = _resolve_config(args)
     graph = load_graph(args.graph)
     view = build_causal_view(graph, config.causality, config.theta)
-    with open(args.updates, encoding="utf-8") as fh:
-        updates = parse_strength_updates(fh)
+    updates = _read_updates(args.updates)
 
     before = view.member_edges
     updated = apply_strength_updates(view, updates)

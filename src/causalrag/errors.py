@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the reader guard that
+names an input file that is not valid UTF-8."""
+
+from contextlib import contextmanager
 
 
 class CausalRagError(Exception):
@@ -25,6 +28,10 @@ class DatasetError(CausalRagError):
     """A QA dataset file is malformed."""
 
 
+class EncodingError(CausalRagError):
+    """An input text file is not valid UTF-8."""
+
+
 class ArtifactError(CausalRagError):
     """A serialized graph artifact is unreadable or built by an incompatible version."""
 
@@ -39,3 +46,20 @@ class TranscriptError(CausalRagError):
 
 # A failed LLM stage: the harness degrades the item to an abstain, the CLI exits 3.
 STAGE_ERRORS = (TransportError, TranscriptError, CotParseError)
+
+
+@contextmanager
+def naming_undecodable(path):
+    """Raise a ``UnicodeDecodeError`` met while reading ``path`` as an
+    ``EncodingError`` naming the file and the offset of its first bad byte."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        # A streaming reader's offset counts from the block it was decoding.
+        offset = exc.start
+        with open(path, "rb") as fh:
+            try:
+                fh.read().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                offset = whole.start
+        raise EncodingError(f"{path}: byte {offset} is not valid utf-8 ({exc.reason})") from None

@@ -3,23 +3,26 @@
 Concept nodes are keyed by CUI; edges carry a relation label and a numeric
 strength in [0, 1]. Ingestion merges node surface forms across rows,
 resolves missing strengths through a label-to-weight callable (normally the
-causality table), and produces an immutable adjacency-indexed graph that is
-safe for concurrent readers. Thresholded filtering lives in views built on
+causality table), and produces an immutable graph, stored by column, that
+is safe for concurrent readers. Thresholded filtering lives in views built on
 top of this store (see the causal module); the base graph never mutates
 after construction.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import logging
 import pickle
 import struct
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import ArtifactError, IngestionError, NotFoundError, ValidationError
+from .errors import ArtifactError, IngestionError, NotFoundError, ValidationError, naming_undecodable
 
 logger = logging.getLogger(__name__)
 
@@ -37,7 +40,7 @@ STRENGTH_COLUMN = "strength"
 _ARTIFACT_MAGIC = b"CRAG"
 _ARTIFACT_VERSION = 1
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConceptNode:
     """A concept identified by CUI, with its surface forms and type codes."""
 
@@ -47,7 +50,7 @@ class ConceptNode:
     aliases: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KgEdge:
     """One directed predication: subject --predicate--> object."""
 
@@ -55,10 +58,6 @@ class KgEdge:
     predicate: str
     object: str
     strength: float
-
-    @property
-    def triple(self) -> tuple[str, str, str]:
-        return (self.subject, self.predicate, self.object)
 
 
 @dataclass(frozen=True)
@@ -68,12 +67,31 @@ class IngestStats:
     duplicate_triples: int = 0
 
 
-class KnowledgeGraph:
-    """Immutable directed labeled multigraph with per-node adjacency indexes.
+class EdgeColumns(NamedTuple):
+    """The graph's edges by column, read-only.
 
-    Edges keep their ingestion order, which downstream code relies on for
-    reproducible tie-breaking. Parallel edges between the same node pair are
-    allowed as long as their predicates differ.
+    Edge ``i`` is ``subjects[i] --predicates[i]--> objects[i]`` at
+    ``strengths[i]``. Node ints index ``KnowledgeGraph.node_ids()`` and
+    predicate ints index ``KnowledgeGraph.predicate_names``.
+    """
+
+    subjects: memoryview
+    predicates: memoryview
+    objects: memoryview
+    strengths: memoryview
+
+
+class KnowledgeGraph:
+    """Immutable directed labeled multigraph, stored by column.
+
+    Node ids and predicates are interned to ints; each edge is one slot in
+    the subject, predicate, object and strength columns (see
+    ``EdgeColumns``), and ``KgEdge`` objects are built only on demand by
+    ``edge``. Forward and reverse adjacency are CSR arrays: a node's edges
+    sit between two offsets, in ascending edge-index order. Edges keep
+    their ingestion order, which downstream code relies on for reproducible
+    tie-breaking. Parallel edges between the same node pair are allowed as
+    long as their predicates differ.
     """
 
     def __init__(
@@ -82,97 +100,157 @@ class KnowledgeGraph:
         edges: Iterable[KgEdge],
         stats: IngestStats | None = None,
     ):
-        self._nodes: dict[str, ConceptNode] = {}
+        edges = tuple(edges)
+        self._build(
+            nodes,
+            [e.subject for e in edges],
+            [e.predicate for e in edges],
+            [e.object for e in edges],
+            [e.strength for e in edges],
+            stats,
+        )
+
+    @classmethod
+    def _from_columns(cls, nodes, subjects, predicates, objects, strengths, stats) -> KnowledgeGraph:
+        """The graph of edge ``i`` = ``(subjects[i], predicates[i], objects[i], strengths[i])``."""
+        graph = cls.__new__(cls)
+        graph._build(nodes, subjects, predicates, objects, strengths, stats)
+        return graph
+
+    def _build(
+        self,
+        nodes: Iterable[ConceptNode],
+        subjects: Sequence[str],
+        predicates: Sequence[str],
+        objects: Sequence[str],
+        strengths: Sequence[float],
+        stats: IngestStats | None,
+    ) -> None:
+        """The one constructor body: checks every node and edge, interns, lays out the columns."""
+        by_id: dict[str, ConceptNode] = {}
         for node in nodes:
             if not node.id:
                 raise ValidationError("node id must be non-empty")
             if not node.name:
                 raise ValidationError(f"node {node.id!r} has an empty name")
-            if node.id in self._nodes:
+            if node.id in by_id:
                 raise ValidationError(f"duplicate node id {node.id!r}")
-            self._nodes[node.id] = node
+            by_id[node.id] = node
+        self._nodes: tuple[ConceptNode, ...] = tuple(by_id.values())
+        self._ids: tuple[str, ...] = tuple(by_id)
+        self._index = index = {node_id: position for position, node_id in enumerate(self._ids)}
 
-        self._edges: tuple[KgEdge, ...] = tuple(edges)
-        self._forward: dict[str, list[int]] = {nid: [] for nid in self._nodes}
-        self._reverse: dict[str, list[int]] = {nid: [] for nid in self._nodes}
-        self._by_triple: dict[tuple[str, str, str], int] = {}
-        for idx, edge in enumerate(self._edges):
-            if edge.subject not in self._nodes:
-                raise ValidationError(f"edge {edge.triple} references unknown subject")
-            if edge.object not in self._nodes:
-                raise ValidationError(f"edge {edge.triple} references unknown object")
-            if not 0.0 <= edge.strength <= 1.0:
-                raise ValidationError(
-                    f"edge {edge.triple} strength {edge.strength} outside [0, 1]"
-                )
-            if edge.triple in self._by_triple:
-                raise ValidationError(f"duplicate triple {edge.triple}")
-            self._by_triple[edge.triple] = idx
-            self._forward[edge.subject].append(idx)
-            self._reverse[edge.object].append(idx)
+        n = len(self._ids)
+        self._predicate_index: dict[str, int] = {}
+        subject_ints, predicate_ints, object_ints = array("i"), array("i"), array("i")
+        seen: set[int] = set()
+        for s, p, o, strength in zip(subjects, predicates, objects, strengths):
+            si = index.get(s)
+            if si is None:
+                raise ValidationError(f"edge {(s, p, o)} references unknown subject")
+            oi = index.get(o)
+            if oi is None:
+                raise ValidationError(f"edge {(s, p, o)} references unknown object")
+            if not 0.0 <= strength <= 1.0:
+                raise ValidationError(f"edge {(s, p, o)} strength {strength} outside [0, 1]")
+            pi = self._predicate_index.setdefault(p, len(self._predicate_index))
+            key = _triple_key(si, pi, oi, n)
+            if key in seen:
+                raise ValidationError(f"duplicate triple {(s, p, o)}")
+            seen.add(key)
+            subject_ints.append(si)
+            predicate_ints.append(pi)
+            object_ints.append(oi)
+        self._subjects, self._predicates, self._objects = subject_ints, predicate_ints, object_ints
+        self._strengths = array("d", strengths)
+        self.predicate_names: tuple[str, ...] = tuple(self._predicate_index)
+        self.columns = EdgeColumns(
+            *(memoryview(c).toreadonly() for c in (subject_ints, predicate_ints, object_ints, self._strengths))
+        )
+        self._out_offsets, self._out = _csr(subject_ints, n)
+        self._in_offsets, self._in = _csr(object_ints, n)
 
         self.stats = stats or IngestStats()
+        # Filled on first read, like the search memos below (see ``edge_index``).
+        self._by_key: dict[int, int] | None = None
         # Search memos, filled per node on first read (see ``successors``).
         self._successors: dict[str, tuple[tuple[int, str], ...]] = {}
         self._edges_into: dict[str, dict[str, tuple[int, ...]]] = {}
 
     # -- lookups -------------------------------------------------------------
 
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self._nodes
-
-    def node(self, node_id: str) -> ConceptNode:
+    def _position(self, node_id: str) -> int:
         try:
-            return self._nodes[node_id]
+            return self._index[node_id]
         except KeyError:
             raise NotFoundError(f"unknown node id {node_id!r}") from None
 
+    def has_node(self, node_id: str) -> bool:
+        return node_id in self._index
+
+    def node(self, node_id: str) -> ConceptNode:
+        return self._nodes[self._position(node_id)]
+
     def nodes(self) -> Iterator[ConceptNode]:
-        return iter(self._nodes.values())
+        return iter(self._nodes)
 
     def node_ids(self) -> tuple[str, ...]:
-        return tuple(self._nodes)
+        return self._ids
 
     @property
     def edges(self) -> tuple[KgEdge, ...]:
-        return self._edges
+        """Every edge, built afresh on each read: for tests and small graphs."""
+        return tuple(map(self.edge, range(self.edge_count)))
 
     def edge(self, index: int) -> KgEdge:
-        return self._edges[index]
+        ids = self._ids
+        return KgEdge(
+            subject=ids[self._subjects[index]],
+            predicate=self.predicate_names[self._predicates[index]],
+            object=ids[self._objects[index]],
+            strength=self._strengths[index],
+        )
 
     def edge_index(self, subject: str, predicate: str, object_: str) -> int:
-        try:
-            return self._by_triple[(subject, predicate, object_)]
-        except KeyError:
-            raise NotFoundError(
-                f"triple ({subject!r}, {predicate!r}, {object_!r}) not in graph"
-            ) from None
+        by_key = self._by_key
+        if by_key is None:
+            # A pure function of the immutable graph, so two threads racing
+            # to fill it build equal maps and either may win.
+            n = len(self._ids)
+            by_key = self._by_key = {
+                _triple_key(s, p, o, n): idx
+                for idx, (s, p, o) in enumerate(zip(self._subjects, self._predicates, self._objects))
+            }
+        s, p, o = self._index.get(subject), self._predicate_index.get(predicate), self._index.get(object_)
+        idx = None if None in (s, p, o) else by_key.get(_triple_key(s, p, o, len(self._ids)))
+        if idx is None:
+            raise NotFoundError(f"triple ({subject!r}, {predicate!r}, {object_!r}) not in graph")
+        return idx
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        return len(self._ids)
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return len(self._strengths)
 
     def effective_strength(self, index: int) -> float:
-        return self._edges[index].strength
+        return self._strengths[index]
 
     def predicate_counts(self) -> Counter[str]:
-        return Counter(edge.predicate for edge in self._edges)
+        names = self.predicate_names
+        return Counter({names[p]: count for p, count in Counter(self._predicates).items()})
 
     # -- traversal -----------------------------------------------------------
 
     def out_edges(self, node_id: str) -> tuple[int, ...]:
-        if node_id not in self._nodes:
-            raise NotFoundError(f"unknown node id {node_id!r}")
-        return tuple(self._forward[node_id])
+        i = self._position(node_id)
+        return tuple(self._out[self._out_offsets[i] : self._out_offsets[i + 1]])
 
     def in_edges(self, node_id: str) -> tuple[int, ...]:
-        if node_id not in self._nodes:
-            raise NotFoundError(f"unknown node id {node_id!r}")
-        return tuple(self._reverse[node_id])
+        i = self._position(node_id)
+        return tuple(self._in[self._in_offsets[i] : self._in_offsets[i + 1]])
 
     # The path search's two reads. Each entry is built on the node's first
     # read and kept: it is a pure function of the immutable graph, so two
@@ -184,7 +262,8 @@ class KnowledgeGraph:
             return self._successors[node_id]
         except KeyError:
             pass
-        pairs = tuple((idx, self._edges[idx].object) for idx in self.out_edges(node_id))
+        ids, objects = self._ids, self._objects
+        pairs = tuple((idx, ids[objects[idx]]) for idx in self.out_edges(node_id))
         self._successors[node_id] = pairs
         return pairs
 
@@ -197,12 +276,37 @@ class KnowledgeGraph:
             return self._edges_into[goal]
         except KeyError:
             pass
+        ids, subjects = self._ids, self._subjects
         grouped: dict[str, list[int]] = {}
         for idx in self.in_edges(goal):
-            grouped.setdefault(self._edges[idx].subject, []).append(idx)
+            grouped.setdefault(ids[subjects[idx]], []).append(idx)
         into = {subject: tuple(idxs) for subject, idxs in grouped.items()}
         self._edges_into[goal] = into
         return into
+
+
+def _triple_key(subject: int, predicate: int, object_: int, node_count: int) -> int:
+    """One int per interned triple, distinct for distinct triples."""
+    return (predicate * node_count + subject) * node_count + object_
+
+
+def _csr(keys: array, size: int) -> tuple[array, array]:
+    """Offsets and edge indices grouping the edges by ``keys`` (ints below ``size``).
+
+    Group ``k`` is ``edges[offsets[k]:offsets[k + 1]]``. The edges are placed
+    by a counting sort, which is stable, so each group lists its edges in
+    ascending edge index.
+    """
+    counts = [0] * (size + 1)
+    for key in keys:
+        counts[key + 1] += 1
+    offsets = array("i", accumulate(counts))
+    edges = [0] * len(keys)
+    free = offsets.tolist()
+    for idx, key in enumerate(keys):
+        edges[free[key]] = idx
+        free[key] += 1
+    return offsets, array("i", edges)
 
 
 def shortest_path_length(source, start: str, goal: str, max_hops: int) -> int | None:
@@ -259,21 +363,22 @@ def ingest_triples(
 
         strength_for_predicate = default_causality_table().weight
 
+    # Per node: its name, each distinct semantic-types field and its aliases.
+    # Fields are parsed once per node at the end, not once per row.
     node_names: dict[str, str] = {}
-    node_semtypes: dict[str, set[str]] = {}
+    node_fields: dict[str, set[str]] = {}
     node_aliases: dict[str, set[str]] = {}
     edge_strengths: dict[tuple[str, str, str], float] = {}
 
     def note_node(cui: str, name: str, semtypes: str) -> None:
-        surface = name.strip()
-        types = {t.strip() for t in semtypes.split(",") if t.strip()}
-        if cui not in node_names:
-            node_names[cui] = surface or cui
-            node_semtypes[cui] = set()
-            node_aliases[cui] = set()
-        elif surface and surface != node_names[cui]:
-            node_aliases[cui].add(surface)
-        node_semtypes[cui] |= types
+        known = node_names.get(cui)
+        if known is None:
+            node_names[cui] = name or cui
+            node_fields[cui] = {semtypes}
+            return
+        if name and name != known:
+            node_aliases.setdefault(cui, set()).add(name)
+        node_fields[cui].add(semtypes)
 
     header_seen = False
     rows_total = 0
@@ -299,7 +404,7 @@ def ingest_triples(
             continue
 
         rows_total += 1
-        fields = [f.strip() for f in line.split("\t")]
+        fields = list(map(str.strip, line.split("\t")))
         if len(fields) not in (7, 8):
             malformed += 1
             continue
@@ -343,29 +448,41 @@ def ingest_triples(
             "collapsed %d duplicate triple rows, keeping each triple's max strength", duplicates
         )
 
+    share = _frozenset_pool()
+    parse = functools.cache(lambda field: frozenset(t.strip() for t in field.split(",") if t.strip()))
     nodes = [
         ConceptNode(
             id=cui,
-            name=node_names[cui],
-            semantic_types=frozenset(node_semtypes[cui]),
-            aliases=frozenset(node_aliases[cui]),
+            name=name,
+            semantic_types=share(frozenset().union(*map(parse, node_fields[cui]))),
+            aliases=share(node_aliases.get(cui, ())),
         )
-        for cui in node_names
+        for cui, name in node_names.items()
     ]
-    edges = [
-        KgEdge(subject=s, predicate=p, object=o, strength=strength)
-        for (s, p, o), strength in edge_strengths.items()
-    ]
+    subjects, predicates, objects = zip(*edge_strengths)
     stats = IngestStats(
         rows_total=rows_total,
         malformed_rows=malformed,
         duplicate_triples=duplicates,
     )
-    return KnowledgeGraph(nodes, edges, stats=stats)
+    return KnowledgeGraph._from_columns(
+        nodes, subjects, predicates, objects, list(edge_strengths.values()), stats
+    )
+
+
+def _frozenset_pool() -> Callable[[Iterable[str]], frozenset[str]]:
+    """``share(items)``: the frozenset of ``items``, one object per distinct set."""
+    pool: dict[frozenset[str], frozenset[str]] = {}
+
+    def share(items: Iterable[str]) -> frozenset[str]:
+        key = frozenset(items)
+        return pool.setdefault(key, key)
+
+    return share
 
 
 def load_triples(path, strength_for_predicate: Callable[[str], float] | None = None) -> KnowledgeGraph:
-    with open(path, encoding="utf-8") as fh:
+    with naming_undecodable(path), open(path, encoding="utf-8") as fh:
         return ingest_triples(fh, strength_for_predicate)
 
 
@@ -374,12 +491,13 @@ def load_triples(path, strength_for_predicate: Callable[[str], float] | None = N
 
 def save_graph(graph: KnowledgeGraph, path) -> None:
     """Write the graph as a versioned binary artifact."""
+    ids, names = graph.node_ids(), graph.predicate_names
     payload = {
         "nodes": [
             (n.id, n.name, sorted(n.semantic_types), sorted(n.aliases))
             for n in graph.nodes()
         ],
-        "edges": [(e.subject, e.predicate, e.object, e.strength) for e in graph.edges],
+        "edges": [(ids[s], names[p], ids[o], strength) for s, p, o, strength in zip(*graph.columns)],
         "stats": (
             graph.stats.rows_total,
             graph.stats.malformed_rows,
@@ -408,17 +526,29 @@ def load_graph(path) -> KnowledgeGraph:
         )
     try:
         payload = _PlainDataUnpickler(io.BytesIO(blob[6:])).load()
+        node_ids, names, types, aliases = _columns(payload["nodes"], ({str}, {str}, None, None))
+        edges = _columns(payload["edges"], ({str}, {str}, {str}, {float, int}))
+        share = _frozenset_pool()
         nodes = [
-            ConceptNode(id=nid, name=name, semantic_types=frozenset(types), aliases=frozenset(aliases))
-            for nid, name, types, aliases in payload["nodes"]
+            ConceptNode(id=nid, name=name, semantic_types=share(node_types), aliases=share(node_aliases))
+            for nid, name, node_types, node_aliases in zip(node_ids, names, types, aliases)
         ]
-        edges = [
-            KgEdge(subject=s, predicate=p, object=o, strength=strength)
-            for s, p, o, strength in payload["edges"]
-        ]
-        return KnowledgeGraph(nodes, edges, stats=IngestStats(*payload["stats"]))
+        return KnowledgeGraph._from_columns(nodes, *edges, IngestStats(*payload["stats"]))
     except _PAYLOAD_ERRORS as exc:
         raise ArtifactError(f"{path}: corrupt graph artifact ({exc})") from exc
+
+
+def _columns(rows: list, kinds: tuple[set[type] | None, ...]) -> tuple[tuple, ...]:
+    """Payload rows as columns. Each row must be a tuple of ``len(kinds)``
+    fields, each field of a type its column's set allows (``None``: any)."""
+    if set(map(type, rows)) - {tuple} or set(map(len, rows)) - {len(kinds)}:
+        raise ArtifactError(f"payload rows must be tuples of {len(kinds)} fields")
+    columns = tuple(zip(*rows)) if rows else ((),) * len(kinds)
+    for position, (column, allowed) in enumerate(zip(columns, kinds)):
+        if allowed is not None and set(map(type, column)) - allowed:
+            names = " or ".join(sorted(kind.__name__ for kind in allowed))
+            raise ArtifactError(f"payload field {position} must be {names}")
+    return columns
 
 
 class _PlainDataUnpickler(pickle.Unpickler):

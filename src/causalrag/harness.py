@@ -27,7 +27,7 @@ from .enhancer import (
     score_paths,
     select_final,
 )
-from .errors import STAGE_ERRORS, DatasetError, ValidationError
+from .errors import STAGE_ERRORS, DatasetError, ValidationError, naming_undecodable
 from .graph import KnowledgeGraph
 from .llm import LlmGateway, LlmRequest, extract_answer_label
 from .metrics import compute_metrics
@@ -104,7 +104,7 @@ def load_dataset(path) -> list[QAItem]:
     """Read a line-delimited JSON dataset; any defect is fatal with its line number."""
     items: list[QAItem] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with naming_undecodable(path), open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

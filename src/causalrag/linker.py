@@ -14,6 +14,7 @@ import logging
 import re
 from typing import Iterable
 
+from .errors import naming_undecodable
 from .graph import KnowledgeGraph
 
 logger = logging.getLogger(__name__)
@@ -105,7 +106,7 @@ def load_alias_file(path) -> list[tuple[str, str]]:
     """
     rows: list[tuple[str, str]] = []
     malformed = 0
-    with open(path, encoding="utf-8") as fh:
+    with naming_undecodable(path), open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.rstrip("\n").rstrip("\r")
             stripped = line.strip()

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import TranscriptError, TransportError, ValidationError
+from .errors import TranscriptError, TransportError, ValidationError, naming_undecodable
 
 logger = logging.getLogger(__name__)
 
@@ -111,7 +111,7 @@ class MockTranscript:
     @classmethod
     def load(cls, path) -> "MockTranscript":
         entries = []
-        with open(path, encoding="utf-8") as fh:
+        with naming_undecodable(path), open(path, encoding="utf-8") as fh:
             for line_no, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line:

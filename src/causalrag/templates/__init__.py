@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from importlib import resources
 
-from ..errors import ValidationError
+from ..errors import ValidationError, naming_undecodable
 
 NO_EVIDENCE_MARKER = "[no graph evidence found]"
 
@@ -15,7 +15,7 @@ _PLACEHOLDER_RE = re.compile(r"\{(\w+)\}")
 def load_template(name: str, override_path: str | None = None) -> str:
     """Read a prompt template, preferring an override file when given."""
     if override_path:
-        with open(override_path, encoding="utf-8") as fh:
+        with naming_undecodable(override_path), open(override_path, encoding="utf-8") as fh:
             return fh.read()
     try:
         return resources.files(__name__).joinpath(name).read_text(encoding="utf-8")

@@ -1,10 +1,11 @@
 """Independent brute-force reference implementations used by the tests.
 
 These deliberately avoid the library's search code: simple paths come from
-filtering node permutations rather than DFS, and metrics come from an
-explicit confusion-matrix table, and causal-view membership is recounted
-edge by edge from the stated rule. The one library call is the detour
-reference's BFS, ``graph.shortest_path_length``, which the graph tests check
+filtering node permutations rather than DFS, metrics come from an
+explicit confusion-matrix table, causal-view membership is recounted
+edge by edge from the stated rule, and ``ReferenceGraph`` keeps the
+dict-of-lists adjacency that the columnar graph core replaced. The one
+library call is the detour reference's BFS, ``graph.shortest_path_length``, which the graph tests check
 against their own BFS. The exception is ``reference_find_paths``: it keeps
 the unpruned DFS that ``find_paths`` used before its goal-directed search,
 as the slow reference that search must match path for path, in order.
@@ -13,10 +14,58 @@ Keep them slow and obvious.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations, product
 from typing import Iterator
 
 from causalrag.graph import shortest_path_length
+
+
+class ReferenceGraph:
+    """The graph's adjacency as it was stored before the columnar core.
+
+    One ``KgEdge`` per edge, dict-of-lists forward and reverse indexes and a
+    triple map, answering the reads ``KnowledgeGraph`` answers from its
+    columns and CSR arrays. Unknown ids and triples raise ``KeyError``.
+    """
+
+    def __init__(self, nodes, edges):
+        self.nodes = {node.id: node for node in nodes}
+        self.edges = tuple(edges)
+        self.forward = {node_id: [] for node_id in self.nodes}
+        self.reverse = {node_id: [] for node_id in self.nodes}
+        self.by_triple = {}
+        for idx, edge in enumerate(self.edges):
+            self.by_triple[(edge.subject, edge.predicate, edge.object)] = idx
+            self.forward[edge.subject].append(idx)
+            self.reverse[edge.object].append(idx)
+
+    def node_ids(self):
+        return tuple(self.nodes)
+
+    def edge(self, idx):
+        return self.edges[idx]
+
+    def edge_index(self, subject, predicate, object_):
+        return self.by_triple[(subject, predicate, object_)]
+
+    def predicate_counts(self):
+        return Counter(edge.predicate for edge in self.edges)
+
+    def out_edges(self, node_id):
+        return tuple(self.forward[node_id])
+
+    def in_edges(self, node_id):
+        return tuple(self.reverse[node_id])
+
+    def successors(self, node_id):
+        return tuple((idx, self.edges[idx].object) for idx in self.forward[node_id])
+
+    def edges_into(self, goal):
+        grouped = {}
+        for idx in self.reverse[goal]:
+            grouped.setdefault(self.edges[idx].subject, []).append(idx)
+        return {subject: tuple(idxs) for subject, idxs in grouped.items()}
 
 
 def recount_view_members(graph, table, theta, overrides):

@@ -379,6 +379,25 @@ def _bad_input_args(case, artifact, tmp_path):
     if case == "non-utf8-dataset":
         bad.write_bytes(b'{"id": "q\xff"}\n')
         return evaluate[:-1] + [str(bad)]
+    if case == "non-utf8-transcript":
+        bad.write_bytes(b'{"stage": "cot", "ordinal": 0, "text": "\xff"}\n')
+        return evaluate + ["--mock-transcript", str(bad)]
+    if case == "non-utf8-updates":
+        bad.write_bytes(b"C1\tCAUSES\tC2\t0.5\nC\xff\tCAUSES\tC2\t0.5\n")
+        return evaluate + ["--strength-updates", str(bad)]
+    if case == "non-utf8-update-strengths":
+        bad.write_bytes(b"C1\tCAUSES\tC2\t0.\xff\n")
+        return ["update-strengths", "--graph", str(artifact), "--updates", str(bad)]
+    if case == "non-utf8-aliases":
+        # Past the reader's first block, so the offset must count from the file's start.
+        bad.write_bytes(b"C1\tan alias\n" * 2000 + b"C2\t\xff\n")
+        return evaluate + ["--aliases", str(bad)]
+    if case == "non-utf8-template":
+        bad.write_bytes(b"Q: {question}\xff\n")
+        config = tmp_path / "config.yaml"
+        config.write_text(f"prompts:\n  cot: {bad}\n", encoding="utf-8")
+        transcript = FIXTURES / "transcript_full.jsonl"
+        return evaluate + ["--config", str(config), "--mock-transcript", str(transcript)]
     if case == "wrong-type-transcript":
         bad.write_text(json.dumps({"stage": "cot", "ordinal": "x", "text": "a"}) + "\n", encoding="utf-8")
         return evaluate + ["--mock-transcript", str(bad)]
@@ -400,6 +419,11 @@ def _bad_input_args(case, artifact, tmp_path):
         ("blank-cot-reply", 3, "no reasoning segments"),
         ("non-utf8-triples", 1, "utf-8"),
         ("non-utf8-dataset", 1, "utf-8"),
+        ("non-utf8-transcript", 1, "utf-8"),
+        ("non-utf8-updates", 1, "utf-8"),
+        ("non-utf8-update-strengths", 1, "utf-8"),
+        ("non-utf8-aliases", 1, "utf-8"),
+        ("non-utf8-template", 1, "utf-8"),
         ("wrong-type-transcript", 2, "transcript line 1"),
         ("invalid-yaml", 2, "invalid YAML"),
         ("non-utf8-yaml", 2, "invalid YAML"),
@@ -414,6 +438,10 @@ def test_bad_input_exits_with_its_code_without_traceback(artifact, tmp_path, cap
     assert err.startswith("error:")
     assert message in err
     assert "Traceback" not in err
+    if case.startswith("non-utf8") and case != "non-utf8-yaml":
+        bad = tmp_path / "bad"
+        offset = bad.read_bytes().index(b"\xff")
+        assert f"error: {bad}: byte {offset} is not valid utf-8" in err
 
 
 @pytest.mark.parametrize("stage, value", [("cot", "-1"), ("enhance", "-0.5"), ("infer", "-1e-9")])

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import gc
 import pickle
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
 
+from causalrag.config import load_config
 from causalrag.errors import ArtifactError, IngestionError, NotFoundError, ValidationError
 from causalrag.graph import (
     ConceptNode,
@@ -13,6 +16,7 @@ from causalrag.graph import (
     KnowledgeGraph,
     ingest_triples,
     load_graph,
+    load_triples,
     save_graph,
     shortest_path_length,
 )
@@ -199,6 +203,37 @@ def test_graph_rejects_unknown_endpoints_and_bad_strength():
         make_graph([("A", "CAUSES", "B", 1.5)])
 
 
+_ALPHA, _BETA = ConceptNode("A", "Alpha"), ConceptNode("B", "Beta")
+_TREATS = KgEdge("A", "TREATS", "B", 0.5)
+
+
+@pytest.mark.parametrize(
+    "nodes, edges, message",
+    [
+        ([_ALPHA, ConceptNode("", "x")], [], "node id must be non-empty"),
+        ([_ALPHA, ConceptNode("B", "")], [], "node 'B' has an empty name"),
+        ([_ALPHA, _ALPHA], [], "duplicate node id 'A'"),
+        ([_ALPHA], [KgEdge("X", "CAUSES", "A", 0.5)], "edge ('X', 'CAUSES', 'A') references unknown subject"),
+        ([_ALPHA], [KgEdge("A", "CAUSES", "X", 0.5)], "edge ('A', 'CAUSES', 'X') references unknown object"),
+        (
+            [_ALPHA, _BETA],
+            [_TREATS, KgEdge("A", "CAUSES", "B", -0.1)],
+            "edge ('A', 'CAUSES', 'B') strength -0.1 outside [0, 1]",
+        ),
+        (
+            [_ALPHA, _BETA],
+            [_TREATS, KgEdge("A", "CAUSES", "B", float("nan"))],
+            "edge ('A', 'CAUSES', 'B') strength nan outside [0, 1]",
+        ),
+        ([_ALPHA, _BETA], [_TREATS, _TREATS], "duplicate triple ('A', 'TREATS', 'B')"),
+    ],
+)
+def test_graph_checks_name_the_bad_node_or_edge(nodes, edges, message):
+    with pytest.raises(ValidationError) as info:
+        KnowledgeGraph(nodes, edges)
+    assert str(info.value) == message
+
+
 def test_adjacency_unknown_node():
     graph = make_graph([("A", "CAUSES", "B", 0.9)])
     with pytest.raises(NotFoundError):
@@ -299,6 +334,18 @@ def test_artifact_round_trip(tmp_path):
     assert loaded.stats == graph.stats
 
 
+def test_artifact_written_before_the_columnar_core_still_loads(fixtures_dir):
+    """``graph_v1.crag`` was written by ``build-graph`` from the fixture TSV
+    when the graph still stored one ``KgEdge`` per edge; format version 1
+    reads it into an equal graph."""
+    weights = load_config(fixtures_dir / "config.yaml").causality.weight
+    graph = load_triples(fixtures_dir / "triples.tsv", weights)
+    loaded = load_graph(fixtures_dir / "graph_v1.crag")
+    assert loaded.edges == graph.edges
+    assert list(loaded.nodes()) == list(graph.nodes())
+    assert loaded.stats == graph.stats
+
+
 _LOAD_CALLS: list[tuple] = []
 
 
@@ -356,3 +403,77 @@ def test_artifact_rejects_bad_magic_and_version(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(ArtifactError, match="version"):
         load_graph(path)
+
+
+def _payload_artifact(tmp_path, nodes, edges):
+    """A hand-built version-1 artifact holding the given node and edge rows."""
+    path = tmp_path / "hand.crag"
+    payload = {"nodes": nodes, "edges": edges, "stats": (3, 0, 0)}
+    path.write_bytes(_artifact_header(tmp_path) + pickle.dumps(payload, protocol=4))
+    return path
+
+
+_NODE_ROWS = [("A", "Alpha", ["dsyn"], []), ("B", "Beta", [], ["beta"]), ("C", "Gamma", [], [])]
+_EDGE_ROWS = [("A", "CAUSES", "B", 0.9), ("B", "TREATS", "C", 0.7), ("A", "CAUSES", "C", 1)]
+
+
+def test_hand_built_payload_loads(tmp_path):
+    graph = load_graph(_payload_artifact(tmp_path, _NODE_ROWS, _EDGE_ROWS))
+    assert graph.edges == tuple(KgEdge(*row) for row in _EDGE_ROWS)
+    assert graph.node("B").aliases == {"beta"}
+
+
+@pytest.mark.parametrize(
+    "case, nodes, edges",
+    [
+        ("3-field edge row", _NODE_ROWS, _EDGE_ROWS[:1] + [("B", "TREATS", "C")] + _EDGE_ROWS[2:]),
+        ("5-field edge row", _NODE_ROWS, _EDGE_ROWS[:1] + [("B", "TREATS", "C", 0.7, 0.1)] + _EDGE_ROWS[2:]),
+        ("list edge row", _NODE_ROWS, _EDGE_ROWS[:2] + [["A", "CAUSES", "C", 1.0]]),
+        ("NaN strength", _NODE_ROWS, _EDGE_ROWS[:2] + [("A", "CAUSES", "C", float("nan"))]),
+        ("string strength", _NODE_ROWS, _EDGE_ROWS[:2] + [("A", "CAUSES", "C", "0.5")]),
+        ("boolean strength", _NODE_ROWS, _EDGE_ROWS[:2] + [("A", "CAUSES", "C", True)]),
+        ("non-string node id", _NODE_ROWS[:2] + [(3, "Gamma", [], [])], _EDGE_ROWS[:1]),
+        ("non-string node name", _NODE_ROWS[:2] + [("C", None, [], [])], _EDGE_ROWS[:1]),
+        ("non-string edge id", _NODE_ROWS, _EDGE_ROWS[:2] + [("A", "CAUSES", 3, 0.5)]),
+        ("non-string predicate", _NODE_ROWS, _EDGE_ROWS[:2] + [("A", None, "C", 0.5)]),
+        ("edge to an unknown node", _NODE_ROWS, _EDGE_ROWS[:2] + [("A", "CAUSES", "Z", 0.5)]),
+        ("3-field node row", _NODE_ROWS[:2] + [("C", "Gamma", [])], _EDGE_ROWS[:1]),
+        ("edges not a list", _NODE_ROWS, 5),
+    ],
+)
+def test_corrupt_payload_is_an_artifact_error(tmp_path, case, nodes, edges):
+    with pytest.raises(ArtifactError, match="corrupt"):
+        load_graph(_payload_artifact(tmp_path, nodes, edges))
+
+
+def test_graph_memory_per_edge_is_pinned():
+    """Graph memory, nodes included, stays near its measured size.
+
+    A seeded 6000-edge, 1500-node graph with explicit strengths measured
+    96 B per edge under ``tracemalloc`` after ingest (Python 3.11); the
+    bound is 1.5x that, 144 B. The dict-of-lists core with one ``KgEdge``
+    per edge measured 690 B per edge on the same graph.
+    """
+    rng = random.Random(4242)
+    types = ["dsyn", "patf", "sosy", "neop", "orgf"]
+    names = {f"C{i:05d}": f"concept {i}" for i in range(1500)}
+    semtypes = {cui: ",".join(rng.sample(types, rng.randint(1, 2))) for cui in names}
+    cuis = list(names)
+    lines, triples = [HEADER_WITH_STRENGTH], set()
+    while len(triples) < 6000:
+        predicate = rng.choice(("CAUSES", "TREATS", "AFFECTS", "ASSOCIATED_WITH"))
+        triple = (rng.choice(cuis), predicate, rng.choice(cuis))
+        if triple not in triples:
+            triples.add(triple)
+            s, p, o = triple
+            lines.append(row(s, names[s], p, o, names[o], semtypes[s], semtypes[o], round(rng.random(), 3)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph = ingest_triples(lines)
+        gc.collect()
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.edge_count == 6000
+    assert size / graph.edge_count < 1.5 * 96
