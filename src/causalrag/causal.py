@@ -228,17 +228,20 @@ def parse_strength_updates(lines: Iterable[str]) -> dict[tuple[str, str, str], f
     """Parse an update TSV: subject_cui, predicate, object_cui, new strength.
 
     Blank lines and '#' comments are skipped; an optional header row naming
-    the columns is tolerated. Malformed rows are an error, not a warning:
-    update files are small and hand-curated.
+    the columns is tolerated as the first row that is neither. Malformed
+    rows are an error, not a warning: update files are small and
+    hand-curated.
     """
     updates: dict[tuple[str, str, str], float] = {}
+    rows = 0
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n").rstrip("\r")
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         fields = [f.strip() for f in line.split("\t")]
-        if line_no == 1 and fields and fields[0].lower() == "subject_cui":
+        rows += 1
+        if rows == 1 and fields[0].lower() == "subject_cui":
             continue
         if len(fields) != 4 or not all(fields[:3]):
             raise ValidationError(f"update line {line_no}: expected 4 tab-separated fields")

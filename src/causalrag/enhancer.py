@@ -160,14 +160,7 @@ def score_paths(
 
 
 def _final_key(item: ScoredPath):
-    return (
-        -item.total_score,
-        -item.path.score,
-        item.path.length,
-        item.path.node_key(),
-        item.path.reversed,
-        item.path.edges,
-    )
+    return (-item.total_score, *_selection_key(item.path))
 
 
 def select_final(scored: Sequence[ScoredPath], keep_ratio: float) -> list[ScoredPath]:

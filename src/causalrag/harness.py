@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 from .causal import CausalGraphView
 from .config import PipelineConfig
-from .cot import ChainOfThought, build_cot_prompt, format_options, parse_cot, render_cot
+from .cot import ChainOfThought, build_cot_prompt, format_options, normalize_options, parse_cot, render_cot
 from .enhancer import (
     build_enhancement_prompt,
     fuse_paths,
@@ -31,7 +31,7 @@ from .errors import STAGE_ERRORS, DatasetError, ValidationError, naming_undecoda
 from .graph import KnowledgeGraph
 from .llm import LlmGateway, LlmRequest, extract_answer_label
 from .metrics import compute_metrics
-from .retrieval import REASON_NO_ENTITIES, find_paths, prune_and_select, retrieve_for_cot
+from .retrieval import retrieve_for_cot
 from .templates import NO_EVIDENCE_MARKER, fill_template, load_template
 
 logger = logging.getLogger(__name__)
@@ -70,8 +70,10 @@ class QAItem:
             raise ValidationError("item id must be non-empty")
         if not self.question.strip():
             raise ValidationError(f"item {self.id}: question must be non-empty")
-        if len(self.options) < 2:
-            raise ValidationError(f"item {self.id}: need at least 2 options")
+        try:
+            normalize_options(self.options)
+        except ValidationError as exc:
+            raise ValidationError(f"item {self.id}: {exc}") from None
         if self.gold not in self.options:
             raise ValidationError(f"item {self.id}: gold label {self.gold!r} not among options")
 
@@ -165,10 +167,7 @@ class Pipeline:
             )
 
         try:
-            if mode is Mode.KG_ONLY:
-                evidence = self._kg_only_evidence(item, trace)
-            else:
-                evidence = self._cot_evidence(item, mode, query_cuis, trace)
+            evidence = self._evidence(item, mode, query_cuis, trace)
             predicted = self._infer(item, evidence, trace)
             return PredictionRecord(
                 item_id=item.id, gold=item.gold, predicted=predicted, trace=trace
@@ -209,39 +208,26 @@ class Pipeline:
         trace["llm_calls"].append(call_info)
         return response.text
 
-    def _kg_only_evidence(self, item: QAItem, trace: dict) -> str:
-        from_ids = self.linker.link(item.question)
-        to_ids = self.linker.link(" ".join(item.options.values()))
-        candidates = find_paths(
-            None, self.graph, from_ids, to_ids, self.config.retrieval, segment_index=0
-        )
-        selected = prune_and_select(candidates, self.config.retrieval)
-        trace["retrieval"] = [
-            {
-                "segment_index": 0,
-                "tier": selected[0].tier if selected else None,
-                "candidates": len(candidates),
-                "kept": len(selected),
-                "reason": None if (from_ids and to_ids) else REASON_NO_ENTITIES,
-            }
-        ]
-        trace["final_path_count"] = len(selected)
-        return render_paths_block(selected, self.graph)
-
-    def _cot_evidence(
+    def _evidence(
         self, item: QAItem, mode: Mode, query_cuis: frozenset[str], trace: dict
     ) -> str:
-        prompt = build_cot_prompt(item.question, item.options, self._cot_template)
-        cot_text = self._call("cot", prompt, trace)
-        cot = parse_cot(cot_text)
-        trace["cot"] = {
-            "segments": list(cot.segments),
-            "confidence": cot.confidence,
-            "warnings": list(cot.warnings),
-        }
+        if mode is Mode.KG_ONLY:
+            # The correlation baseline: the question stands in for the chain
+            # of thought and reaches the options over the base graph alone.
+            cot = ChainOfThought(raw="", segments=(item.question, " ".join(item.options.values())))
+            causal_view = None
+        else:
+            prompt = build_cot_prompt(item.question, item.options, self._cot_template)
+            cot = parse_cot(self._call("cot", prompt, trace))
+            trace["cot"] = {
+                "segments": list(cot.segments),
+                "confidence": cot.confidence,
+                "warnings": list(cot.warnings),
+            }
+            causal_view = self.causal_view
 
         retrievals = retrieve_for_cot(
-            cot, self.linker, self.causal_view, self.graph, self.config.retrieval
+            cot, self.linker, causal_view, self.graph, self.config.retrieval
         )
         trace["retrieval"] = [
             {
@@ -256,9 +242,11 @@ class Pipeline:
             for entry in retrievals.values()
         ]
 
-        if mode is Mode.NO_ENHANCER:
+        if mode in (Mode.KG_ONLY, Mode.NO_ENHANCER):
             raw_paths = [p for entry in retrievals.values() for p in entry.paths]
             trace["final_path_count"] = len(raw_paths)
+            if mode is Mode.KG_ONLY:
+                return render_paths_block(raw_paths, self.graph)
             return self._paths_and_cot_block(raw_paths, cot)
 
         fused = fuse_paths([entry.paths for entry in retrievals.values()])

@@ -4,8 +4,9 @@ Search runs causal-first: simple directed paths are enumerated inside the
 thresholded causal view, and the full base graph is consulted only when an
 entire segment's entity pair set yields nothing causal. Each ordered entity
 pair is tried forward, then (only if the forward direction is empty)
-backward with a reversed flag. Results are deduplicated and deterministically
-ordered so identical inputs always produce identical output.
+backward with a reversed flag. Every listing has its own endpoint pair, so
+no path is listed twice, and the order is deterministic: identical inputs
+always produce identical output.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .cot import ChainOfThought, segment_pairs
+from .cot import ChainOfThought
 from .errors import NotFoundError, ValidationError
 
 TIER_CAUSAL = "causal"
@@ -53,7 +54,6 @@ class GraphPath:
     edges: tuple[int, ...]
     strengths: tuple[float, ...]
     tier: str
-    segment_index: int = 0
     reversed: bool = False
 
     def __post_init__(self):
@@ -142,51 +142,38 @@ def _enumerate_simple_paths(
 def _collect_tier(
     source,
     tier: str,
-    from_set: Iterable[str],
-    to_set: Iterable[str],
+    froms: list[str],
+    tos: list[str],
     config: RetrievalConfig,
-    segment_index: int,
 ) -> list[GraphPath]:
-    froms = sorted(set(from_set))
-    tos = sorted(set(to_set))
-    seen: set[tuple[tuple[str, ...], tuple[int, ...]]] = set()
-    paths: list[GraphPath] = []
-    needs_reverse: list[tuple[str, str]] = []
-
-    def emit(nodes: tuple[str, ...], edges: tuple[int, ...], is_reversed: bool) -> None:
-        key = (nodes, edges)
-        if key in seen:
-            return
-        seen.add(key)
-        strengths = tuple(source.effective_strength(i) for i in edges)
-        paths.append(
+    def listing(start: str, goal: str, is_reversed: bool) -> list[GraphPath]:
+        found = _enumerate_simple_paths(source, start, goal, config.max_hops, source.edges_into(goal))
+        return [
             GraphPath(
                 nodes=nodes,
                 edges=edges,
-                strengths=strengths,
+                strengths=tuple(source.effective_strength(i) for i in edges),
                 tier=tier,
-                segment_index=segment_index,
                 reversed=is_reversed,
             )
-        )
+            for nodes, edges in found
+        ]
 
+    paths: list[GraphPath] = []
+    needs_reverse: list[tuple[str, str]] = []
     for a in froms:
         for b in tos:
             if a == b:
                 continue
-            found_any = False
-            for nodes, edges in _enumerate_simple_paths(source, a, b, config.max_hops, source.edges_into(b)):
-                found_any = True
-                emit(nodes, edges, False)
-            if not found_any:
+            forward = listing(a, b, False)
+            paths += forward
+            if not forward and not (b in froms and a in tos):
                 needs_reverse.append((a, b))
 
-    # Direction-flipped search only for pairs the forward pass left empty,
-    # after all forward paths, so forward duplicates win the dedup.
+    # Pairs the forward pass left empty are searched flipped, after all forward
+    # paths, unless the flip is a forward pair, whose listing is already in.
     for a, b in needs_reverse:
-        for nodes, edges in _enumerate_simple_paths(source, b, a, config.max_hops, source.edges_into(a)):
-            emit(nodes, edges, True)
-
+        paths += listing(b, a, True)
     return paths
 
 
@@ -196,7 +183,6 @@ def find_paths(
     from_set: Iterable[str],
     to_set: Iterable[str],
     config: RetrievalConfig,
-    segment_index: int = 0,
 ) -> list[GraphPath]:
     """Enumerate candidate paths between two entity sets, causal tier first.
 
@@ -208,8 +194,10 @@ def find_paths(
     Completeness, which ``prune_and_select`` relies on: for every endpoint
     pair among the returned paths, every simple path of at most ``max_hops``
     edges between them in the returned tier's container is returned too.
-    Each pair's forward listing is complete, a reversed listing is complete
-    for the flipped pair, and deduplication drops only identical paths.
+    Each pair's forward listing is complete, and a reversed listing is
+    complete for the flipped pair. A pair is searched flipped only when its
+    flip is not a forward pair, so no two listings share an endpoint pair
+    and no path is returned twice.
     """
     from_ids = sorted(set(from_set))
     to_ids = sorted(set(to_set))
@@ -220,10 +208,10 @@ def find_paths(
             raise NotFoundError(f"unknown node id {node_id!r}")
 
     if causal_view is not None:
-        causal = _collect_tier(causal_view, TIER_CAUSAL, from_ids, to_ids, config, segment_index)
+        causal = _collect_tier(causal_view, TIER_CAUSAL, from_ids, to_ids, config)
         if causal:
             return causal
-    return _collect_tier(base, TIER_FALLBACK, from_ids, to_ids, config, segment_index)
+    return _collect_tier(base, TIER_FALLBACK, from_ids, to_ids, config)
 
 
 def prune_and_select(candidates: list[GraphPath], config: RetrievalConfig) -> list[GraphPath]:
@@ -256,8 +244,6 @@ class SegmentRetrieval:
     """Outcome of retrieval for one consecutive segment pair."""
 
     segment_index: int
-    source_text: str
-    target_text: str
     source_entities: tuple[str, ...]
     target_entities: tuple[str, ...]
     tier: str | None
@@ -277,26 +263,23 @@ def retrieve_for_cot(
 
     Pairs whose segments link to no entities, or whose entity sets connect to
     nothing within ``max_hops`` in either tier, contribute empty entries with
-    a reason code; the chain as a whole never fails here.
+    a reason code; the chain as a whole never fails here. ``causal_view=None``
+    searches the base graph alone.
     """
-    pairs = segment_pairs(cot)
-    linked = [tuple(sorted(linker.link(text))) for text in cot.segments] if pairs else []
+    linked = [tuple(sorted(linker.link(text))) for text in cot.segments] if len(cot.segments) > 1 else []
     results: dict[int, SegmentRetrieval] = {}
-    for index, (source_text, target_text) in enumerate(pairs):
-        from_ids, to_ids = linked[index], linked[index + 1]
+    for index, (from_ids, to_ids) in enumerate(zip(linked, linked[1:])):
         tier, candidates, selected = None, [], []
         if not (from_ids and to_ids):
             reason = REASON_NO_ENTITIES
         else:
-            candidates = find_paths(causal_view, base, from_ids, to_ids, config, segment_index=index)
+            candidates = find_paths(causal_view, base, from_ids, to_ids, config)
             reason = None if candidates else REASON_NO_PATHS
         if candidates:
             tier = candidates[0].tier
             selected = prune_and_select(candidates, config)
         results[index] = SegmentRetrieval(
             segment_index=index,
-            source_text=source_text,
-            target_text=target_text,
             source_entities=from_ids,
             target_entities=to_ids,
             tier=tier,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import re
 from importlib import resources
 
@@ -13,10 +14,18 @@ _PLACEHOLDER_RE = re.compile(r"\{(\w+)\}")
 
 
 def load_template(name: str, override_path: str | None = None) -> str:
-    """Read a prompt template, preferring an override file when given."""
+    """Read a prompt template, preferring an override file when given.
+
+    An override file is read on every call; a built-in one once per process.
+    """
     if override_path:
         with naming_undecodable(override_path), open(override_path, encoding="utf-8") as fh:
             return fh.read()
+    return _builtin_template(name)
+
+
+@functools.cache
+def _builtin_template(name: str) -> str:
     try:
         return resources.files(__name__).joinpath(name).read_text(encoding="utf-8")
     except FileNotFoundError:

@@ -186,9 +186,10 @@ def enumerate_simple_paths_unpruned(
     yield from walk(start)
 
 
-def reference_find_paths(causal_view, base, from_set, to_set, max_hops, segment_index=0):
+def reference_find_paths(causal_view, base, from_set, to_set, max_hops):
     """``find_paths`` on the unpruned DFS, as an ordered list of
-    (nodes, edges, strengths, tier, segment index, reversed) tuples."""
+    (nodes, edges, strengths, tier, reversed) tuples. It drops a path
+    already listed, where ``find_paths`` never searches for one twice."""
 
     def run_tier(source, tier):
         results, seen, reversed_pairs = [], set(), []
@@ -197,7 +198,7 @@ def reference_find_paths(causal_view, base, from_set, to_set, max_hops, segment_
             if (nodes, edges) not in seen:
                 seen.add((nodes, edges))
                 strengths = tuple(source.effective_strength(i) for i in edges)
-                results.append((nodes, edges, strengths, tier, segment_index, is_reversed))
+                results.append((nodes, edges, strengths, tier, is_reversed))
 
         for a in sorted(set(from_set)):
             for b in sorted(set(to_set)):

@@ -245,7 +245,6 @@ def test_fusion_correctness_property():
                         edges=tuple(rng.sample(range(200), length)),
                         strengths=tuple(round(rng.random(), 3) for _ in range(length)),
                         tier=rng.choice(["causal", "fallback"]),
-                        segment_index=segment,
                     )
                 )
             total_paths += len(pool)

@@ -348,6 +348,23 @@ def test_parse_strength_updates_with_header_and_comments():
     assert updates == {("C1", "CAUSES", "C2"): 0.75, ("C3", "TREATS", "C4"): 0.15}
 
 
+def test_parse_strength_updates_takes_the_header_after_leading_comments():
+    updates = parse_strength_updates(
+        [
+            "# mined",
+            "",
+            "subject_cui\tpredicate\tobject_cui\ts_new",
+            "C1\tCAUSES\tC2\t0.75",
+        ]
+    )
+    assert updates == {("C1", "CAUSES", "C2"): 0.75}
+    # Only the first row may be the header.
+    with pytest.raises(ValidationError, match="update line 3: strength 's_new' is not a number"):
+        parse_strength_updates(
+            ["C1\tCAUSES\tC2\t0.75", "# late", "subject_cui\tpredicate\tobject_cui\ts_new"]
+        )
+
+
 def test_parse_strength_updates_rejects_bad_rows():
     with pytest.raises(ValidationError):
         parse_strength_updates(["C1\tCAUSES\tC2"])

@@ -379,6 +379,11 @@ def _bad_input_args(case, artifact, tmp_path):
     if case == "non-utf8-dataset":
         bad.write_bytes(b'{"id": "q\xff"}\n')
         return evaluate[:-1] + [str(bad)]
+    if case == "blank-option-dataset":
+        record = json.loads((FIXTURES / "dataset.jsonl").read_text(encoding="utf-8").splitlines()[0])
+        record["options"]["B"] = "  "
+        bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        return evaluate[:-1] + [str(bad)]
     if case == "non-utf8-transcript":
         bad.write_bytes(b'{"stage": "cot", "ordinal": 0, "text": "\xff"}\n')
         return evaluate + ["--mock-transcript", str(bad)]
@@ -419,6 +424,7 @@ def _bad_input_args(case, artifact, tmp_path):
         ("blank-cot-reply", 3, "no reasoning segments"),
         ("non-utf8-triples", 1, "utf-8"),
         ("non-utf8-dataset", 1, "utf-8"),
+        ("blank-option-dataset", 1, "line 1: item q01: option 'B' has empty text"),
         ("non-utf8-transcript", 1, "utf-8"),
         ("non-utf8-updates", 1, "utf-8"),
         ("non-utf8-update-strengths", 1, "utf-8"),

@@ -51,6 +51,17 @@ def test_placeholders_inside_values_stay_literal():
     assert fill_template("{a}{b} {c} {}", a="{b}", b="2") == "{b}2 {c} {}"
 
 
+def test_builtin_templates_are_read_once_and_overrides_on_every_call(tmp_path):
+    assert load_template("cot_generation.txt") is load_template("cot_generation.txt")
+    with pytest.raises(ValidationError, match="unknown built-in template"):
+        load_template("missing.txt")
+    override = tmp_path / "cot.txt"
+    override.write_text("first {question}", encoding="utf-8")
+    assert load_template("cot_generation.txt", str(override)) == "first {question}"
+    override.write_text("second {question}", encoding="utf-8")
+    assert load_template("cot_generation.txt", str(override)) == "second {question}"
+
+
 def test_prompt_rejects_duplicate_labels():
     with pytest.raises(ValidationError):
         build_cot_prompt("q?", [("A", "first"), ("A", "second")])

@@ -26,13 +26,12 @@ from causalrag.retrieval import GraphPath
 from causalrag.templates import NO_EVIDENCE_MARKER
 
 
-def _path(nodes, strengths, edges, tier="causal", segment_index=0):
+def _path(nodes, strengths, edges, tier="causal"):
     return GraphPath(
         nodes=tuple(nodes),
         edges=tuple(edges),
         strengths=tuple(strengths),
         tier=tier,
-        segment_index=segment_index,
     )
 
 
@@ -93,7 +92,6 @@ def test_fusion_preserves_path_sequences_and_counts():
                     nodes,
                     [round(rng.random(), 2)] * length,
                     rng.sample(range(100), length),
-                    segment_index=segment,
                 )
             )
         total += len(pool)

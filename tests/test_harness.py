@@ -10,7 +10,7 @@ import pytest
 
 from causalrag.causal import build_causal_view
 from causalrag.config import load_config
-from causalrag.errors import DatasetError, TransportError
+from causalrag.errors import DatasetError, TransportError, ValidationError
 from causalrag.graph import load_triples
 from causalrag.harness import (
     Mode,
@@ -24,7 +24,7 @@ from causalrag.harness import (
 from causalrag.linker import build_index
 from causalrag.llm import EndpointConfig, LlmGateway, LlmResponse, MockTranscript, ModelAssignment
 
-from .conftest import FIXTURES, RecordingLinker
+from .conftest import FIXTURES, RecordingLinker, make_graph
 
 EXPECTED_CALLS = {
     Mode.FULL: {"cot": 1, "enhance": 1, "infer": 1},
@@ -92,6 +92,10 @@ def test_qa_item_validation():
         QAItem(id="x", question="q?", options={"A": "only"}, gold="A")
     with pytest.raises(Exception):
         QAItem(id="x", question="q?", options={"A": "x", "B": "y"}, gold="Z")
+    with pytest.raises(ValidationError, match="item x: option 'B' has empty text"):
+        QAItem(id="x", question="q?", options={"A": "x", "B": "  "}, gold="A")
+    with pytest.raises(ValidationError, match="item x: option label must be non-empty"):
+        QAItem(id="x", question="q?", options={"A": "x", "": "y"}, gold="A")
 
 
 # -- per-mode stage wiring ---------------------------------------------------------
@@ -173,16 +177,55 @@ def test_full_mode_uses_causal_paths_everywhere():
         assert record.trace["final_path_count"] >= 1
 
 
-@pytest.mark.parametrize("mode", [Mode.FULL, Mode.NO_LLM_ENHANCED])
+@pytest.mark.parametrize("mode", list(Mode))
 def test_each_text_is_linked_once_per_item(mode):
     pipeline = build_fixture_pipeline(mode)
     linker = pipeline.linker = RecordingLinker(pipeline.linker)
     for item in load_dataset(FIXTURES / "dataset.jsonl"):
         linker.texts.clear()
         record = pipeline.answer(item, mode)
-        segments = record.trace["cot"]["segments"]
-        assert len(linker.texts) == len(segments) + 1, item.id
-        assert sorted(linker.texts[1:]) == sorted(segments)
+        options_text = " ".join(item.options.values())
+        if mode is Mode.KG_ONLY:
+            segments = [item.question, options_text]
+        else:
+            segments = record.trace["cot"]["segments"]
+        # The query text first, then each segment once, in chain order.
+        assert linker.texts == [f"{item.question} {options_text}", *segments], item.id
+
+
+def test_kg_only_retrieval_entry_has_the_keys_of_a_full_mode_entry():
+    item = load_dataset(FIXTURES / "dataset.jsonl")[0]
+    full, kg_only = (
+        build_fixture_pipeline(mode).answer(item, mode).trace["retrieval"]
+        for mode in (Mode.FULL, Mode.KG_ONLY)
+    )
+    assert len(kg_only) == 1
+    assert kg_only[0].keys() == full[0].keys()
+
+
+def test_kg_only_reports_no_paths_for_a_linked_pair_without_one():
+    graph = make_graph([("Alpha", "CAUSES", "Beta", 0.9), ("Omega", "CAUSES", "Delta", 0.9)])
+    config = load_config(FIXTURES / "config.yaml")
+    pipeline = Pipeline(
+        graph=graph,
+        causal_view=build_causal_view(graph, config.causality, config.theta),
+        linker=build_index(graph),
+        gateway=LlmGateway(transcript=MockTranscript([("infer", 0, "Answer: A")])),
+        config=config,
+    )
+    item = QAItem(id="q", question="Does alpha matter?", options={"A": "omega", "B": "delta"}, gold="A")
+    record = pipeline.answer(item, Mode.KG_ONLY)
+    assert record.trace["retrieval"] == [
+        {
+            "segment_index": 0,
+            "source_entities": ["Alpha"],
+            "target_entities": ["Delta", "Omega"],
+            "tier": None,
+            "candidates": 0,
+            "kept": 0,
+            "reason": "no-paths",
+        }
+    ]
 
 
 def test_no_enhancer_keeps_raw_segment_paths():

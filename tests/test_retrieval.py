@@ -107,8 +107,9 @@ def test_reverse_direction_flagged(chain_graph, chain_view):
 
 
 def test_forward_paths_win_dedup_over_reversed(chain_graph, chain_view):
-    # A appears on both sides: pair (A, B) finds the forward edge, pair (B, A)
-    # would rediscover it reversed; the forward copy must be the one kept.
+    # A appears on both sides: pair (B, A) has no forward path, and its flip
+    # (A, B) is a forward pair, so it is not searched flipped; the edge is
+    # listed once, forward.
     paths = find_paths(chain_view, chain_graph, {"A", "B"}, {"A", "B"}, RetrievalConfig())
     edge_ab = [p for p in paths if p.nodes == ("A", "B")]
     assert len(edge_ab) == 1
@@ -407,12 +408,29 @@ def test_prune_matches_bfs_detour_reference_on_random_searches():
 
 
 def _as_rows(paths):
-    return [(p.nodes, p.edges, p.strengths, p.tier, p.segment_index, p.reversed) for p in paths]
+    return [(p.nodes, p.edges, p.strengths, p.tier, p.reversed) for p in paths]
+
+
+def _flip_repeats_a_listing(source, from_set, to_set, max_hops):
+    """Whether a pair with no forward path has a flip that is itself a
+    forward pair with paths: the flipped search would list those again."""
+    return any(
+        b in from_set
+        and a in to_set
+        and not any(enumerate_simple_paths_unpruned(source, a, b, max_hops))
+        and any(enumerate_simple_paths_unpruned(source, b, a, max_hops))
+        for a in from_set
+        for b in to_set
+        if a != b
+    )
 
 
 def test_find_paths_equals_the_unpruned_reference_in_order():
     rng = random.Random(20251018)
-    seen = {"causal": 0, "fallback": 0, "no-view": 0, "reversed": 0, "self-loop": 0, "parallel": 0}
+    seen = {
+        "causal": 0, "fallback": 0, "no-view": 0, "reversed": 0, "self-loop": 0, "parallel": 0,
+        "flip-is-forward": 0,
+    }
     paths_by_hops = dict.fromkeys(range(1, 6), 0)
     for graph_no in range(1000):
         graph, table = _random_graph(rng)
@@ -424,14 +442,17 @@ def test_find_paths_equals_the_unpruned_reference_in_order():
         node_ids = list(graph.node_ids())
         from_set = set(rng.sample(node_ids, k=min(len(node_ids), rng.randint(1, 3))))
         to_set = set(rng.sample(node_ids, k=min(len(node_ids), rng.randint(1, 3))))
-        segment_index = rng.randint(0, 3)
+        rng.randint(0, 3)  # the old segment-index draw, kept so the seeded graphs stay the same
         for causal_view in (view, None):
-            actual = _as_rows(find_paths(causal_view, graph, from_set, to_set, config, segment_index))
-            expected = reference_find_paths(causal_view, graph, from_set, to_set, max_hops, segment_index)
+            actual = _as_rows(find_paths(causal_view, graph, from_set, to_set, config))
+            expected = reference_find_paths(causal_view, graph, from_set, to_set, max_hops)
             assert actual == expected
             if actual:
-                seen["no-view" if causal_view is None else actual[0][3]] += 1
-                seen["reversed"] += any(row[5] for row in actual)
+                tier = actual[0][3]
+                seen["no-view" if causal_view is None else tier] += 1
+                seen["reversed"] += any(row[4] for row in actual)
+                source = view if tier == "causal" else graph
+                seen["flip-is-forward"] += _flip_repeats_a_listing(source, from_set, to_set, max_hops)
                 paths_by_hops[max_hops] += len(actual)
     assert all(seen.values()), seen
     assert all(paths_by_hops.values()), paths_by_hops
