@@ -7,7 +7,7 @@ from .causal import (
     build_causal_view,
     default_causality_table,
 )
-from .cot import ChainOfThought, build_cot_prompt, parse_cot, render_cot, segment_pairs
+from .cot import ChainOfThought, build_cot_prompt, parse_cot, render_cot
 from .enhancer import (
     EnhancerConfig,
     FusedPath,

@@ -113,8 +113,3 @@ def render_cot(cot: ChainOfThought, ascii_arrows: bool = False) -> str:
     if cot.confidence is not None:
         parts.append(str(cot.confidence))
     return arrow.join(parts)
-
-
-def segment_pairs(cot: ChainOfThought) -> list[tuple[str, str]]:
-    """Consecutive segment pairs, in order; a single-segment chain yields none."""
-    return list(zip(cot.segments, cot.segments[1:]))

@@ -6,16 +6,21 @@ resolves missing strengths through a label-to-weight callable (normally the
 causality table), and produces an immutable graph, stored by column, that
 is safe for concurrent readers. Thresholded filtering lives in views built on
 top of this store (see the causal module); the base graph never mutates
-after construction.
+after construction. Every graph, built from edges, ingested or loaded from
+an artifact, passes the same int-column checks.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import io
 import logging
-import pickle
+import math
+import os
 import struct
+import sys
+import threading
+import zlib
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -38,7 +43,11 @@ TRIPLE_HEADER = (
 STRENGTH_COLUMN = "strength"
 
 _ARTIFACT_MAGIC = b"CRAG"
-_ARTIFACT_VERSION = 1
+_ARTIFACT_VERSION = 2
+_VERSION = struct.Struct(">H")
+# Node, predicate, set, set-member and edge counts; rows, malformed rows and
+# duplicate rows of the ingest; CRC32 of the body.
+_HEADER = struct.Struct("<5I3QI")
 
 @dataclass(frozen=True, slots=True)
 class ConceptNode:
@@ -100,75 +109,56 @@ class KnowledgeGraph:
         edges: Iterable[KgEdge],
         stats: IngestStats | None = None,
     ):
-        edges = tuple(edges)
-        self._build(
-            nodes,
-            [e.subject for e in edges],
-            [e.predicate for e in edges],
-            [e.object for e in edges],
-            [e.strength for e in edges],
-            stats,
-        )
+        # The string front: interns ids and predicates for the int-column core.
+        nodes, edges = tuple(nodes), tuple(edges)
+        index = {node.id: position for position, node in enumerate(nodes)}
+        predicate_index: dict[str, int] = {}
+        subjects, predicates, objects = array("i"), array("i"), array("i")
+        for edge in edges:
+            s, p, o = edge.subject, edge.predicate, edge.object
+            if s not in index:
+                raise ValidationError(f"edge {(s, p, o)} references unknown subject")
+            if o not in index:
+                raise ValidationError(f"edge {(s, p, o)} references unknown object")
+            subjects.append(index[s])
+            predicates.append(predicate_index.setdefault(p, len(predicate_index)))
+            objects.append(index[o])
+        strengths = array("d", [edge.strength for edge in edges])
+        self._build(nodes, tuple(predicate_index), subjects, predicates, objects, strengths, stats)
 
     @classmethod
-    def _from_columns(cls, nodes, subjects, predicates, objects, strengths, stats) -> KnowledgeGraph:
-        """The graph of edge ``i`` = ``(subjects[i], predicates[i], objects[i], strengths[i])``."""
+    def _from_columns(cls, nodes, predicate_names, subjects, predicates, objects, strengths, stats) -> KnowledgeGraph:
+        """The graph of edge ``i`` = ``subjects[i] --predicates[i]--> objects[i]``
+        at ``strengths[i]``: ``array('i')`` columns of ints indexing ``nodes``
+        and ``predicate_names``, and an ``array('d')`` of strengths."""
         graph = cls.__new__(cls)
-        graph._build(nodes, subjects, predicates, objects, strengths, stats)
+        graph._build(nodes, predicate_names, subjects, predicates, objects, strengths, stats)
         return graph
 
-    def _build(
-        self,
-        nodes: Iterable[ConceptNode],
-        subjects: Sequence[str],
-        predicates: Sequence[str],
-        objects: Sequence[str],
-        strengths: Sequence[float],
-        stats: IngestStats | None,
-    ) -> None:
-        """The one constructor body: checks every node and edge, interns, lays out the columns."""
-        by_id: dict[str, ConceptNode] = {}
-        for node in nodes:
-            if not node.id:
-                raise ValidationError("node id must be non-empty")
-            if not node.name:
-                raise ValidationError(f"node {node.id!r} has an empty name")
-            if node.id in by_id:
-                raise ValidationError(f"duplicate node id {node.id!r}")
-            by_id[node.id] = node
-        self._nodes: tuple[ConceptNode, ...] = tuple(by_id.values())
-        self._ids: tuple[str, ...] = tuple(by_id)
-        self._index = index = {node_id: position for position, node_id in enumerate(self._ids)}
+    def _build(self, nodes, predicate_names, subjects, predicates, objects, strengths, stats) -> None:
+        """The one constructor body, from int columns: checks every invariant, lays out the CSR.
 
-        n = len(self._ids)
-        self._predicate_index: dict[str, int] = {}
-        subject_ints, predicate_ints, object_ints = array("i"), array("i"), array("i")
-        seen: set[int] = set()
-        for s, p, o, strength in zip(subjects, predicates, objects, strengths):
-            si = index.get(s)
-            if si is None:
-                raise ValidationError(f"edge {(s, p, o)} references unknown subject")
-            oi = index.get(o)
-            if oi is None:
-                raise ValidationError(f"edge {(s, p, o)} references unknown object")
-            if not 0.0 <= strength <= 1.0:
-                raise ValidationError(f"edge {(s, p, o)} strength {strength} outside [0, 1]")
-            pi = self._predicate_index.setdefault(p, len(self._predicate_index))
-            key = _triple_key(si, pi, oi, n)
-            if key in seen:
-                raise ValidationError(f"duplicate triple {(s, p, o)}")
-            seen.add(key)
-            subject_ints.append(si)
-            predicate_ints.append(pi)
-            object_ints.append(oi)
-        self._subjects, self._predicates, self._objects = subject_ints, predicate_ints, object_ints
-        self._strengths = array("d", strengths)
-        self.predicate_names: tuple[str, ...] = tuple(self._predicate_index)
-        self.columns = EdgeColumns(
-            *(memoryview(c).toreadonly() for c in (subject_ints, predicate_ints, object_ints, self._strengths))
-        )
-        self._out_offsets, self._out = _csr(subject_ints, n)
-        self._in_offsets, self._in = _csr(object_ints, n)
+        Each invariant is tested over a whole column; only when one fails is
+        the first offending node or edge looked for, to name it.
+        """
+        self._nodes: tuple[ConceptNode, ...] = tuple(nodes)
+        self._ids: tuple[str, ...] = tuple(node.id for node in self._nodes)
+        self._index = dict(zip(self._ids, range(len(self._ids))))
+        if not all(self._ids) or len(self._index) < len(self._ids) or not all(n.name for n in self._nodes):
+            raise ValidationError(_first_node_defect(self._nodes))
+        self.predicate_names: tuple[str, ...] = tuple(predicate_names)
+        self._predicate_index = dict(zip(self.predicate_names, range(len(self.predicate_names))))
+        if len(self._predicate_index) < len(self.predicate_names):
+            duplicate = next(p for p, count in Counter(self.predicate_names).items() if count > 1)
+            raise ValidationError(f"duplicate predicate {duplicate!r}")
+
+        n, columns = len(self._ids), (subjects, predicates, objects, strengths)
+        if not _edges_hold(n, len(self.predicate_names), *columns):
+            raise ValidationError(_first_edge_defect(self._ids, self.predicate_names, *columns))
+        self._subjects, self._predicates, self._objects, self._strengths = subjects, predicates, objects, strengths
+        self.columns = EdgeColumns(*(memoryview(c).toreadonly() for c in columns))
+        self._out_offsets, self._out = _csr(subjects, n)
+        self._in_offsets, self._in = _csr(objects, n)
 
         self.stats = stats or IngestStats()
         # Filled on first read, like the search memos below (see ``edge_index``).
@@ -285,6 +275,51 @@ class KnowledgeGraph:
         return into
 
 
+def _first_node_defect(nodes: Sequence[ConceptNode]) -> str:
+    """The first node, in order, with an empty id or name or a repeated id, and how."""
+    seen: set[str] = set()
+    for node in nodes:
+        if not node.id:
+            return "node id must be non-empty"
+        if not node.name:
+            return f"node {node.id!r} has an empty name"
+        if node.id in seen:
+            return f"duplicate node id {node.id!r}"
+        seen.add(node.id)
+    raise AssertionError("no node breaks an invariant")
+
+
+def _edges_hold(node_count: int, predicate_count: int, subjects, predicates, objects, strengths) -> bool:
+    """Whether every node and predicate int is in range, every strength is
+    in [0, 1] (NaN is not) and no triple repeats: one test per whole column."""
+    if not strengths:
+        return True
+    bounds = ((subjects, node_count), (predicates, predicate_count), (objects, node_count))
+    return (
+        all(0 <= min(column) and max(column) < bound for column, bound in bounds)
+        and 0.0 <= min(strengths)
+        and max(strengths) <= 1.0
+        and not math.isnan(sum(strengths))
+        and len(set(zip(subjects, predicates, objects))) == len(strengths)
+    )
+
+
+def _first_edge_defect(ids, names, subjects, predicates, objects, strengths) -> str:
+    """The first edge, in edge order, that breaks an invariant, and how."""
+    seen: set[tuple[int, int, int]] = set()
+    for idx, (s, p, o, strength) in enumerate(zip(subjects, predicates, objects, strengths)):
+        for role, value, bound in (("subject", s, ids), ("predicate", p, names), ("object", o, ids)):
+            if not 0 <= value < len(bound):
+                return f"edge {idx} {role} {value} out of range [0, {len(bound)})"
+        triple = (ids[s], names[p], ids[o])
+        if not 0.0 <= strength <= 1.0:
+            return f"edge {triple} strength {strength} outside [0, 1]"
+        if (s, p, o) in seen:
+            return f"duplicate triple {triple}"
+        seen.add((s, p, o))
+    raise AssertionError("no edge breaks an invariant")
+
+
 def _triple_key(subject: int, predicate: int, object_: int, node_count: int) -> int:
     """One int per interned triple, distinct for distinct triples."""
     return (predicate * node_count + subject) * node_count + object_
@@ -363,22 +398,30 @@ def ingest_triples(
 
         strength_for_predicate = default_causality_table().weight
 
-    # Per node: its name, each distinct semantic-types field and its aliases.
-    # Fields are parsed once per node at the end, not once per row.
-    node_names: dict[str, str] = {}
-    node_fields: dict[str, set[str]] = {}
-    node_aliases: dict[str, set[str]] = {}
-    edge_strengths: dict[tuple[str, str, str], float] = {}
+    # Nodes and predicates are interned to ints as rows arrive. Per node int:
+    # its name, each distinct semantic-types field and its aliases; fields
+    # are parsed once per node at the end, not once per row.
+    node_index: dict[str, int] = {}
+    node_names: list[str] = []
+    node_fields: list[set[str]] = []
+    node_aliases: dict[int, set[str]] = {}
+    predicate_index: dict[str, int] = {}
+    # Each int triple's edge slot; a repeated triple keeps its first slot.
+    slots: dict[tuple[int, int, int], int] = {}
+    subjects, predicates, objects = array("i"), array("i"), array("i")
+    strengths = array("d")
 
-    def note_node(cui: str, name: str, semtypes: str) -> None:
-        known = node_names.get(cui)
-        if known is None:
-            node_names[cui] = name or cui
-            node_fields[cui] = {semtypes}
-            return
-        if name and name != known:
-            node_aliases.setdefault(cui, set()).add(name)
-        node_fields[cui].add(semtypes)
+    def note_node(cui: str, name: str, semtypes: str) -> int:
+        position = node_index.get(cui)
+        if position is None:
+            position = node_index[cui] = len(node_names)
+            node_names.append(name or cui)
+            node_fields.append({semtypes})
+            return position
+        if name and name != node_names[position]:
+            node_aliases.setdefault(position, set()).add(name)
+        node_fields[position].add(semtypes)
+        return position
 
     header_seen = False
     rows_total = 0
@@ -425,21 +468,28 @@ def ingest_triples(
         else:
             strength = strength_for_predicate(predicate)
 
-        note_node(subj_cui, subj_name, subj_types)
-        note_node(obj_cui, obj_name, obj_types)
-
-        triple = (subj_cui, predicate, obj_cui)
-        if triple in edge_strengths:
-            duplicates += 1
-            edge_strengths[triple] = max(edge_strengths[triple], strength)
+        triple = (
+            note_node(subj_cui, subj_name, subj_types),
+            predicate_index.setdefault(predicate, len(predicate_index)),
+            note_node(obj_cui, obj_name, obj_types),
+        )
+        slot = slots.get(triple)
+        if slot is None:
+            slots[triple] = len(strengths)
+            subjects.append(triple[0])
+            predicates.append(triple[1])
+            objects.append(triple[2])
+            strengths.append(strength)
         else:
-            edge_strengths[triple] = strength
+            duplicates += 1
+            strengths[slot] = max(strengths[slot], strength)
+    del slots  # freed before the core builds its own set of triples
 
     if not header_seen:
         raise IngestionError("empty triple stream")
     if rows_total == 0:
         raise IngestionError("triple stream contained a header but no data rows")
-    if not edge_strengths:
+    if not strengths:
         raise IngestionError(f"all {rows_total} data rows were malformed")
     if malformed:
         logger.warning("skipped %d malformed triple rows", malformed)
@@ -454,19 +504,18 @@ def ingest_triples(
         ConceptNode(
             id=cui,
             name=name,
-            semantic_types=share(frozenset().union(*map(parse, node_fields[cui]))),
-            aliases=share(node_aliases.get(cui, ())),
+            semantic_types=share(frozenset().union(*map(parse, fields))),
+            aliases=share(node_aliases.get(position, ())),
         )
-        for cui, name in node_names.items()
+        for position, (cui, name, fields) in enumerate(zip(node_index, node_names, node_fields))
     ]
-    subjects, predicates, objects = zip(*edge_strengths)
     stats = IngestStats(
         rows_total=rows_total,
         malformed_rows=malformed,
         duplicate_triples=duplicates,
     )
     return KnowledgeGraph._from_columns(
-        nodes, subjects, predicates, objects, list(edge_strengths.values()), stats
+        nodes, tuple(predicate_index), subjects, predicates, objects, strengths, stats
     )
 
 
@@ -490,88 +539,127 @@ def load_triples(path, strength_for_predicate: Callable[[str], float] | None = N
 
 
 def save_graph(graph: KnowledgeGraph, path) -> None:
-    """Write the graph as a versioned binary artifact."""
-    ids, names = graph.node_ids(), graph.predicate_names
-    payload = {
-        "nodes": [
-            (n.id, n.name, sorted(n.semantic_types), sorted(n.aliases))
-            for n in graph.nodes()
-        ],
-        "edges": [(ids[s], names[p], ids[o], strength) for s, p, o, strength in zip(*graph.columns)],
-        "stats": (
-            graph.stats.rows_total,
-            graph.stats.malformed_rows,
-            graph.stats.duplicate_triples,
-        ),
-    }
-    blob = _ARTIFACT_MAGIC + struct.pack(">H", _ARTIFACT_VERSION) + pickle.dumps(payload, protocol=4)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    """Write the graph as a format-2 artifact (laid out in ``load_graph``).
+
+    The bytes go to a temporary file beside ``path`` that then replaces it,
+    so an interrupted save leaves any earlier artifact at ``path`` whole.
+    """
+    nodes = tuple(graph.nodes())
+    sets: dict[frozenset[str], int] = {}
+    node_sets = array("I", [sets.setdefault(node.semantic_types, len(sets)) for node in nodes])
+    node_sets.extend([sets.setdefault(node.aliases, len(sets)) for node in nodes])
+    set_members = [sorted(members) for members in sets]
+    members = [member for group in set_members for member in group]
+    encoded = [
+        string.encode("utf-8")
+        for strings in ([node.id for node in nodes], [node.name for node in nodes], graph.predicate_names, members)
+        for string in strings
+    ]
+    arrays = [
+        array("I", map(len, encoded)),
+        array("I", map(len, set_members)),
+        node_sets,
+        *(array(column.format, column.tobytes()) for column in graph.columns),
+    ]
+    if sys.byteorder == "big":
+        for column in arrays:
+            column.byteswap()
+    body = b"".join([arrays[0], b"".join(encoded), *arrays[1:]])
+    stats = graph.stats
+    header = _HEADER.pack(
+        len(nodes), len(graph.predicate_names), len(sets), len(members), graph.edge_count,
+        stats.rows_total, stats.malformed_rows, stats.duplicate_triples, zlib.crc32(body),
+    )
+    path = os.fspath(path)
+    partial = f"{path}.{os.getpid()}-{threading.get_ident()}.partial"
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(_ARTIFACT_MAGIC + _VERSION.pack(_ARTIFACT_VERSION) + header)
+            fh.write(body)
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(partial)
+        raise
 
 
 def load_graph(path) -> KnowledgeGraph:
     """Load a graph artifact, refusing unknown formats and versions.
 
-    The payload is decoded as plain data only, so an artifact cannot run
-    code; a truncated or corrupt one raises ``ArtifactError``.
+    Format 2 is the magic, a big-endian version word, then the
+    little-endian ``_HEADER`` (counts, the ingest stats and the CRC32 of
+    the body) and the body: each string's length; the UTF-8 strings (node
+    ids, node names, predicate names, then the members of each distinct
+    semantic-type or alias set); each set's member count; each node's
+    semantic-type set, then each node's alias set; and the subject,
+    predicate and object (``int32``) and strength (``float64``) edge
+    columns. Every length is checked against the file's size before
+    anything is allocated, and the graph is checked in full even when the
+    checksum matches: the checksum catches corruption, it does not vouch
+    for the writer. Any defect raises ``ArtifactError``.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 6 or blob[:4] != _ARTIFACT_MAGIC:
         raise ArtifactError(f"{path}: not a causalrag graph artifact")
-    (version,) = struct.unpack(">H", blob[4:6])
+    (version,) = _VERSION.unpack_from(blob, 4)
+    if version == 1:
+        raise ArtifactError(
+            f"{path}: artifact version 1 is no longer read; rebuild it with causalrag build-graph"
+        )
     if version != _ARTIFACT_VERSION:
         raise ArtifactError(
             f"{path}: artifact version {version} unsupported (expected {_ARTIFACT_VERSION})"
         )
     try:
-        payload = _PlainDataUnpickler(io.BytesIO(blob[6:])).load()
-        node_ids, names, types, aliases = _columns(payload["nodes"], ({str}, {str}, None, None))
-        edges = _columns(payload["edges"], ({str}, {str}, {str}, {float, int}))
-        share = _frozenset_pool()
-        nodes = [
-            ConceptNode(id=nid, name=name, semantic_types=share(node_types), aliases=share(node_aliases))
-            for nid, name, node_types, node_aliases in zip(node_ids, names, types, aliases)
-        ]
-        return KnowledgeGraph._from_columns(nodes, *edges, IngestStats(*payload["stats"]))
-    except _PAYLOAD_ERRORS as exc:
+        return _decode(memoryview(blob)[6:])
+    except (ValidationError, UnicodeDecodeError) as exc:
         raise ArtifactError(f"{path}: corrupt graph artifact ({exc})") from exc
 
 
-def _columns(rows: list, kinds: tuple[set[type] | None, ...]) -> tuple[tuple, ...]:
-    """Payload rows as columns. Each row must be a tuple of ``len(kinds)``
-    fields, each field of a type its column's set allows (``None``: any)."""
-    if set(map(type, rows)) - {tuple} or set(map(len, rows)) - {len(kinds)}:
-        raise ArtifactError(f"payload rows must be tuples of {len(kinds)} fields")
-    columns = tuple(zip(*rows)) if rows else ((),) * len(kinds)
-    for position, (column, allowed) in enumerate(zip(columns, kinds)):
-        if allowed is not None and set(map(type, column)) - allowed:
-            names = " or ".join(sorted(kind.__name__ for kind in allowed))
-            raise ArtifactError(f"payload field {position} must be {names}")
-    return columns
+def _decode(data: memoryview) -> KnowledgeGraph:
+    """The graph in a format-2 artifact, from its header on."""
+    if len(data) < _HEADER.size:
+        raise ValidationError(f"header needs {_HEADER.size} bytes, the file holds {len(data)}")
+    n, n_predicates, n_sets, n_members, m, *stats, crc = _HEADER.unpack_from(data)
+    body = data[_HEADER.size :]
+    if zlib.crc32(body) != crc:
+        raise ValidationError("body checksum mismatch")
+    n_strings = 2 * n + n_predicates + n_members
+    fixed = 4 * (n_strings + n_sets + 2 * n) + 20 * m
+    if fixed > len(body):
+        raise ValidationError(f"counts need {fixed} bytes of columns, the body holds {len(body)}")
+    at = 0
 
+    def take(size: int) -> memoryview:
+        nonlocal at
+        at += size
+        return body[at - size : at]
 
-class _PlainDataUnpickler(pickle.Unpickler):
-    """Decodes only plain data (dicts, lists, tuples, strings, numbers, None).
+    def column(typecode: str, count: int) -> array:
+        values = array(typecode)
+        values.frombytes(take(values.itemsize * count))
+        if sys.byteorder == "big":
+            values.byteswap()
+        return values
 
-    Every class or callable reference is refused before it is imported, so
-    loading an artifact can never run code named in it.
-    """
+    lengths = column("I", n_strings)
+    ends = list(accumulate(lengths, initial=0))
+    if ends[-1] != len(body) - fixed:
+        raise ValidationError(f"strings need {ends[-1]} bytes, the body holds {len(body) - fixed}")
+    text = take(ends[-1]).tobytes()
+    strings = [text[start:end].decode("utf-8") for start, end in zip(ends, ends[1:])]
+    set_sizes, node_sets = column("I", n_sets), column("I", 2 * n)
+    subjects, predicates, objects, strengths = column("i", m), column("i", m), column("i", m), column("d", m)
 
-    def find_class(self, module: str, name: str):
-        raise ArtifactError(f"payload references {module}.{name}")
-
-
-# What a corrupt payload raises, from decoding it or from building the graph.
-_PAYLOAD_ERRORS = (
-    ArtifactError,
-    ValidationError,
-    pickle.UnpicklingError,
-    EOFError,
-    UnicodeDecodeError,
-    ValueError,
-    OverflowError,
-    TypeError,
-    KeyError,
-    AttributeError,
-)
+    if sum(set_sizes) != n_members:
+        raise ValidationError(f"sets hold {sum(set_sizes)} members, the header declares {n_members}")
+    if node_sets and max(node_sets) >= n_sets:
+        raise ValidationError(f"node set {max(node_sets)} out of range [0, {n_sets})")
+    member_ends = list(accumulate(set_sizes, initial=2 * n + n_predicates))
+    sets = [frozenset(strings[start:end]) for start, end in zip(member_ends, member_ends[1:])]
+    types, aliases = [sets[i] for i in node_sets[:n]], [sets[i] for i in node_sets[n:]]
+    nodes = list(map(ConceptNode, strings[:n], strings[n : 2 * n], types, aliases))
+    return KnowledgeGraph._from_columns(
+        nodes, strings[2 * n : 2 * n + n_predicates], subjects, predicates, objects, strengths, IngestStats(*stats)
+    )

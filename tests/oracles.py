@@ -9,16 +9,30 @@ library call is the detour reference's BFS, ``graph.shortest_path_length``, whic
 against their own BFS. The exception is ``reference_find_paths``: it keeps
 the unpruned DFS that ``find_paths`` used before its goal-directed search,
 as the slow reference that search must match path for path, in order.
-Keep them slow and obvious.
+``reference_ingest_triples`` keeps the string-keyed ingest that the
+interning one replaced, building through the public constructor. Keep
+them slow and obvious.
 """
 
 from __future__ import annotations
 
+import logging
 from collections import Counter
 from itertools import permutations, product
 from typing import Iterator
 
-from causalrag.graph import shortest_path_length
+from causalrag.errors import IngestionError
+from causalrag.graph import (
+    STRENGTH_COLUMN,
+    TRIPLE_HEADER,
+    ConceptNode,
+    IngestStats,
+    KgEdge,
+    KnowledgeGraph,
+    shortest_path_length,
+)
+
+_logger = logging.getLogger(__name__)
 
 
 class ReferenceGraph:
@@ -272,3 +286,105 @@ def brute_force_metrics(golds, predictions):
     correct = sum(count for (gold, predicted), count in table.items() if gold == predicted)
     accuracy = correct / len(golds)
     return per_label, macro_precision, macro_recall, macro_f1, accuracy
+
+
+def reference_ingest_triples(lines, strength_for_predicate):
+    """``ingest_triples`` as it was before interning: string-keyed triples,
+    per-node field sets, and one ``KgEdge`` per edge into the constructor."""
+    node_names: dict[str, str] = {}
+    node_fields: dict[str, set[str]] = {}
+    node_aliases: dict[str, set[str]] = {}
+    edge_strengths: dict[tuple[str, str, str], float] = {}
+
+    def note_node(cui: str, name: str, semtypes: str) -> None:
+        known = node_names.get(cui)
+        if known is None:
+            node_names[cui] = name or cui
+            node_fields[cui] = {semtypes}
+            return
+        if name and name != known:
+            node_aliases.setdefault(cui, set()).add(name)
+        node_fields[cui].add(semtypes)
+
+    header_seen = False
+    rows_total = 0
+    malformed = 0
+    duplicates = 0
+
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if not header_seen:
+            header = tuple(col.strip().lower() for col in line.split("\t"))
+            if header[: len(TRIPLE_HEADER)] != TRIPLE_HEADER or (
+                len(header) > len(TRIPLE_HEADER)
+                and header[len(TRIPLE_HEADER) :] != (STRENGTH_COLUMN,)
+            ):
+                raise IngestionError(
+                    f"line {line_no}: missing or invalid header row (expected "
+                    f"{', '.join(TRIPLE_HEADER)}[, {STRENGTH_COLUMN}])"
+                )
+            header_seen = True
+            continue
+
+        rows_total += 1
+        fields = list(map(str.strip, line.split("\t")))
+        if len(fields) not in (7, 8):
+            malformed += 1
+            continue
+        subj_cui, subj_name, subj_types, predicate, obj_cui, obj_name, obj_types = fields[:7]
+        if not subj_cui or not predicate or not obj_cui:
+            malformed += 1
+            continue
+
+        if len(fields) == 8 and fields[7]:
+            try:
+                strength = float(fields[7])
+            except ValueError:
+                malformed += 1
+                continue
+            if not 0.0 <= strength <= 1.0:
+                malformed += 1
+                continue
+        else:
+            strength = strength_for_predicate(predicate)
+
+        note_node(subj_cui, subj_name, subj_types)
+        note_node(obj_cui, obj_name, obj_types)
+
+        triple = (subj_cui, predicate, obj_cui)
+        if triple in edge_strengths:
+            duplicates += 1
+            edge_strengths[triple] = max(edge_strengths[triple], strength)
+        else:
+            edge_strengths[triple] = strength
+
+    if not header_seen:
+        raise IngestionError("empty triple stream")
+    if rows_total == 0:
+        raise IngestionError("triple stream contained a header but no data rows")
+    if not edge_strengths:
+        raise IngestionError(f"all {rows_total} data rows were malformed")
+    if malformed:
+        _logger.warning("skipped %d malformed triple rows", malformed)
+    if duplicates:
+        _logger.warning(
+            "collapsed %d duplicate triple rows, keeping each triple's max strength", duplicates
+        )
+
+    def parse(field):
+        return {t.strip() for t in field.split(",") if t.strip()}
+
+    nodes = [
+        ConceptNode(
+            id=cui,
+            name=name,
+            semantic_types=frozenset().union(*map(parse, node_fields[cui])),
+            aliases=frozenset(node_aliases.get(cui, ())),
+        )
+        for cui, name in node_names.items()
+    ]
+    edges = [KgEdge(s, p, o, strength) for (s, p, o), strength in edge_strengths.items()]
+    return KnowledgeGraph(nodes, edges, IngestStats(rows_total, malformed, duplicates))

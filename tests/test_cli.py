@@ -361,6 +361,14 @@ def test_truncated_artifact_exits_1_without_traceback(artifact, tmp_path, capsys
     assert "Traceback" not in err
 
 
+def test_version_1_artifact_exits_1_with_a_rebuild_hint(capsys):
+    code = main(["causal-stats", "--graph", str(FIXTURES / "graph_v1.crag")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "rebuild it with causalrag build-graph" in err
+    assert "Traceback" not in err
+
+
 # -- bad inputs: one documented exit code each, an error line, no traceback -------
 
 

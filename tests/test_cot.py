@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-import string
 
 import pytest
 
@@ -11,7 +10,6 @@ from causalrag.cot import (
     build_cot_prompt,
     parse_cot,
     render_cot,
-    segment_pairs,
 )
 from causalrag.errors import CotParseError, ValidationError
 from causalrag.templates import fill_template, load_template
@@ -158,30 +156,6 @@ def test_parse_render_round_trip_both_encodings():
             parsed = parse_cot(rendered)
             assert parsed.segments == segments
             assert parsed.confidence == confidence
-
-
-# -- segment pairs --------------------------------------------------------------------
-
-
-def test_segment_pairs_ordering():
-    cot = ChainOfThought(raw="", segments=("a", "b", "c"))
-    assert segment_pairs(cot) == [("a", "b"), ("b", "c")]
-
-
-def test_segment_pairs_boundaries():
-    assert segment_pairs(ChainOfThought(raw="", segments=("a",))) == []
-    assert segment_pairs(ChainOfThought(raw="", segments=("a", "b"))) == [("a", "b")]
-
-
-def test_pair_count_matches_segment_count():
-    rng = random.Random(3)
-    for _ in range(50):
-        segments = tuple(
-            "".join(rng.choice(string.ascii_lowercase) for _ in range(3))
-            for _ in range(rng.randint(1, 8))
-        )
-        cot = ChainOfThought(raw="", segments=segments)
-        assert len(segment_pairs(cot)) == max(len(segments) - 1, 0)
 
 
 def test_invalid_chain_construction():

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import gc
+import io
 import pickle
 import random
+import struct
 import tracemalloc
+import zlib
 from collections import deque
 
 import pytest
@@ -12,6 +15,7 @@ from causalrag.config import load_config
 from causalrag.errors import ArtifactError, IngestionError, NotFoundError, ValidationError
 from causalrag.graph import (
     ConceptNode,
+    IngestStats,
     KgEdge,
     KnowledgeGraph,
     ingest_triples,
@@ -334,16 +338,13 @@ def test_artifact_round_trip(tmp_path):
     assert loaded.stats == graph.stats
 
 
-def test_artifact_written_before_the_columnar_core_still_loads(fixtures_dir):
+def test_version_1_artifact_is_refused_with_a_rebuild_hint(fixtures_dir):
     """``graph_v1.crag`` was written by ``build-graph`` from the fixture TSV
-    when the graph still stored one ``KgEdge`` per edge; format version 1
-    reads it into an equal graph."""
-    weights = load_config(fixtures_dir / "config.yaml").causality.weight
-    graph = load_triples(fixtures_dir / "triples.tsv", weights)
-    loaded = load_graph(fixtures_dir / "graph_v1.crag")
-    assert loaded.edges == graph.edges
-    assert list(loaded.nodes()) == list(graph.nodes())
-    assert loaded.stats == graph.stats
+    in the pickled format 1, which is no longer read."""
+    with pytest.raises(ArtifactError) as info:
+        load_graph(fixtures_dir / "graph_v1.crag")
+    message = str(info.value)
+    assert "version 1" in message and "rebuild it with causalrag build-graph" in message
 
 
 _LOAD_CALLS: list[tuple] = []
@@ -361,19 +362,14 @@ class _Hostile:
         return (_record_load, ("ran",))
 
 
-def _artifact_header(tmp_path) -> bytes:
-    path = tmp_path / "header.crag"
-    save_graph(make_graph([("A", "CAUSES", "B", 0.9)]), path)
-    return path.read_bytes()[:6]
-
-
 def test_artifact_payload_cannot_run_code(tmp_path):
-    payload = {"nodes": _Hostile(), "edges": [], "stats": (0, 0, 0)}
+    """A pickled payload is never decoded, behind a version-1 or a version-2 header."""
+    payload = pickle.dumps({"nodes": _Hostile(), "edges": [], "stats": (0, 0, 0)}, protocol=4)
     path = tmp_path / "hostile.crag"
-    path.write_bytes(_artifact_header(tmp_path) + pickle.dumps(payload, protocol=4))
-    with pytest.raises(ArtifactError) as info:
-        load_graph(path)
-    assert str(path) in str(info.value) and "_record_load" in str(info.value)
+    for version, message in ((1, "version 1"), (2, "corrupt")):
+        path.write_bytes(b"CRAG" + struct.pack(">H", version) + payload)
+        with pytest.raises(ArtifactError, match=message):
+            load_graph(path)
     assert _LOAD_CALLS == []
 
 
@@ -384,9 +380,8 @@ def test_truncated_artifact_is_an_artifact_error(tmp_path):
     blob = path.read_bytes()
     for end in range(6, len(blob)):
         path.write_bytes(blob[:end])
-        with pytest.raises(ArtifactError, match="corrupt") as info:
+        with pytest.raises(ArtifactError, match="corrupt"):
             load_graph(path)
-        assert info.value.__cause__ is not None
 
 
 def test_artifact_rejects_bad_magic_and_version(tmp_path):
@@ -401,49 +396,154 @@ def test_artifact_rejects_bad_magic_and_version(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[5] = 99  # bump version byte
     path.write_bytes(bytes(blob))
-    with pytest.raises(ArtifactError, match="version"):
+    with pytest.raises(ArtifactError, match="version 99 unsupported"):
         load_graph(path)
 
 
-def _payload_artifact(tmp_path, nodes, edges):
-    """A hand-built version-1 artifact holding the given node and edge rows."""
-    path = tmp_path / "hand.crag"
-    payload = {"nodes": nodes, "edges": edges, "stats": (3, 0, 0)}
-    path.write_bytes(_artifact_header(tmp_path) + pickle.dumps(payload, protocol=4))
-    return path
+def _v2_artifact(
+    ids=("A", "B", "C"),
+    names=("Alpha", "Beta", "Gamma"),
+    predicates=("CAUSES", "TREATS"),
+    sets=(("dsyn",), (), ("beta",)),
+    node_sets=(0, 1, 1, 1, 2, 1),
+    edges=((0, 0, 1, 0.9), (1, 1, 2, 0.7), (0, 0, 2, 1.0)),
+    set_sizes=None,
+    trailing=b"",
+) -> bytes:
+    """A format-2 artifact laid out by hand, with a valid checksum.
 
-
-_NODE_ROWS = [("A", "Alpha", ["dsyn"], []), ("B", "Beta", [], ["beta"]), ("C", "Gamma", [], [])]
-_EDGE_ROWS = [("A", "CAUSES", "B", 0.9), ("B", "TREATS", "C", 0.7), ("A", "CAUSES", "C", 1)]
+    Strings may be given as bytes, to plant bad UTF-8. ``set_sizes``
+    overrides each set's member count as written.
+    """
+    strings = [s if isinstance(s, bytes) else s.encode() for s in (*ids, *names, *predicates, *sum(sets, ()))]
+    columns = list(zip(*edges)) or [(), (), (), ()]
+    body = b"".join(
+        [
+            struct.pack(f"<{len(strings)}I", *map(len, strings)),
+            *strings,
+            struct.pack(f"<{len(sets)}I", *(set_sizes or map(len, sets))),
+            struct.pack(f"<{len(node_sets)}I", *node_sets),
+            *(struct.pack(f"<{len(edges)}i", *column) for column in columns[:3]),
+            struct.pack(f"<{len(edges)}d", *columns[3]),
+            trailing,
+        ]
+    )
+    counts = (len(ids), len(predicates), len(sets), sum(map(len, sets)), len(edges))
+    header = struct.pack("<5I3QI", *counts, 3, 0, 0, zlib.crc32(body))
+    return b"CRAG" + struct.pack(">H", 2) + header + body
 
 
 def test_hand_built_payload_loads(tmp_path):
-    graph = load_graph(_payload_artifact(tmp_path, _NODE_ROWS, _EDGE_ROWS))
-    assert graph.edges == tuple(KgEdge(*row) for row in _EDGE_ROWS)
-    assert graph.node("B").aliases == {"beta"}
+    """The layout documented in ``load_graph`` reads, and ``save_graph`` writes it byte for byte."""
+    path = tmp_path / "hand.crag"
+    path.write_bytes(_v2_artifact())
+    graph = load_graph(path)
+    assert graph.edges == (
+        KgEdge("A", "CAUSES", "B", 0.9), KgEdge("B", "TREATS", "C", 0.7), KgEdge("A", "CAUSES", "C", 1.0)
+    )
+    assert list(graph.nodes()) == [
+        ConceptNode("A", "Alpha", frozenset({"dsyn"})),
+        ConceptNode("B", "Beta", aliases=frozenset({"beta"})),
+        ConceptNode("C", "Gamma"),
+    ]
+    assert graph.stats == IngestStats(3, 0, 0)
+    save_graph(graph, tmp_path / "saved.crag")
+    assert (tmp_path / "saved.crag").read_bytes() == path.read_bytes()
+
+
+_NAN = float("nan")
 
 
 @pytest.mark.parametrize(
-    "case, nodes, edges",
+    "artifact, message",
     [
-        ("3-field edge row", _NODE_ROWS, _EDGE_ROWS[:1] + [("B", "TREATS", "C")] + _EDGE_ROWS[2:]),
-        ("5-field edge row", _NODE_ROWS, _EDGE_ROWS[:1] + [("B", "TREATS", "C", 0.7, 0.1)] + _EDGE_ROWS[2:]),
-        ("list edge row", _NODE_ROWS, _EDGE_ROWS[:2] + [["A", "CAUSES", "C", 1.0]]),
-        ("NaN strength", _NODE_ROWS, _EDGE_ROWS[:2] + [("A", "CAUSES", "C", float("nan"))]),
-        ("string strength", _NODE_ROWS, _EDGE_ROWS[:2] + [("A", "CAUSES", "C", "0.5")]),
-        ("boolean strength", _NODE_ROWS, _EDGE_ROWS[:2] + [("A", "CAUSES", "C", True)]),
-        ("non-string node id", _NODE_ROWS[:2] + [(3, "Gamma", [], [])], _EDGE_ROWS[:1]),
-        ("non-string node name", _NODE_ROWS[:2] + [("C", None, [], [])], _EDGE_ROWS[:1]),
-        ("non-string edge id", _NODE_ROWS, _EDGE_ROWS[:2] + [("A", "CAUSES", 3, 0.5)]),
-        ("non-string predicate", _NODE_ROWS, _EDGE_ROWS[:2] + [("A", None, "C", 0.5)]),
-        ("edge to an unknown node", _NODE_ROWS, _EDGE_ROWS[:2] + [("A", "CAUSES", "Z", 0.5)]),
-        ("3-field node row", _NODE_ROWS[:2] + [("C", "Gamma", [])], _EDGE_ROWS[:1]),
-        ("edges not a list", _NODE_ROWS, 5),
+        pytest.param(
+            _v2_artifact(edges=((0, 0, 1, 0.9), (1, 1, 2, _NAN))),
+            "edge ('B', 'TREATS', 'C') strength nan outside [0, 1]",
+            id="NaN strength",
+        ),
+        pytest.param(
+            _v2_artifact(edges=((0, 0, 1, 1.5),)), "edge ('A', 'CAUSES', 'B') strength 1.5 outside [0, 1]", id="1.5"
+        ),
+        pytest.param(
+            _v2_artifact(edges=((0, 0, 1, -0.1),)), "edge ('A', 'CAUSES', 'B') strength -0.1 outside [0, 1]", id="-0.1"
+        ),
+        pytest.param(
+            _v2_artifact(edges=((0, 0, 1, 0.9), (3, 1, 2, 0.7))), "edge 1 subject 3 out of range [0, 3)", id="subject"
+        ),
+        pytest.param(_v2_artifact(edges=((0, 0, -1, 0.9),)), "edge 0 object -1 out of range [0, 3)", id="object"),
+        pytest.param(_v2_artifact(edges=((0, 2, 1, 0.9),)), "edge 0 predicate 2 out of range [0, 2)", id="predicate"),
+        pytest.param(
+            _v2_artifact(edges=((0, 0, 1, 0.9), (1, 1, 2, 0.7), (0, 0, 1, 0.2))),
+            "duplicate triple ('A', 'CAUSES', 'B')",
+            id="duplicate triple",
+        ),
+        pytest.param(_v2_artifact(ids=("A", "", "C")), "node id must be non-empty", id="empty node id"),
+        pytest.param(_v2_artifact(ids=("A", "C", "C")), "duplicate node id 'C'", id="duplicate node id"),
+        pytest.param(_v2_artifact(names=("Alpha", "", "Gamma")), "node 'B' has an empty name", id="empty name"),
+        pytest.param(
+            _v2_artifact(predicates=("CAUSES", "CAUSES")), "duplicate predicate 'CAUSES'", id="duplicate predicate"
+        ),
+        pytest.param(
+            _v2_artifact(names=("Alpha", b"B\xffta", "Gamma")), "can't decode byte 0xff", id="bad utf-8"
+        ),
+        pytest.param(
+            _v2_artifact(node_sets=(0, 1, 1, 1, 3, 1)), "node set 3 out of range [0, 3)", id="set index"
+        ),
+        pytest.param(_v2_artifact(set_sizes=(1, 0, 2)), "sets hold 3 members, the header declares 2", id="member count"),
+        pytest.param(_v2_artifact(trailing=b"\x00"), "strings need 37 bytes, the body holds 38", id="trailing bytes"),
     ],
 )
-def test_corrupt_payload_is_an_artifact_error(tmp_path, case, nodes, edges):
-    with pytest.raises(ArtifactError, match="corrupt"):
-        load_graph(_payload_artifact(tmp_path, nodes, edges))
+def test_corrupt_v2_artifact_names_its_defect(tmp_path, artifact, message):
+    path = tmp_path / "hand.crag"
+    path.write_bytes(artifact)
+    with pytest.raises(ArtifactError) as info:
+        load_graph(path)
+    assert str(info.value).startswith(f"{path}: corrupt graph artifact (")
+    assert message in str(info.value)
+
+
+def test_artifact_checksum_and_declared_sizes_are_checked_before_reading(tmp_path):
+    path = tmp_path / "hand.crag"
+    blob = bytearray(_v2_artifact())
+    blob[-1] ^= 0x40
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ArtifactError, match="checksum mismatch"):
+        load_graph(path)
+    # A billion edges, resealed: refused by size, with no allocation tried.
+    header = bytearray(_v2_artifact()[6:54])
+    struct.pack_into("<I", header, 16, 10**9)
+    blob = b"CRAG\x00\x02" + bytes(header) + _v2_artifact()[54:]
+    path.write_bytes(blob)
+    with pytest.raises(ArtifactError, match="counts need 20000000"):
+        load_graph(path)
+
+
+def test_artifact_bytes_are_deterministic(tmp_path, fixtures_dir):
+    weights = load_config(fixtures_dir / "config.yaml").causality.weight
+    graph = load_triples(fixtures_dir / "triples.tsv", weights)
+    first, second, third = (tmp_path / f"{name}.crag" for name in ("first", "second", "third"))
+    save_graph(graph, first)
+    save_graph(graph, second)
+    save_graph(load_graph(first), third)
+    assert first.read_bytes() == second.read_bytes() == third.read_bytes()
+
+
+def test_interrupted_save_leaves_the_earlier_artifact_whole(tmp_path, monkeypatch):
+    path = tmp_path / "graph.crag"
+    save_graph(make_graph([("A", "CAUSES", "B", 0.9)]), path)
+    before = path.read_bytes()
+
+    class FailingFile(io.FileIO):
+        def write(self, data):
+            super().write(bytes(data)[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("causalrag.graph.open", lambda name, mode: FailingFile(name, "w"), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_graph(make_graph([("A", "CAUSES", "B", 0.9), ("B", "TREATS", "C", 0.7)]), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.crag"]
 
 
 def test_graph_memory_per_edge_is_pinned():
