@@ -408,27 +408,33 @@ def _v2_artifact(
     node_sets=(0, 1, 1, 1, 2, 1),
     edges=((0, 0, 1, 0.9), (1, 1, 2, 0.7), (0, 0, 2, 1.0)),
     set_sizes=None,
+    edge_count=None,
     trailing=b"",
 ) -> bytes:
     """A format-2 artifact laid out by hand, with a valid checksum.
 
     Strings may be given as bytes, to plant bad UTF-8. ``set_sizes``
-    overrides each set's member count as written.
+    overrides each set's member count as written, and ``edge_count`` the
+    number of edges the header declares. An edge row short of a field
+    leaves that column short; fields past the strength are written after
+    the strength column.
     """
     strings = [s if isinstance(s, bytes) else s.encode() for s in (*ids, *names, *predicates, *sum(sets, ()))]
-    columns = list(zip(*edges)) or [(), (), (), ()]
+    columns = [[row[k] for row in edges if k < len(row)] for k in range(4)]
+    extra = [value for row in edges for value in row[4:]]
     body = b"".join(
         [
             struct.pack(f"<{len(strings)}I", *map(len, strings)),
             *strings,
             struct.pack(f"<{len(sets)}I", *(set_sizes or map(len, sets))),
             struct.pack(f"<{len(node_sets)}I", *node_sets),
-            *(struct.pack(f"<{len(edges)}i", *column) for column in columns[:3]),
-            struct.pack(f"<{len(edges)}d", *columns[3]),
+            *(struct.pack(f"<{len(column)}i", *column) for column in columns[:3]),
+            struct.pack(f"<{len(columns[3]) + len(extra)}d", *columns[3], *extra),
             trailing,
         ]
     )
-    counts = (len(ids), len(predicates), len(sets), sum(map(len, sets)), len(edges))
+    m = len(edges) if edge_count is None else edge_count
+    counts = (len(ids), len(predicates), len(sets), sum(map(len, sets)), m)
     header = struct.pack("<5I3QI", *counts, 3, 0, 0, zlib.crc32(body))
     return b"CRAG" + struct.pack(">H", 2) + header + body
 
@@ -457,11 +463,6 @@ _NAN = float("nan")
 @pytest.mark.parametrize(
     "artifact, message",
     [
-        pytest.param(
-            _v2_artifact(edges=((0, 0, 1, 0.9), (1, 1, 2, _NAN))),
-            "edge ('B', 'TREATS', 'C') strength nan outside [0, 1]",
-            id="NaN strength",
-        ),
         pytest.param(
             _v2_artifact(edges=((0, 0, 1, 1.5),)), "edge ('A', 'CAUSES', 'B') strength 1.5 outside [0, 1]", id="1.5"
         ),
@@ -500,6 +501,108 @@ def test_corrupt_v2_artifact_names_its_defect(tmp_path, artifact, message):
     with pytest.raises(ArtifactError) as info:
         load_graph(path)
     assert str(info.value).startswith(f"{path}: corrupt graph artifact (")
+    assert message in str(info.value)
+
+
+def _payload_artifact(tmp_path, nodes, edges, predicates=("CAUSES", "TREATS")):
+    """A format-2 artifact written field by field from node rows ``(id,
+    name, types, aliases)`` and edge rows ``(subject, predicate, object,
+    strength)``, with a valid checksum.
+
+    An endpoint or predicate that no row defines is written as the index
+    one past the end. A row short of a field leaves its column short, and
+    one with an extra field lengthens the body. ``edges`` given as a
+    number declares that many edges with no columns behind them.
+    """
+    ids = [node[0] for node in nodes]
+    node_fields = [tuple(sorted(node[k])) for k in (2, 3) for node in nodes if k < len(node)]
+    sets = list(dict.fromkeys(node_fields))
+    position = {node_id: i for i, node_id in enumerate(ids)}
+    kind = {name: i for i, name in enumerate(predicates)}
+    rows = [
+        (position.get(s, len(ids)), kind.get(p, len(predicates)), position.get(o, len(ids)), *rest)
+        for s, p, o, *rest in ([] if isinstance(edges, int) else edges)
+    ]
+    path = tmp_path / "rows.crag"
+    path.write_bytes(
+        _v2_artifact(
+            ids=ids,
+            names=[node[1] for node in nodes],
+            predicates=predicates,
+            sets=sets,
+            node_sets=[sets.index(field) for field in node_fields],
+            edges=rows,
+            edge_count=edges if isinstance(edges, int) else None,
+        )
+    )
+    return path
+
+
+_NODE_ROWS = [("A", "Alpha", ["dsyn"], []), ("B", "Beta", [], ["beta"]), ("C", "Gamma", [], [])]
+_EDGE_ROWS = [("A", "CAUSES", "B", 0.9), ("B", "TREATS", "C", 0.7), ("A", "CAUSES", "C", 1)]
+
+
+def test_payload_rows_write_the_hand_built_artifact(tmp_path):
+    assert _payload_artifact(tmp_path, _NODE_ROWS, _EDGE_ROWS).read_bytes() == _v2_artifact()
+
+
+# Each case keeps the id it had when the rows were pickled (format 1). Format
+# 1 also planted list rows and strings, booleans or None where a field's type
+# was due; the fixed binary columns of format 2 cannot hold those.
+@pytest.mark.parametrize(
+    "nodes, edges, message",
+    [
+        pytest.param(
+            _NODE_ROWS,
+            _EDGE_ROWS[:1] + [("B", "TREATS", "C")] + _EDGE_ROWS[2:],
+            "strings need 37 bytes, the body holds 29",
+            id="3-field edge row-nodes0-edges0",
+        ),
+        pytest.param(
+            _NODE_ROWS,
+            _EDGE_ROWS[:1] + [("B", "TREATS", "C", 0.7, 0.1)] + _EDGE_ROWS[2:],
+            "strings need 37 bytes, the body holds 45",
+            id="5-field edge row-nodes1-edges1",
+        ),
+        pytest.param(
+            _NODE_ROWS,
+            _EDGE_ROWS[:2] + [("A", "CAUSES", "C", _NAN)],
+            "edge ('A', 'CAUSES', 'C') strength nan outside [0, 1]",
+            id="NaN strength-nodes3-edges3",
+        ),
+        pytest.param(
+            _NODE_ROWS,
+            _EDGE_ROWS[:2] + [("A", "CAUSES", 3, 0.5)],
+            "edge 2 object 3 out of range [0, 3)",
+            id="non-string edge id-nodes8-edges8",
+        ),
+        pytest.param(
+            _NODE_ROWS,
+            _EDGE_ROWS[:2] + [("A", None, "C", 0.5)],
+            "edge 2 predicate 2 out of range [0, 2)",
+            id="non-string predicate-nodes9-edges9",
+        ),
+        pytest.param(
+            _NODE_ROWS,
+            _EDGE_ROWS[:2] + [("A", "CAUSES", "Z", 0.5)],
+            "edge 2 object 3 out of range [0, 3)",
+            id="edge to an unknown node-nodes10-edges10",
+        ),
+        pytest.param(
+            _NODE_ROWS[:2] + [("C", "Gamma", [])],
+            _EDGE_ROWS[:1],
+            "strings need 37 bytes, the body holds 33",
+            id="3-field node row-nodes11-edges11",
+        ),
+        pytest.param(
+            _NODE_ROWS, 5, "counts need 176 bytes of columns, the body holds 113", id="edges not a list-nodes12-5"
+        ),
+    ],
+)
+def test_corrupt_payload_is_an_artifact_error(tmp_path, nodes, edges, message):
+    path = _payload_artifact(tmp_path, nodes, edges)
+    with pytest.raises(ArtifactError, match="corrupt graph artifact") as info:
+        load_graph(path)
     assert message in str(info.value)
 
 
