@@ -541,8 +541,10 @@ def load_triples(path, strength_for_predicate: Callable[[str], float] | None = N
 def save_graph(graph: KnowledgeGraph, path) -> None:
     """Write the graph as a format-2 artifact (laid out in ``load_graph``).
 
-    The bytes go to a temporary file beside ``path`` that then replaces it,
-    so an interrupted save leaves any earlier artifact at ``path`` whole.
+    The bytes go to a temporary file beside the file ``path`` names (after
+    symlinks) that then replaces it, so an interrupted save leaves any
+    earlier artifact whole. A device or pipe (say ``/dev/null``) is written
+    through instead.
     """
     nodes = tuple(graph.nodes())
     sets: dict[frozenset[str], int] = {}
@@ -570,13 +572,19 @@ def save_graph(graph: KnowledgeGraph, path) -> None:
         len(nodes), len(graph.predicate_names), len(sets), len(members), graph.edge_count,
         stats.rows_total, stats.malformed_rows, stats.duplicate_triples, zlib.crc32(body),
     )
-    path = os.fspath(path)
-    partial = f"{path}.{os.getpid()}-{threading.get_ident()}.partial"
+    head = _ARTIFACT_MAGIC + _VERSION.pack(_ARTIFACT_VERSION) + header
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "wb") as fh:
+            fh.write(head)
+            fh.write(body)
+        return
+    partial = f"{target}.{os.getpid()}-{threading.get_ident()}.partial"
     try:
         with open(partial, "wb") as fh:
-            fh.write(_ARTIFACT_MAGIC + _VERSION.pack(_ARTIFACT_VERSION) + header)
+            fh.write(head)
             fh.write(body)
-        os.replace(partial, path)
+        os.replace(partial, target)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(partial)
