@@ -10,6 +10,8 @@ the base graph.
 from __future__ import annotations
 
 import logging
+from array import array
+from collections import abc
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -63,6 +65,59 @@ def default_causality_table() -> CausalityTable:
     return CausalityTable(weights=dict(DEFAULT_CAUSALITY_WEIGHTS))
 
 
+# Overrides are stored in blocks of 2**_SHIFT edges: 8 KiB of doubles, -1.0
+# where an edge has none. A revision copies every block, but no copy is big
+# enough for the C allocator to hand it back to the OS on free and fault it
+# in again on the next revision. So a revision's cost does not depend on the
+# state of the heap, as it would with one flat array or dict of overrides.
+_SHIFT = 10
+_LOW = (1 << _SHIFT) - 1
+_NONE = -1.0  # no override: every override is a strength in [0, 1]
+_UNSET = array("d", [_NONE]) * (1 << _SHIFT)  # shared; revisions write only their copies
+
+
+class StrengthOverrides(abc.Mapping):
+    """Edge index -> mined strength, for the edges some revision has set.
+
+    A read-only mapping over ``blocks``: block ``i >> _SHIFT`` holds edge
+    ``i`` at ``i & _LOW``, ``_NONE`` when it has no override.
+    """
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: tuple[array, ...]):
+        self.blocks = blocks
+
+    @classmethod
+    def none(cls, edge_count: int) -> StrengthOverrides:
+        """No override, for a graph of ``edge_count`` edges."""
+        return cls((_UNSET,) * -(-edge_count >> _SHIFT))
+
+    def get(self, index: int, default=None):
+        if 0 <= index >> _SHIFT < len(self.blocks):
+            strength = self.blocks[index >> _SHIFT][index & _LOW]
+            if strength != _NONE:
+                return strength
+        return default
+
+    def __getitem__(self, index: int) -> float:
+        strength = self.get(index)
+        if strength is None:
+            raise KeyError(index)
+        return strength
+
+    def __iter__(self):
+        for number, block in enumerate(self.blocks):
+            start = number << _SHIFT
+            yield from (start + offset for offset, strength in enumerate(block) if strength != _NONE)
+
+    def __len__(self) -> int:
+        return sum(len(block) - block.count(_NONE) for block in self.blocks)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
 @dataclass(frozen=True)
 class CausalGraphView:
     """Thresholded subview of a knowledge graph.
@@ -93,7 +148,7 @@ class CausalGraphView:
     base: KnowledgeGraph
     theta: float
     mask: bytes = field(repr=False)
-    overrides: Mapping[int, float] = field(default_factory=dict)
+    overrides: StrengthOverrides
     _successors: dict[str, tuple[tuple[int, str], ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -144,8 +199,8 @@ class CausalGraphView:
         return into
 
     def effective_strength(self, index: int) -> float:
-        override = self.overrides.get(index)
-        return override if override is not None else self.base.effective_strength(index)
+        override = self.overrides.blocks[index >> _SHIFT][index & _LOW]
+        return override if override != _NONE else self.base.effective_strength(index)
 
     # Introspection ----------------------------------------------------------
 
@@ -200,7 +255,9 @@ def build_causal_view(
     )
     if 1 not in mask:
         logger.warning("causal view is empty at theta=%s", theta)
-    return CausalGraphView(base=graph, theta=theta, mask=mask)
+    return CausalGraphView(
+        base=graph, theta=theta, mask=mask, overrides=StrengthOverrides.none(graph.edge_count)
+    )
 
 
 def apply_strength_updates(
@@ -214,14 +271,16 @@ def apply_strength_updates(
     the base graph.
     """
     mask = bytearray(view.mask)
-    overrides = dict(view.overrides)
+    blocks = [block[:] for block in view.overrides.blocks]
     for triple, strength in updates.items():
         if not 0.0 <= strength <= 1.0:
             raise ValidationError(f"update strength {strength} for {triple} outside [0, 1]")
         idx = view.base.edge_index(*triple)
-        overrides[idx] = strength
+        blocks[idx >> _SHIFT][idx & _LOW] = strength
         mask[idx] = _is_member(view.theta, strength)
-    return CausalGraphView(base=view.base, theta=view.theta, mask=bytes(mask), overrides=overrides)
+    return CausalGraphView(
+        base=view.base, theta=view.theta, mask=bytes(mask), overrides=StrengthOverrides(tuple(blocks))
+    )
 
 
 def parse_strength_updates(lines: Iterable[str]) -> dict[tuple[str, str, str], float]:

@@ -202,17 +202,19 @@ class KnowledgeGraph:
         )
 
     def edge_index(self, subject: str, predicate: str, object_: str) -> int:
-        by_key = self._by_key
+        # Keyed by one int per interned triple, (p * n + s) * n + o, distinct
+        # for distinct triples. The formula is written out twice because a
+        # function call per lookup is a measurable share of a strength update.
+        n, by_key = len(self._ids), self._by_key
         if by_key is None:
             # A pure function of the immutable graph, so two threads racing
             # to fill it build equal maps and either may win.
-            n = len(self._ids)
             by_key = self._by_key = {
-                _triple_key(s, p, o, n): idx
+                (p * n + s) * n + o: idx
                 for idx, (s, p, o) in enumerate(zip(self._subjects, self._predicates, self._objects))
             }
         s, p, o = self._index.get(subject), self._predicate_index.get(predicate), self._index.get(object_)
-        idx = None if None in (s, p, o) else by_key.get(_triple_key(s, p, o, len(self._ids)))
+        idx = None if None in (s, p, o) else by_key.get((p * n + s) * n + o)
         if idx is None:
             raise NotFoundError(f"triple ({subject!r}, {predicate!r}, {object_!r}) not in graph")
         return idx
@@ -318,11 +320,6 @@ def _first_edge_defect(ids, names, subjects, predicates, objects, strengths) -> 
             return f"duplicate triple {triple}"
         seen.add((s, p, o))
     raise AssertionError("no edge breaks an invariant")
-
-
-def _triple_key(subject: int, predicate: int, object_: int, node_count: int) -> int:
-    """One int per interned triple, distinct for distinct triples."""
-    return (predicate * node_count + subject) * node_count + object_
 
 
 def _csr(keys: array, size: int) -> tuple[array, array]:

@@ -7,7 +7,9 @@ import threading
 import pytest
 
 from causalrag.causal import (
+    _LOW,
     CausalityTable,
+    StrengthOverrides,
     apply_strength_updates,
     build_causal_view,
     default_causality_table,
@@ -200,6 +202,29 @@ def test_updates_keep_members_equal_to_a_recount_of_the_rule():
             unchanged = apply_strength_updates(view, {})
             assert unchanged.member_edges == view.member_edges
             assert unchanged.overrides == view.overrides
+
+
+def test_overrides_match_a_dict_across_blocks():
+    rng = random.Random(2503)
+    specs = [(f"N{i}", "CAUSES", f"N{i + 1}", 0.9) for i in range(3 * (_LOW + 1) + 17)]
+    graph = make_graph(specs)
+    view = build_causal_view(graph, default_causality_table(), 0.5)
+    model = {}
+    for _ in range(20):
+        batch = {spec[:3]: rng.choice(_GRID) for spec in rng.sample(specs, rng.randint(0, 60))}
+        before, snapshot = view, dict(model)
+        view = apply_strength_updates(view, batch)
+        model.update({graph.edge_index(*triple): strength for triple, strength in batch.items()})
+        assert view.overrides == model
+        assert len(view.overrides) == len(model)
+        assert list(view.overrides) == sorted(model)
+        assert before.overrides == snapshot
+        for idx in [*rng.sample(range(len(specs)), 40), -1, len(specs) + _LOW + 1]:
+            assert view.overrides.get(idx) == model.get(idx)
+            assert (idx in view.overrides) == (idx in model)
+        assert all(len(block) == _LOW + 1 for block in view.overrides.blocks)
+    with pytest.raises(KeyError):
+        StrengthOverrides.none(1)[0]
 
 
 def test_touches_agrees_with_member_node_ids_across_updates():
