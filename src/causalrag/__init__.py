@@ -28,7 +28,6 @@ from .graph import (
     load_graph,
     load_triples,
     save_graph,
-    shortest_path_length,
 )
 from .harness import Mode, Pipeline, PredictionRecord, QAItem, run_evaluation
 from .linker import LinkerIndex, build_index

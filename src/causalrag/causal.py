@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 from array import array
-from collections import abc
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -65,77 +64,36 @@ def default_causality_table() -> CausalityTable:
     return CausalityTable(weights=dict(DEFAULT_CAUSALITY_WEIGHTS))
 
 
-# Overrides are stored in blocks of 2**_SHIFT edges: 8 KiB of doubles, -1.0
-# where an edge has none. A revision copies every block, but no copy is big
-# enough for the C allocator to hand it back to the OS on free and fault it
-# in again on the next revision. So a revision's cost does not depend on the
-# state of the heap, as it would with one flat array or dict of overrides.
+# Strengths are stored in blocks of 2**_SHIFT edges: 8 KiB of doubles. A
+# revision copies every block, but no copy is big enough for the C allocator
+# to hand it back to the OS on free and fault it in again on the next
+# revision. So a revision's cost does not depend on the state of the heap, as
+# it would with one flat array or dict of strengths.
 _SHIFT = 10
 _LOW = (1 << _SHIFT) - 1
-_NONE = -1.0  # no override: every override is a strength in [0, 1]
-_UNSET = array("d", [_NONE]) * (1 << _SHIFT)  # shared; revisions write only their copies
-
-
-class StrengthOverrides(abc.Mapping):
-    """Edge index -> mined strength, for the edges some revision has set.
-
-    A read-only mapping over ``blocks``: block ``i >> _SHIFT`` holds edge
-    ``i`` at ``i & _LOW``, ``_NONE`` when it has no override.
-    """
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks: tuple[array, ...]):
-        self.blocks = blocks
-
-    @classmethod
-    def none(cls, edge_count: int) -> StrengthOverrides:
-        """No override, for a graph of ``edge_count`` edges."""
-        return cls((_UNSET,) * -(-edge_count >> _SHIFT))
-
-    def get(self, index: int, default=None):
-        if 0 <= index >> _SHIFT < len(self.blocks):
-            strength = self.blocks[index >> _SHIFT][index & _LOW]
-            if strength != _NONE:
-                return strength
-        return default
-
-    def __getitem__(self, index: int) -> float:
-        strength = self.get(index)
-        if strength is None:
-            raise KeyError(index)
-        return strength
-
-    def __iter__(self):
-        for number, block in enumerate(self.blocks):
-            start = number << _SHIFT
-            yield from (start + offset for offset, strength in enumerate(block) if strength != _NONE)
-
-    def __len__(self) -> int:
-        return sum(len(block) - block.count(_NONE) for block in self.blocks)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self)!r})"
 
 
 @dataclass(frozen=True)
 class CausalGraphView:
     """Thresholded subview of a knowledge graph.
 
-    Membership and per-edge strength overrides live here; the base graph is
-    shared and never mutated. Views are immutable value objects, so revised
-    views can be created freely while readers keep using old ones.
+    Membership and per-edge effective strengths live here; the base graph
+    is shared and never mutated. Views are immutable value objects, so
+    revised views can be created freely while readers keep using old ones.
 
     Membership is one byte per base edge: ``mask[i]`` is 1 when edge ``i``
     is a member. ``member_edges`` is the same set as a frozenset, derived
     from the mask on first read and cached; a revision copies the mask
-    instead of rebuilding a hash set.
+    instead of rebuilding a hash set. ``strengths`` holds every edge's
+    effective strength: block ``i >> _SHIFT`` holds edge ``i`` at
+    ``i & _LOW``, the base strength until an update sets it.
 
-    The membership rule, at the view's ``theta``: an edge with a mined
-    override is a member when the override is >= theta; any other edge is a
-    member when its label weight and its stored strength are both >= theta.
-    ``build_causal_view`` and ``apply_strength_updates`` both decide through
-    ``_is_member``, so a revised view equals a fresh count of the rule.
+    The membership rule, at the view's ``theta``: ``build_causal_view``
+    admits an edge when its label weight and its stored strength are both
+    >= theta; ``apply_strength_updates`` decides each updated edge by its
+    new strength alone and leaves every other edge's byte as it was. The
+    mask, not the strength column, remembers that an update decided an
+    edge, so a revised view equals a fresh count of the rule.
 
     The path search reads ``successors`` and ``edges_into``. Each view
     memoises them per node on first read, by filtering the base graph's
@@ -148,7 +106,7 @@ class CausalGraphView:
     base: KnowledgeGraph
     theta: float
     mask: bytes = field(repr=False)
-    overrides: StrengthOverrides
+    strengths: tuple[array, ...] = field(repr=False)
     _successors: dict[str, tuple[tuple[int, str], ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -167,10 +125,6 @@ class CausalGraphView:
     def out_edges(self, node_id: str) -> tuple[int, ...]:
         mask = self.mask
         return tuple(i for i in self.base.out_edges(node_id) if mask[i])
-
-    def in_edges(self, node_id: str) -> tuple[int, ...]:
-        mask = self.mask
-        return tuple(i for i in self.base.in_edges(node_id) if mask[i])
 
     def successors(self, node_id: str) -> tuple[tuple[int, str], ...]:
         """The base graph's ``successors`` entry, member edges only (pairs shared)."""
@@ -199,8 +153,7 @@ class CausalGraphView:
         return into
 
     def effective_strength(self, index: int) -> float:
-        override = self.overrides.blocks[index >> _SHIFT][index & _LOW]
-        return override if override != _NONE else self.base.effective_strength(index)
+        return self.strengths[index >> _SHIFT][index & _LOW]
 
     # Introspection ----------------------------------------------------------
 
@@ -224,18 +177,6 @@ class CausalGraphView:
         return frozenset(ids[i] for i in ends)
 
 
-def _is_member(
-    theta: float,
-    override: float | None,
-    label_weight: float | None = None,
-    strength: float | None = None,
-) -> bool:
-    """The membership rule stated on ``CausalGraphView``."""
-    if override is not None:
-        return override >= theta
-    return label_weight >= theta and strength >= theta
-
-
 def build_causal_view(
     graph: KnowledgeGraph, table: CausalityTable, theta: float
 ) -> CausalGraphView:
@@ -249,15 +190,12 @@ def build_causal_view(
         raise ValidationError(f"theta must be in [0, 1], got {theta}")
     weights = [table.weight(predicate) for predicate in graph.predicate_names]
     columns = graph.columns
-    mask = bytes(
-        _is_member(theta, None, weights[predicate], strength)
-        for predicate, strength in zip(columns.predicates, columns.strengths)
-    )
+    mask = bytes(weights[p] >= theta and s >= theta for p, s in zip(columns.predicates, columns.strengths))
     if 1 not in mask:
         logger.warning("causal view is empty at theta=%s", theta)
-    return CausalGraphView(
-        base=graph, theta=theta, mask=mask, overrides=StrengthOverrides.none(graph.edge_count)
-    )
+    flat = array("d", columns.strengths.tobytes())
+    strengths = tuple(flat[i : i + _LOW + 1] for i in range(0, len(flat), _LOW + 1))
+    return CausalGraphView(base=graph, theta=theta, mask=mask, strengths=strengths)
 
 
 def apply_strength_updates(
@@ -265,22 +203,20 @@ def apply_strength_updates(
 ) -> CausalGraphView:
     """Fold externally mined strengths into a view at its own theta.
 
-    Each updated triple gets an override and joins or leaves the view by the
-    membership rule; every other edge keeps its membership. Returns a new
-    view; the base graph is untouched. Every updated triple must exist in
-    the base graph.
+    Each updated triple takes its new strength and is a member exactly when
+    that strength is >= the view's theta; every other edge keeps its
+    membership. Returns a new view; the base graph is untouched. Every
+    updated triple must exist in the base graph.
     """
     mask = bytearray(view.mask)
-    blocks = [block[:] for block in view.overrides.blocks]
+    strengths = [block[:] for block in view.strengths]
     for triple, strength in updates.items():
         if not 0.0 <= strength <= 1.0:
             raise ValidationError(f"update strength {strength} for {triple} outside [0, 1]")
         idx = view.base.edge_index(*triple)
-        blocks[idx >> _SHIFT][idx & _LOW] = strength
-        mask[idx] = _is_member(view.theta, strength)
-    return CausalGraphView(
-        base=view.base, theta=view.theta, mask=bytes(mask), overrides=StrengthOverrides(tuple(blocks))
-    )
+        strengths[idx >> _SHIFT][idx & _LOW] = strength
+        mask[idx] = strength >= view.theta
+    return CausalGraphView(base=view.base, theta=view.theta, mask=bytes(mask), strengths=tuple(strengths))
 
 
 def parse_strength_updates(lines: Iterable[str]) -> dict[tuple[str, str, str], float]:

@@ -146,10 +146,12 @@ def cmd_answer(args) -> int:
     config = _resolve_config(args)
     options: dict[str, str] = {}
     for spec in args.option:
-        label, sep, text = spec.partition("=")
-        if not sep or not label.strip() or not text.strip():
+        label, sep, text = (part.strip() for part in spec.partition("="))
+        if not sep or not label or not text:
             raise ValidationError(f"--option must look like LABEL=TEXT, got {spec!r}")
-        options[label.strip()] = text.strip()
+        if label in options:
+            raise ValidationError(f"--option repeats label {label!r}")
+        options[label] = text
     # ad-hoc questions carry no gold label; the first option stands in
     item = QAItem(id="cli", question=args.question, options=options, gold=next(iter(options)))
 

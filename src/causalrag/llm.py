@@ -179,17 +179,19 @@ def _http_transport(request: LlmRequest, endpoint: EndpointConfig) -> LlmRespons
     try:
         data = response.json()
         text = data["choices"][0]["message"]["content"]
+        if not isinstance(text, str):
+            raise TypeError(f"content is {type(text).__name__}, not a string")
         usage = data.get("usage", {})
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        return LlmResponse(
+            text=text,
+            prompt_tokens=int(usage.get("prompt_tokens", 0)),
+            completion_tokens=int(usage.get("completion_tokens", 0)),
+            latency_seconds=time.perf_counter() - started,
+        )
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
         error = TransportError(f"malformed endpoint response: {exc}")
         error.transient = False
         raise error from exc
-    return LlmResponse(
-        text=text,
-        prompt_tokens=int(usage.get("prompt_tokens", 0)),
-        completion_tokens=int(usage.get("completion_tokens", 0)),
-        latency_seconds=time.perf_counter() - started,
-    )
 
 
 class LlmGateway:

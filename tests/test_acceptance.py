@@ -408,7 +408,7 @@ def test_strength_update_semantics():
     once = apply_strength_updates(view, updates)
     twice = apply_strength_updates(once, updates)
     assert once.member_edges == twice.member_edges
-    assert once.overrides == twice.overrides
+    assert once.strengths == twice.strengths
     for idx in twice.member_edges:
         assert twice.effective_strength(idx) >= theta
     _pass("strength updates: add, revise, demote, unknown-triple, idempotence")

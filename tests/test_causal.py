@@ -9,7 +9,6 @@ import pytest
 from causalrag.causal import (
     _LOW,
     CausalityTable,
-    StrengthOverrides,
     apply_strength_updates,
     build_causal_view,
     default_causality_table,
@@ -141,7 +140,7 @@ def test_update_idempotent(chain_view):
     once = apply_strength_updates(chain_view, updates)
     twice = apply_strength_updates(once, updates)
     assert once.member_edges == twice.member_edges
-    assert once.overrides == twice.overrides
+    assert once.strengths == twice.strengths
 
 
 def test_member_strengths_stay_above_theta_after_update_sequences(chain_view):
@@ -197,34 +196,43 @@ def test_updates_keep_members_equal_to_a_recount_of_the_rule():
             view = apply_strength_updates(view, batch)
             overrides.update({graph.edge_index(*t): s for t, s in batch.items()})
             assert view.theta == theta
-            assert view.overrides == overrides
             assert view.member_edges == recount_view_members(graph, table, theta, overrides)
+            for idx, edge in enumerate(graph.edges):
+                assert view.effective_strength(idx) == overrides.get(idx, edge.strength)
             unchanged = apply_strength_updates(view, {})
             assert unchanged.member_edges == view.member_edges
-            assert unchanged.overrides == view.overrides
+            assert unchanged.strengths == view.strengths
 
 
-def test_overrides_match_a_dict_across_blocks():
+def test_effective_strengths_match_a_model_across_blocks():
     rng = random.Random(2503)
-    specs = [(f"N{i}", "CAUSES", f"N{i + 1}", 0.9) for i in range(3 * (_LOW + 1) + 17)]
+    specs = [(f"N{i}", "CAUSES", f"N{i + 1}", rng.choice(_GRID)) for i in range(3 * (_LOW + 1) + 17)]
     graph = make_graph(specs)
     view = build_causal_view(graph, default_causality_table(), 0.5)
-    model = {}
+    model = [spec[3] for spec in specs]
     for _ in range(20):
         batch = {spec[:3]: rng.choice(_GRID) for spec in rng.sample(specs, rng.randint(0, 60))}
-        before, snapshot = view, dict(model)
+        before, snapshot = view, list(model)
         view = apply_strength_updates(view, batch)
-        model.update({graph.edge_index(*triple): strength for triple, strength in batch.items()})
-        assert view.overrides == model
-        assert len(view.overrides) == len(model)
-        assert list(view.overrides) == sorted(model)
-        assert before.overrides == snapshot
-        for idx in [*rng.sample(range(len(specs)), 40), -1, len(specs) + _LOW + 1]:
-            assert view.overrides.get(idx) == model.get(idx)
-            assert (idx in view.overrides) == (idx in model)
-        assert all(len(block) == _LOW + 1 for block in view.overrides.blocks)
-    with pytest.raises(KeyError):
-        StrengthOverrides.none(1)[0]
+        for triple, strength in batch.items():
+            model[graph.edge_index(*triple)] = strength
+        assert [view.effective_strength(idx) for idx in range(len(specs))] == model
+        assert [before.effective_strength(idx) for idx in range(len(specs))] == snapshot
+        assert len(view.strengths) == 4
+        assert all(len(block) <= _LOW + 1 for block in view.strengths)
+
+
+def test_an_update_equal_to_the_stored_strength_still_decides_its_edge():
+    graph = make_graph([("A", "ASSOCIATED_WITH", "B", 0.8), ("B", "CAUSES", "C", 0.9)])
+    view = build_causal_view(graph, CausalityTable(weights={"ASSOCIATED_WITH": 0.2, "CAUSES": 0.9}), 0.5)
+    weak = graph.edge_index("A", "ASSOCIATED_WITH", "B")
+    assert weak not in view.member_edges
+    promoted = apply_strength_updates(view, {("A", "ASSOCIATED_WITH", "B"): 0.8})
+    assert weak in promoted.member_edges
+    assert promoted.strengths == view.strengths
+    later = apply_strength_updates(promoted, {("B", "CAUSES", "C"): 0.6})
+    assert later.member_edges == {0, 1}
+    assert later.effective_strength(weak) == 0.8
 
 
 def test_touches_agrees_with_member_node_ids_across_updates():
@@ -243,25 +251,6 @@ def test_touches_agrees_with_member_node_ids_across_updates():
         with pytest.raises(NotFoundError):
             view.touches("missing")
     assert touched and untouched
-
-
-def test_in_edges_are_the_member_edges_into_each_node_across_updates():
-    rng = random.Random(2503)
-    kept = dropped = 0
-    for _ in range(200):
-        graph, specs, table = _random_graph_and_table(rng)
-        view = build_causal_view(graph, table, rng.choice(_GRID))
-        for _ in range(rng.randint(1, 4)):
-            for node_id in graph.node_ids():
-                into = [i for i, e in enumerate(graph.edges) if e.object == node_id]
-                expected = tuple(i for i in into if i in view.member_edges)
-                assert view.in_edges(node_id) == expected
-                kept += len(expected)
-                dropped += len(into) - len(expected)
-            view = apply_strength_updates(view, _random_batch(rng, specs))
-        with pytest.raises(NotFoundError):
-            view.in_edges("missing")
-    assert kept and dropped
 
 
 def _recount_search_reads(graph, members, node_id):

@@ -380,6 +380,11 @@ def _bad_input_args(case, artifact, tmp_path):
             "answer", "--graph", str(artifact), "--question", "Which cancer follows smoking?",
             "--option", "A=Lung cancer", "--option", "B=Stroke", "--mock-transcript", str(bad),
         ]
+    if case == "repeated-option":
+        return [
+            "answer", "--graph", str(artifact), "--question", "Which cancer follows smoking?",
+            "--option", "A=x", "--option", "B=y", "--option", "A=z",
+        ]
     if case == "non-utf8-triples":
         bad.write_bytes((FIXTURES / "triples.tsv").read_bytes() + b"C9\t\xff\xfe\tx\tCAUSES\tC1\ty\tz\n")
         return ["build-graph", str(bad), "--output", str(tmp_path / "g.crag")]
@@ -430,6 +435,7 @@ def _bad_input_args(case, artifact, tmp_path):
     "case, code, message",
     [
         ("blank-cot-reply", 3, "no reasoning segments"),
+        ("repeated-option", 2, "--option repeats label 'A'"),
         ("non-utf8-triples", 1, "utf-8"),
         ("non-utf8-dataset", 1, "utf-8"),
         ("blank-option-dataset", 1, "line 1: item q01: option 'B' has empty text"),

@@ -214,6 +214,60 @@ def test_non_transient_failure_not_retried():
     assert calls["n"] == 1
 
 
+class _Reply:
+    status_code = 200
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def json(self):
+        if isinstance(self.payload, Exception):
+            raise self.payload
+        return self.payload
+
+
+def _chat_reply(content="Answer: A", usage=None):
+    payload = {"choices": [{"message": {"content": content}}]}
+    if usage is not None:
+        payload["usage"] = usage
+    return payload
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        ValueError("not json"),
+        {"choices": []},
+        [],
+        _chat_reply(content=None),
+        _chat_reply(content=5),
+        {**_chat_reply(), "usage": None},
+        _chat_reply(usage={"prompt_tokens": "abc"}),
+        _chat_reply(usage={"completion_tokens": None}),
+    ],
+    ids=["not-json", "no-choices", "list", "null-content", "int-content", "null-usage", "text-tokens", "null-tokens"],
+)
+def test_malformed_endpoint_reply_is_one_non_transient_transport_error(monkeypatch, payload):
+    import requests
+
+    posts = []
+    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: posts.append(args) or _Reply(payload))
+    gateway = LlmGateway(endpoint=EndpointConfig(url="http://example/llm"), backoff_seconds=0.0)
+    with pytest.raises(TransportError, match="^malformed endpoint response: ") as info:
+        gateway.complete(_request(model="gpt-model"))
+    assert info.value.transient is False
+    assert len(posts) == 1
+
+
+def test_well_formed_endpoint_reply_carries_text_and_tokens(monkeypatch):
+    import requests
+
+    reply = _Reply(_chat_reply(usage={"prompt_tokens": 7, "completion_tokens": 3}))
+    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: reply)
+    response = LlmGateway(endpoint=EndpointConfig(url="http://example/llm")).complete(_request(model="gpt-model"))
+    assert (response.text, response.prompt_tokens, response.completion_tokens) == ("Answer: A", 7, 3)
+
+
 def test_live_without_endpoint_is_transport_error():
     gateway = LlmGateway()
     with pytest.raises(TransportError, match="no endpoint"):
