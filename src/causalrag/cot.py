@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import CotParseError, ValidationError
 from .templates import fill_template, load_template
@@ -36,24 +36,16 @@ class ChainOfThought:
             raise ValidationError(f"confidence {self.confidence} outside [0, 100]")
 
 
-def normalize_options(options) -> list[tuple[str, str]]:
-    """Validate and order option labels; duplicates and blanks are rejected."""
-    pairs: Sequence[tuple[str, str]]
-    if isinstance(options, Mapping):
-        pairs = list(options.items())
-    else:
-        pairs = [(label, text) for label, text in options]
+def normalize_options(options: Mapping[str, str]) -> list[tuple[str, str]]:
+    """Validate and order option labels; blanks are rejected."""
+    pairs = list(options.items())
     if len(pairs) < 2:
         raise ValidationError(f"need at least 2 options, got {len(pairs)}")
-    seen: set[str] = set()
     for label, text in pairs:
         if not str(label).strip():
             raise ValidationError("option label must be non-empty")
         if not str(text).strip():
             raise ValidationError(f"option {label!r} has empty text")
-        if label in seen:
-            raise ValidationError(f"duplicate option label {label!r}")
-        seen.add(label)
     return [(str(label), str(text)) for label, text in pairs]
 
 
@@ -106,10 +98,9 @@ def parse_cot(raw: str) -> ChainOfThought:
     )
 
 
-def render_cot(cot: ChainOfThought, ascii_arrows: bool = False) -> str:
+def render_cot(cot: ChainOfThought) -> str:
     """Render segments (and confidence, when present) back to arrow-separated text."""
-    arrow = " -> " if ascii_arrows else f" {ARROW} "
     parts = list(cot.segments)
     if cot.confidence is not None:
         parts.append(str(cot.confidence))
-    return arrow.join(parts)
+    return f" {ARROW} ".join(parts)

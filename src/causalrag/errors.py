@@ -37,7 +37,12 @@ class ArtifactError(CausalRagError):
 
 
 class TransportError(CausalRagError):
-    """A live LLM call failed after exhausting its retry budget."""
+    """A live LLM call, or one attempt at it, failed; ``transient`` marks an
+    attempt worth retrying (a dropped connection, a 429 or 5xx status)."""
+
+    def __init__(self, message: str, transient: bool = False):
+        super().__init__(message)
+        self.transient = transient
 
 
 class TranscriptError(CausalRagError):

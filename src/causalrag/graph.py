@@ -6,8 +6,8 @@ resolves missing strengths through a label-to-weight callable (normally the
 causality table), and produces an immutable graph, stored by column, that
 is safe for concurrent readers. Thresholded filtering lives in views built on
 top of this store (see the causal module); the base graph never mutates
-after construction. Every graph, built from edges, ingested or loaded from
-an artifact, passes the same int-column checks.
+after construction. Every graph, ingested or loaded from an artifact, is
+built by the one constructor, from int columns, and passes the same checks.
 """
 
 from __future__ import annotations
@@ -93,50 +93,21 @@ class EdgeColumns(NamedTuple):
 class KnowledgeGraph:
     """Immutable directed labeled multigraph, stored by column.
 
-    Node ids and predicates are interned to ints; each edge is one slot in
-    the subject, predicate, object and strength columns (see
-    ``EdgeColumns``), and ``KgEdge`` objects are built only on demand by
-    ``edge``. Forward and reverse adjacency are CSR arrays: a node's edges
+    Node ids and predicates are interned to ints before construction; each
+    edge is one slot in the subject, predicate, object and strength columns
+    (see ``EdgeColumns``), and ``KgEdge`` objects are built only on demand
+    by ``edge``. Forward and reverse adjacency are CSR arrays: a node's edges
     sit between two offsets, in ascending edge-index order. Edges keep
     their ingestion order, which downstream code relies on for reproducible
     tie-breaking. Parallel edges between the same node pair are allowed as
     long as their predicates differ.
     """
 
-    def __init__(
-        self,
-        nodes: Iterable[ConceptNode],
-        edges: Iterable[KgEdge],
-        stats: IngestStats | None = None,
-    ):
-        # The string front: interns ids and predicates for the int-column core.
-        nodes, edges = tuple(nodes), tuple(edges)
-        index = {node.id: position for position, node in enumerate(nodes)}
-        predicate_index: dict[str, int] = {}
-        subjects, predicates, objects = array("i"), array("i"), array("i")
-        for edge in edges:
-            s, p, o = edge.subject, edge.predicate, edge.object
-            if s not in index:
-                raise ValidationError(f"edge {(s, p, o)} references unknown subject")
-            if o not in index:
-                raise ValidationError(f"edge {(s, p, o)} references unknown object")
-            subjects.append(index[s])
-            predicates.append(predicate_index.setdefault(p, len(predicate_index)))
-            objects.append(index[o])
-        strengths = array("d", [edge.strength for edge in edges])
-        self._build(nodes, tuple(predicate_index), subjects, predicates, objects, strengths, stats)
-
-    @classmethod
-    def _from_columns(cls, nodes, predicate_names, subjects, predicates, objects, strengths, stats) -> KnowledgeGraph:
+    def __init__(self, nodes, predicate_names, subjects, predicates, objects, strengths, stats: IngestStats):
         """The graph of edge ``i`` = ``subjects[i] --predicates[i]--> objects[i]``
         at ``strengths[i]``: ``array('i')`` columns of ints indexing ``nodes``
-        and ``predicate_names``, and an ``array('d')`` of strengths."""
-        graph = cls.__new__(cls)
-        graph._build(nodes, predicate_names, subjects, predicates, objects, strengths, stats)
-        return graph
-
-    def _build(self, nodes, predicate_names, subjects, predicates, objects, strengths, stats) -> None:
-        """The one constructor body, from int columns: checks every invariant, lays out the CSR.
+        and ``predicate_names``, and an ``array('d')`` of strengths. Checks
+        every invariant, then lays out the CSR.
 
         Each invariant is tested over a whole column; only when one fails is
         the first offending node or edge looked for, to name it.
@@ -160,7 +131,7 @@ class KnowledgeGraph:
         self._out_offsets, self._out = _csr(subjects, n)
         self._in_offsets, self._in = _csr(objects, n)
 
-        self.stats = stats or IngestStats()
+        self.stats = stats
         # Filled on first read, like the search memos below (see ``edge_index``).
         self._by_key: dict[int, int] | None = None
         # Search memos, filled per node on first read (see ``successors``).
@@ -186,11 +157,6 @@ class KnowledgeGraph:
 
     def node_ids(self) -> tuple[str, ...]:
         return self._ids
-
-    @property
-    def edges(self) -> tuple[KgEdge, ...]:
-        """Every edge, built afresh on each read: for tests and small graphs."""
-        return tuple(map(self.edge, range(self.edge_count)))
 
     def edge(self, index: int) -> KgEdge:
         ids = self._ids
@@ -506,14 +472,8 @@ def ingest_triples(
         )
         for position, (cui, name, fields) in enumerate(zip(node_index, node_names, node_fields))
     ]
-    stats = IngestStats(
-        rows_total=rows_total,
-        malformed_rows=malformed,
-        duplicate_triples=duplicates,
-    )
-    return KnowledgeGraph._from_columns(
-        nodes, tuple(predicate_index), subjects, predicates, objects, strengths, stats
-    )
+    stats = IngestStats(rows_total, malformed, duplicates)
+    return KnowledgeGraph(nodes, tuple(predicate_index), subjects, predicates, objects, strengths, stats)
 
 
 def _frozenset_pool() -> Callable[[Iterable[str]], frozenset[str]]:
@@ -665,6 +625,6 @@ def _decode(data: memoryview) -> KnowledgeGraph:
     sets = [frozenset(strings[start:end]) for start, end in zip(member_ends, member_ends[1:])]
     types, aliases = [sets[i] for i in node_sets[:n]], [sets[i] for i in node_sets[n:]]
     nodes = list(map(ConceptNode, strings[:n], strings[n : 2 * n], types, aliases))
-    return KnowledgeGraph._from_columns(
+    return KnowledgeGraph(
         nodes, strings[2 * n : 2 * n + n_predicates], subjects, predicates, objects, strengths, IngestStats(*stats)
     )

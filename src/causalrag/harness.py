@@ -103,7 +103,9 @@ class PredictionRecord:
 
 
 def load_dataset(path) -> list[QAItem]:
-    """Read a line-delimited JSON dataset; any defect is fatal with its line number."""
+    """Read a line-delimited JSON dataset; any defect is fatal with its line
+    number. The question, option texts and answer must be JSON strings, the
+    id a string or an integer, and no object may repeat a key."""
     items: list[QAItem] = []
     seen_ids: set[str] = set()
     with naming_undecodable(path), open(path, encoding="utf-8") as fh:
@@ -112,13 +114,16 @@ def load_dataset(path) -> list[QAItem]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
-                item = QAItem(
-                    id=str(record["id"]),
-                    question=str(record["question"]),
-                    options={str(k): str(v) for k, v in record["options"].items()},
-                    gold=str(record["answer"]),
-                )
+                record = json.loads(line, object_pairs_hook=_without_repeated_keys)
+                item_id, question, options, answer = (record[k] for k in ("id", "question", "options", "answer"))
+                if type(item_id) not in (str, int):
+                    raise TypeError(f"id must be a string or an integer, not {json.dumps(item_id)}")
+                texts = {"question": question, "answer": answer}
+                texts.update((f"option {label!r}", text) for label, text in options.items())
+                for name, text in texts.items():
+                    if not isinstance(text, str):
+                        raise TypeError(f"{name} must be a string, not {json.dumps(text)}")
+                item = QAItem(id=str(item_id), question=question, options=options, gold=answer)
             # ValueError covers bad JSON and over-long integers; RecursionError, deep nesting.
             except (ValueError, RecursionError, KeyError, TypeError, AttributeError, ValidationError) as exc:
                 raise DatasetError(f"{path}: line {line_no}: {exc}") from None
@@ -129,6 +134,16 @@ def load_dataset(path) -> list[QAItem]:
     if not items:
         raise DatasetError(f"{path}: dataset contains no items")
     return items
+
+
+def _without_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict, refusing a key that repeats (``json`` keeps the last)."""
+    record: dict = {}
+    for key, value in pairs:
+        if key in record:
+            raise ValueError(f"duplicate key {key!r}")
+        record[key] = value
+    return record
 
 
 class Pipeline:

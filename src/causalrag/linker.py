@@ -37,13 +37,6 @@ class LinkerIndex:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def ids_for(self, surface: str) -> frozenset[str]:
-        tokens = tuple(normalize_surface(surface).split())
-        return self._entries.get(tokens, frozenset())
-
-    def surfaces(self) -> list[str]:
-        return [" ".join(tokens) for tokens in self._entries]
-
     def link(self, text: str) -> frozenset[str]:
         """All node ids matched in ``text`` by greedy longest-match scanning."""
         tokens = normalize_surface(text or "").split()

@@ -146,8 +146,8 @@ class MockTranscript:
 
 
 def _http_transport(request: LlmRequest, endpoint: EndpointConfig) -> LlmResponse:
-    """Single chat-completion round trip. Raises TransportError on failure;
-    the ``transient`` attribute marks retryable failures."""
+    """Single chat-completion round trip. Raises TransportError on failure,
+    with ``transient`` set on the retryable ones."""
     import requests
 
     headers = {"Content-Type": "application/json"}
@@ -165,33 +165,28 @@ def _http_transport(request: LlmRequest, endpoint: EndpointConfig) -> LlmRespons
             endpoint.url, json=body, headers=headers, timeout=endpoint.timeout_seconds
         )
     except requests.RequestException as exc:
-        error = TransportError(f"request failed: {exc}")
-        error.transient = True
-        raise error from exc
+        raise TransportError(f"request failed: {exc}", transient=True) from exc
     if response.status_code == 429 or response.status_code >= 500:
-        error = TransportError(f"endpoint returned status {response.status_code}")
-        error.transient = True
-        raise error
+        raise TransportError(f"endpoint returned status {response.status_code}", transient=True)
     if response.status_code >= 400:
-        error = TransportError(f"endpoint rejected request: status {response.status_code}")
-        error.transient = False
-        raise error
+        raise TransportError(f"endpoint rejected request: status {response.status_code}")
     try:
         data = response.json()
         text = data["choices"][0]["message"]["content"]
         if not isinstance(text, str):
             raise TypeError(f"content is {type(text).__name__}, not a string")
         usage = data.get("usage", {})
+        tokens = [usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)]
+        if not all(type(count) is int and count >= 0 for count in tokens):
+            raise TypeError(f"token counts {tokens} are not non-negative integers")
         return LlmResponse(
             text=text,
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
+            prompt_tokens=tokens[0],
+            completion_tokens=tokens[1],
             latency_seconds=time.perf_counter() - started,
         )
     except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
-        error = TransportError(f"malformed endpoint response: {exc}")
-        error.transient = False
-        raise error from exc
+        raise TransportError(f"malformed endpoint response: {exc}") from exc
 
 
 class LlmGateway:
@@ -241,7 +236,7 @@ class LlmGateway:
                 return self._transport(request, self.endpoint)
             except TransportError as exc:
                 last_error = exc
-                if not getattr(exc, "transient", False):
+                if not exc.transient:
                     raise
                 if attempt + 1 < self.max_attempts:
                     delay = self.backoff_seconds * (2**attempt)

@@ -7,6 +7,8 @@ import pytest
 from causalrag.causal import build_causal_view, default_causality_table
 from causalrag.graph import ConceptNode, KgEdge, KnowledgeGraph
 
+from .oracles import graph_from_edges
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -34,7 +36,7 @@ def make_graph(edge_specs, node_types=None, aliases=None) -> KnowledgeGraph:
     edges = [
         KgEdge(subject=s, predicate=p, object=o, strength=w) for s, p, o, w in edge_specs
     ]
-    return KnowledgeGraph(nodes, edges)
+    return graph_from_edges(nodes, edges)
 
 
 class RecordingLinker:

@@ -10,18 +10,20 @@ against their own BFS. The exception is ``reference_find_paths``: it keeps
 the unpruned DFS that ``find_paths`` used before its goal-directed search,
 as the slow reference that search must match path for path, in order.
 ``reference_ingest_triples`` keeps the string-keyed ingest that the
-interning one replaced, building through the public constructor. Keep
-them slow and obvious.
+interning one replaced, building through ``graph_from_edges``: the
+``KgEdge`` front that interns ids and predicates for the int-column
+constructor, as tests build their graphs. Keep them slow and obvious.
 """
 
 from __future__ import annotations
 
 import logging
+from array import array
 from collections import Counter
 from itertools import permutations, product
 from typing import Iterator
 
-from causalrag.errors import IngestionError
+from causalrag.errors import IngestionError, ValidationError
 from causalrag.graph import (
     STRENGTH_COLUMN,
     TRIPLE_HEADER,
@@ -33,6 +35,31 @@ from causalrag.graph import (
 )
 
 _logger = logging.getLogger(__name__)
+
+
+def graph_from_edges(nodes, edges, stats=IngestStats()) -> KnowledgeGraph:
+    """The graph of ``KgEdge`` rows over ``nodes``: ids and predicates are
+    interned, in order of first use, into the constructor's int columns."""
+    nodes, edges = tuple(nodes), tuple(edges)
+    index = {node.id: position for position, node in enumerate(nodes)}
+    predicate_index: dict[str, int] = {}
+    subjects, predicates, objects = array("i"), array("i"), array("i")
+    for edge in edges:
+        s, p, o = edge.subject, edge.predicate, edge.object
+        if s not in index:
+            raise ValidationError(f"edge {(s, p, o)} references unknown subject")
+        if o not in index:
+            raise ValidationError(f"edge {(s, p, o)} references unknown object")
+        subjects.append(index[s])
+        predicates.append(predicate_index.setdefault(p, len(predicate_index)))
+        objects.append(index[o])
+    strengths = array("d", [edge.strength for edge in edges])
+    return KnowledgeGraph(nodes, tuple(predicate_index), subjects, predicates, objects, strengths, stats)
+
+
+def edges_of(graph) -> tuple[KgEdge, ...]:
+    """Every edge of ``graph`` as a ``KgEdge``, in edge order."""
+    return tuple(map(graph.edge, range(graph.edge_count)))
 
 
 class ReferenceGraph:
@@ -56,6 +83,10 @@ class ReferenceGraph:
 
     def node_ids(self):
         return tuple(self.nodes)
+
+    @property
+    def edge_count(self):
+        return len(self.edges)
 
     def edge(self, idx):
         return self.edges[idx]
@@ -86,7 +117,7 @@ def recount_view_members(graph, table, theta, overrides):
     """Causal-view members by the rule: an override alone decides its edge;
     any other edge needs label weight >= theta and strength >= theta."""
     members = set()
-    for idx, edge in enumerate(graph.edges):
+    for idx, edge in enumerate(edges_of(graph)):
         if idx in overrides:
             if overrides[idx] >= theta:
                 members.add(idx)
@@ -387,4 +418,4 @@ def reference_ingest_triples(lines, strength_for_predicate):
         for cui, name in node_names.items()
     ]
     edges = [KgEdge(s, p, o, strength) for (s, p, o), strength in edge_strengths.items()]
-    return KnowledgeGraph(nodes, edges, IngestStats(rows_total, malformed, duplicates))
+    return graph_from_edges(nodes, edges, IngestStats(rows_total, malformed, duplicates))

@@ -287,11 +287,12 @@ def test_cot_round_trip_both_encodings():
         )
         confidence = rng.randint(0, 100) if rng.random() < 0.75 else None
         original = ChainOfThought(raw="", segments=segments, confidence=confidence)
-        for ascii_arrows in (False, True):
-            reparsed = parse_cot(render_cot(original, ascii_arrows=ascii_arrows))
+        ascii_text = " -> ".join([*segments, *([] if confidence is None else [str(confidence)])])
+        for text in (render_cot(original), ascii_text):
+            reparsed = parse_cot(text)
             assert reparsed.segments == segments
             assert reparsed.confidence == confidence
-    _pass("chain-of-thought render/parse round trip for both arrow encodings")
+    _pass("chain-of-thought render/parse round trip, and a parse of the ascii encoding")
 
 
 # 7 ------------------------------------------------------------------------------
@@ -399,7 +400,7 @@ def test_strength_update_semantics():
 
     demoted = apply_strength_updates(revised, {("A", "CAUSES", "B"): 0.3})
     assert strong not in demoted.member_edges
-    assert graph.edges[strong].strength == 0.9  # base untouched
+    assert graph.edge(strong).strength == 0.9  # base untouched
 
     with pytest.raises(NotFoundError):
         apply_strength_updates(view, {("A", "CAUSES", "Z"): 0.7})

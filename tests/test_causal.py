@@ -17,7 +17,7 @@ from causalrag.causal import (
 from causalrag.errors import NotFoundError, ValidationError
 
 from .conftest import make_graph
-from .oracles import recount_view_members
+from .oracles import edges_of, recount_view_members
 
 
 # -- causality table -----------------------------------------------------------
@@ -105,7 +105,7 @@ def test_update_adds_edge_above_theta(chain_graph, chain_view):
     assert weak in updated.member_edges
     assert updated.effective_strength(weak) == 0.8
     # base untouched
-    assert chain_graph.edges[weak].strength == 0.1
+    assert chain_graph.edge(weak).strength == 0.1
 
 
 def test_update_demotes_edge_below_theta(chain_graph, chain_view):
@@ -113,7 +113,7 @@ def test_update_demotes_edge_below_theta(chain_graph, chain_view):
     assert strong in chain_view.member_edges
     updated = apply_strength_updates(chain_view, {("A", "CAUSES", "B"): 0.3})
     assert strong not in updated.member_edges
-    assert chain_graph.edges[strong].strength == 0.9
+    assert chain_graph.edge(strong).strength == 0.9
     # the original view object is unchanged
     assert strong in chain_view.member_edges
 
@@ -197,7 +197,7 @@ def test_updates_keep_members_equal_to_a_recount_of_the_rule():
             overrides.update({graph.edge_index(*t): s for t, s in batch.items()})
             assert view.theta == theta
             assert view.member_edges == recount_view_members(graph, table, theta, overrides)
-            for idx, edge in enumerate(graph.edges):
+            for idx, edge in enumerate(edges_of(graph)):
                 assert view.effective_strength(idx) == overrides.get(idx, edge.strength)
             unchanged = apply_strength_updates(view, {})
             assert unchanged.member_edges == view.member_edges
@@ -255,9 +255,10 @@ def test_touches_agrees_with_member_node_ids_across_updates():
 
 def _recount_search_reads(graph, members, node_id):
     """``successors`` and ``edges_into`` of ``node_id`` over ``members``, from the edge list."""
-    successors = tuple((i, e.object) for i, e in enumerate(graph.edges) if e.subject == node_id and i in members)
+    edges = edges_of(graph)
+    successors = tuple((i, e.object) for i, e in enumerate(edges) if e.subject == node_id and i in members)
     into: dict[str, tuple[int, ...]] = {}
-    for i, e in enumerate(graph.edges):
+    for i, e in enumerate(edges):
         if e.object == node_id and i in members:
             into[e.subject] = into.get(e.subject, ()) + (i,)
     return successors, into

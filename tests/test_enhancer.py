@@ -21,9 +21,11 @@ from causalrag.enhancer import (
     total_score,
 )
 from causalrag.errors import ValidationError
-from causalrag.graph import ConceptNode, KgEdge, KnowledgeGraph
+from causalrag.graph import ConceptNode, KgEdge
 from causalrag.retrieval import GraphPath
 from causalrag.templates import NO_EVIDENCE_MARKER
+
+from .oracles import graph_from_edges
 
 
 def _path(nodes, strengths, edges, tier="causal"):
@@ -49,7 +51,7 @@ def _typed_graph():
         KgEdge(subject="C1", predicate="AFFECTS", object="C4", strength=0.6),
         KgEdge(subject="C4", predicate="CAUSES", object="C2", strength=0.9),
     ]
-    return KnowledgeGraph(nodes, edges)
+    return graph_from_edges(nodes, edges)
 
 
 # -- fusion --------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The columnar graph core and the byte-mask views against slow references.
 
 Seeded random graphs with self-loops, parallel edges that differ by
-predicate, isolated nodes and a hub are built through the constructor and
-through an artifact round trip. Every read is compared with
+predicate, isolated nodes and a hub are built through ``graph_from_edges``
+and through an artifact round trip. Every read is compared with
 ``oracles.ReferenceGraph``, the dict-of-lists adjacency the columns
 replaced, and every view along an update chain with a recount of the
 membership rule.
@@ -19,7 +19,7 @@ from causalrag.causal import CausalityTable, apply_strength_updates, build_causa
 from causalrag.errors import NotFoundError
 from causalrag.graph import ConceptNode, KgEdge, KnowledgeGraph, load_graph, save_graph
 
-from .oracles import ReferenceGraph, recount_view_members
+from .oracles import ReferenceGraph, graph_from_edges, recount_view_members
 
 _PREDICATES = ("CAUSES", "TREATS", "ASSOCIATED_WITH", "RELATED_TO")
 _GRID = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
@@ -98,7 +98,7 @@ def test_columnar_core_and_mask_views_match_the_references(tmp_path):
     for case in range(500):
         nodes, edges = _random_graph(rng)
         ref = ReferenceGraph(nodes, edges)
-        graph = KnowledgeGraph(nodes, edges)
+        graph = graph_from_edges(nodes, edges)
         artifact = tmp_path / "g.crag"
         save_graph(graph, artifact)
         for built in (graph, load_graph(artifact)):

@@ -87,6 +87,48 @@ def test_dataset_duplicate_id_rejected(tmp_path):
         load_dataset(path)
 
 
+_OPTIONS = '"options": {"A": "x", "B": "y"}'
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (f'{{"id": "a", "question": null, {_OPTIONS}, "answer": "A"}}', "question must be a string, not null"),
+        (f'{{"id": "a", "question": 5, {_OPTIONS}, "answer": "A"}}', "question must be a string, not 5"),
+        ('{"id": "a", "question": "q?", "options": {"A": "x", "B": ["x"]}, "answer": "A"}',
+         'option \'B\' must be a string, not ["x"]'),
+        ('{"id": "a", "question": "q?", "options": {"A": "x", "B": 2}, "answer": "A"}',
+         "option 'B' must be a string, not 2"),
+        (f'{{"id": "a", "question": "q?", {_OPTIONS}, "answer": 1}}', "answer must be a string, not 1"),
+        (f'{{"id": true, "question": "q?", {_OPTIONS}, "answer": "A"}}',
+         "id must be a string or an integer, not true"),
+        (f'{{"id": 1.5, "question": "q?", {_OPTIONS}, "answer": "A"}}',
+         "id must be a string or an integer, not 1.5"),
+        ('{"id": "a", "question": "q?", "options": {"A": "x", "B": "y", "A": "z"}, "answer": "A"}',
+         "duplicate key 'A'"),
+        (f'{{"id": "a", "question": "q?", {_OPTIONS}, "answer": "A", "id": "b"}}', "duplicate key 'id'"),
+    ],
+    ids=[
+        "null-question", "int-question", "list-option", "int-option", "int-answer", "bool-id", "float-id",
+        "repeated-label", "repeated-field",
+    ],
+)
+def test_dataset_rejects_non_string_fields_and_repeated_keys(tmp_path, line, message):
+    path = tmp_path / "bad.jsonl"
+    good = f'{{"id": "ok", "question": "q?", {_OPTIONS}, "answer": "A"}}'
+    path.write_text(good + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(DatasetError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"{path}: line 2: {message}"
+
+
+def test_dataset_takes_an_integer_id_as_its_text(tmp_path):
+    path = tmp_path / "ints.jsonl"
+    path.write_text(f'{{"id": 7, "question": "q?", {_OPTIONS}, "answer": "B"}}\n', encoding="utf-8")
+    (item,) = load_dataset(path)
+    assert (item.id, item.question, item.options, item.gold) == ("7", "q?", {"A": "x", "B": "y"}, "B")
+
+
 def test_qa_item_validation():
     with pytest.raises(Exception):
         QAItem(id="x", question="q?", options={"A": "only"}, gold="A")

@@ -28,7 +28,7 @@ from causalrag.harness import load_dataset
 from causalrag.linker import load_alias_file
 
 from .conftest import FIXTURES
-from .oracles import reference_ingest_triples
+from .oracles import edges_of, reference_ingest_triples
 
 CASES = 300
 
@@ -87,7 +87,7 @@ def test_ingest_triples_fuzz_raises_only_package_errors(tmp_path):
     def load(path):
         graph = ingest_triples(_read_lines(path))
         assert graph.edge_count >= 1
-        assert all(0.0 <= edge.strength <= 1.0 for edge in graph.edges)
+        assert all(0.0 <= edge.strength <= 1.0 for edge in edges_of(graph))
 
     accepted, rejected = _fuzz(tmp_path, lines, load, seed=8101)
     assert accepted and rejected
@@ -102,7 +102,7 @@ def _ingest_outcome(ingest, lines, weight, caplog):
         outcome = (type(exc), str(exc))
     else:
         nodes = [(n.id, n.name, n.semantic_types, n.aliases) for n in graph.nodes()]
-        outcome = (nodes, graph.edges, graph.predicate_names, graph.stats)
+        outcome = (nodes, edges_of(graph), graph.predicate_names, graph.stats)
     return outcome, [record.getMessage() for record in caplog.records]
 
 
@@ -171,7 +171,7 @@ def test_artifact_fuzz_raises_only_artifact_errors(tmp_path, capfd):
         except ArtifactError as exc:
             messages.add(str(exc).rpartition("(")[2].split(" ")[0])
         else:
-            assert all(0.0 <= edge.strength <= 1.0 for edge in graph.edges)
+            assert all(0.0 <= edge.strength <= 1.0 for edge in edges_of(graph))
     assert {"body", "counts", "edge", "strings"} <= messages, messages
     assert capfd.readouterr().err == ""
 
@@ -231,6 +231,11 @@ def test_load_dataset_fuzz_raises_only_package_errors(tmp_path):
         items = load_dataset(path)
         assert items and len({item.id for item in items}) == len(items)
         assert all(item.gold in item.options for item in items)
+        # An accepted item holds its line's JSON strings (or integer id) as they are.
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").split("\n") if line.strip()]
+        for item, record in zip(items, records, strict=True):
+            assert type(record["id"]) in (str, int) and item.id == str(record["id"])
+            assert (item.question, item.options, item.gold) == (record["question"], record["options"], record["answer"])
 
     accepted, rejected = _fuzz(tmp_path, lines, load, seed=8104, mutate=_mutate_dataset)
     assert accepted and rejected

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import random
 
-from causalrag.graph import ConceptNode, KgEdge, KnowledgeGraph
+from causalrag.graph import ConceptNode, KgEdge
 from causalrag.linker import build_index, load_alias_file, normalize_surface
+
+from .oracles import graph_from_edges
 
 
 def _graph(nodes):
@@ -15,7 +17,7 @@ def _graph(nodes):
     edge = KgEdge(
         subject=node_objs[0].id, predicate="CAUSES", object=node_objs[-1].id, strength=0.9
     )
-    return KnowledgeGraph(node_objs, [edge])
+    return graph_from_edges(node_objs, [edge])
 
 
 def test_normalization_rules():
@@ -27,14 +29,14 @@ def test_normalization_rules():
 def test_index_keys_are_normalized():
     graph = _graph([("C1", "Myocardial Infarction", ()), ("C2", "Aspirin", ())])
     index = build_index(graph)
-    assert index.ids_for("myocardial infarction") == {"C1"}
-    assert index.ids_for("MYOCARDIAL INFARCTION.") == {"C1"}
+    assert index.link("myocardial infarction") == {"C1"}
+    assert index.link("MYOCARDIAL INFARCTION.") == {"C1"}
 
 
 def test_shared_alias_maps_to_both_ids():
     graph = _graph([("C1", "Myocardial Infarction", ("MI",)), ("C2", "Mitral Insufficiency", ("MI",))])
     index = build_index(graph)
-    assert index.ids_for("mi") == {"C1", "C2"}
+    assert index.link("mi") == {"C1", "C2"}
 
 
 def test_empty_alias_ignored():

@@ -146,9 +146,7 @@ def _failing_transport(failures_before_success, response_text="fine"):
     def transport(request, endpoint):
         calls["n"] += 1
         if calls["n"] <= failures_before_success:
-            error = TransportError("status 500")
-            error.transient = True
-            raise error
+            raise TransportError("status 500", transient=True)
         return LlmResponse(text=response_text)
 
     return transport, calls
@@ -195,14 +193,20 @@ def test_three_transient_failures_exhaust_retries():
     assert calls["n"] == 3
 
 
+def test_transport_error_is_non_transient_unless_marked():
+    assert TransportError("x").transient is False
+    assert TransportError("x", transient=True).transient is True
+    marked_later = TransportError("x")
+    marked_later.transient = True
+    assert marked_later.transient is True
+
+
 def test_non_transient_failure_not_retried():
     calls = {"n": 0}
 
     def transport(request, endpoint):
         calls["n"] += 1
-        error = TransportError("status 401")
-        error.transient = False
-        raise error
+        raise TransportError("status 401")
 
     gateway = LlmGateway(
         endpoint=EndpointConfig(url="http://example/llm"),
@@ -244,8 +248,16 @@ def _chat_reply(content="Answer: A", usage=None):
         {**_chat_reply(), "usage": None},
         _chat_reply(usage={"prompt_tokens": "abc"}),
         _chat_reply(usage={"completion_tokens": None}),
+        _chat_reply(usage={"prompt_tokens": -5}),
+        _chat_reply(usage={"prompt_tokens": True}),
+        _chat_reply(usage={"completion_tokens": "7"}),
+        _chat_reply(usage={"completion_tokens": 2.9}),
+        _chat_reply(usage={"prompt_tokens": 2.0}),
     ],
-    ids=["not-json", "no-choices", "list", "null-content", "int-content", "null-usage", "text-tokens", "null-tokens"],
+    ids=[
+        "not-json", "no-choices", "list", "null-content", "int-content", "null-usage", "text-tokens", "null-tokens",
+        "negative-tokens", "bool-tokens", "numeric-text-tokens", "fractional-tokens", "float-tokens",
+    ],
 )
 def test_malformed_endpoint_reply_is_one_non_transient_transport_error(monkeypatch, payload):
     import requests
@@ -266,6 +278,16 @@ def test_well_formed_endpoint_reply_carries_text_and_tokens(monkeypatch):
     monkeypatch.setattr(requests, "post", lambda *args, **kwargs: reply)
     response = LlmGateway(endpoint=EndpointConfig(url="http://example/llm")).complete(_request(model="gpt-model"))
     assert (response.text, response.prompt_tokens, response.completion_tokens) == ("Answer: A", 7, 3)
+
+
+@pytest.mark.parametrize("usage", [None, {}, {"prompt_tokens": 0}], ids=["no-usage", "empty-usage", "one-count"])
+def test_a_missing_token_count_reads_as_zero(monkeypatch, usage):
+    import requests
+
+    reply = _Reply(_chat_reply(usage=usage))
+    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: reply)
+    response = LlmGateway(endpoint=EndpointConfig(url="http://example/llm")).complete(_request(model="gpt-model"))
+    assert (response.prompt_tokens, response.completion_tokens) == (0, 0)
 
 
 def test_live_without_endpoint_is_transport_error():

@@ -15,7 +15,7 @@ from causalrag.causal import (
 )
 from causalrag.cot import ChainOfThought
 from causalrag.errors import NotFoundError, ValidationError
-from causalrag.graph import ConceptNode, KgEdge, KnowledgeGraph
+from causalrag.graph import ConceptNode, KgEdge
 from causalrag.linker import build_index
 from causalrag.retrieval import (
     REASON_NO_ENTITIES,
@@ -31,7 +31,9 @@ from causalrag.retrieval import (
 from .conftest import RecordingLinker, make_graph
 from .oracles import (
     brute_force_find_paths,
+    edges_of,
     enumerate_simple_paths_unpruned,
+    graph_from_edges,
     prune_with_bfs_distances,
     reference_find_paths,
 )
@@ -246,7 +248,7 @@ def _toy_linker_graph():
         KgEdge(subject="C1", predicate="CAUSES", object="C2", strength=0.9),
         KgEdge(subject="C2", predicate="CAUSES", object="C3", strength=0.8),
     ]
-    return KnowledgeGraph(nodes, edges)
+    return graph_from_edges(nodes, edges)
 
 
 def test_retrieve_for_cot_causal_throughout():
@@ -308,7 +310,7 @@ def test_retrieve_for_cot_single_segment_empty():
 
 def test_retrieve_for_cot_no_paths_reason():
     # two islands: Alpha and Omega are never connected
-    island = KnowledgeGraph(
+    island = graph_from_edges(
         [
             ConceptNode(id="C1", name="Alpha"),
             ConceptNode(id="C2", name="Omega"),
@@ -434,8 +436,8 @@ def test_find_paths_equals_the_unpruned_reference_in_order():
     paths_by_hops = dict.fromkeys(range(1, 6), 0)
     for graph_no in range(1000):
         graph, table = _random_graph(rng)
-        seen["self-loop"] += any(e.subject == e.object for e in graph.edges)
-        seen["parallel"] += len({(e.subject, e.object) for e in graph.edges}) < graph.edge_count
+        seen["self-loop"] += any(e.subject == e.object for e in edges_of(graph))
+        seen["parallel"] += len({(e.subject, e.object) for e in edges_of(graph)}) < graph.edge_count
         view = build_causal_view(graph, table, rng.choice([0.0, 0.3, 0.5, 0.8]))
         max_hops = 1 + graph_no % 5
         config = RetrievalConfig(max_hops=max_hops)
