@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, Mapping
 
-from .errors import ValidationError
+from .errors import ValidationError, tsv_rows
 from .graph import KgEdge, KnowledgeGraph
 
 logger = logging.getLogger(__name__)
@@ -228,15 +228,8 @@ def parse_strength_updates(lines: Iterable[str]) -> dict[tuple[str, str, str], f
     hand-curated.
     """
     updates: dict[tuple[str, str, str], float] = {}
-    rows = 0
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split("\t")]
-        rows += 1
-        if rows == 1 and fields[0].lower() == "subject_cui":
+    for row, (line_no, fields) in enumerate(tsv_rows(lines)):
+        if row == 0 and fields[0].lower() == "subject_cui":
             continue
         if len(fields) != 4 or not all(fields[:3]):
             raise ValidationError(f"update line {line_no}: expected 4 tab-separated fields")

@@ -14,7 +14,7 @@ import sys
 
 from .causal import apply_strength_updates, build_causal_view, parse_strength_updates
 from .config import PipelineConfig, load_config
-from .errors import STAGE_ERRORS, CausalRagError, ValidationError, naming_undecodable
+from .errors import STAGE_ERRORS, CausalRagError, ValidationError, open_text
 from .graph import load_graph, load_triples, save_graph
 from .harness import Mode, Pipeline, QAItem, load_dataset, render_report, run_evaluation, summarize_report
 from .linker import build_index, load_alias_file
@@ -120,7 +120,7 @@ def _build_pipeline(args, config: PipelineConfig) -> Pipeline:
 
 
 def _read_updates(path) -> dict[tuple[str, str, str], float]:
-    with naming_undecodable(path), open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return parse_strength_updates(fh)
 
 

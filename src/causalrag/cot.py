@@ -24,7 +24,6 @@ _INT_RE = re.compile(r"[+-]?\d+")
 class ChainOfThought:
     """Parsed reasoning chain: ordered segments plus an optional confidence."""
 
-    raw: str
     segments: tuple[str, ...]
     confidence: int | None = None
     warnings: tuple[str, ...] = ()
@@ -37,15 +36,20 @@ class ChainOfThought:
 
 
 def normalize_options(options: Mapping[str, str]) -> list[tuple[str, str]]:
-    """Validate and order option labels; blanks are rejected."""
+    """Validate and order option labels; blanks are rejected, and so are two
+    labels that differ only in case, since answers match labels in any case."""
     pairs = list(options.items())
     if len(pairs) < 2:
         raise ValidationError(f"need at least 2 options, got {len(pairs)}")
+    folded: dict[str, str] = {}
     for label, text in pairs:
         if not str(label).strip():
             raise ValidationError("option label must be non-empty")
         if not str(text).strip():
             raise ValidationError(f"option {label!r} has empty text")
+        other = folded.setdefault(str(label).lower(), label)
+        if other != label:
+            raise ValidationError(f"option labels {other!r} and {label!r} differ only in case")
     return [(str(label), str(text)) for label, text in pairs]
 
 
@@ -90,12 +94,7 @@ def parse_cot(raw: str) -> ChainOfThought:
     else:
         warnings.append("no trailing numeric confidence found")
 
-    return ChainOfThought(
-        raw=raw,
-        segments=tuple(segments),
-        confidence=confidence,
-        warnings=tuple(warnings),
-    )
+    return ChainOfThought(segments=tuple(segments), confidence=confidence, warnings=tuple(warnings))
 
 
 def render_cot(cot: ChainOfThought) -> str:

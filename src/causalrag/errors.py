@@ -1,7 +1,10 @@
-"""Exception hierarchy shared across the package, and the reader guard that
-names an input file that is not valid UTF-8."""
+"""Exception hierarchy shared across the package, and the readers every
+input file goes through: ``open_text`` for UTF-8 text, ``tsv_rows`` for tab
+separated rows and ``json_lines`` for one JSON value per line."""
 
+import json
 from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator
 
 
 class CausalRagError(Exception):
@@ -54,11 +57,13 @@ STAGE_ERRORS = (TransportError, TranscriptError, CotParseError)
 
 
 @contextmanager
-def naming_undecodable(path):
-    """Raise a ``UnicodeDecodeError`` met while reading ``path`` as an
-    ``EncodingError`` naming the file and the offset of its first bad byte."""
+def open_text(path):
+    """Open ``path`` for reading as UTF-8 text. A ``UnicodeDecodeError`` met
+    while reading it is raised as an ``EncodingError`` naming the file and the
+    offset of its first bad byte."""
     try:
-        yield
+        with open(path, encoding="utf-8") as fh:
+            yield fh
     except UnicodeDecodeError as exc:
         # A streaming reader's offset counts from the block it was decoding.
         offset = exc.start
@@ -68,3 +73,45 @@ def naming_undecodable(path):
             except UnicodeDecodeError as whole:
                 offset = whole.start
         raise EncodingError(f"{path}: byte {offset} is not valid utf-8 ({exc.reason})") from None
+
+
+def tsv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, fields)`` for each line that is neither blank nor a
+    ``#`` comment; fields are split on tabs and trimmed."""
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield line_no, list(map(str.strip, line.split("\t")))
+
+
+def _without_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict, refusing a key that repeats (``json`` keeps the last)."""
+    record: dict = {}
+    for key, value in pairs:
+        if key in record:
+            raise ValueError(f"duplicate key {key!r}")
+        record[key] = value
+    return record
+
+
+# One decoder for every line: ``json.loads`` with a hook builds a new one per call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_without_repeated_keys)
+
+
+def json_lines(path, read: Callable, error: Callable[[str], CausalRagError]) -> Iterator[tuple[int, object]]:
+    """``(line number, read(value))`` for each non-blank line of ``path``.
+
+    A line that is not JSON, repeats a key in an object or that ``read``
+    refuses raises ``error(f"{path}: line {n}: {reason}")``.
+    """
+    with open_text(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                value = read(_DECODER.decode(line))
+            # ValueError covers bad JSON and over-long integers; RecursionError, deep nesting.
+            except (ValueError, RecursionError, KeyError, TypeError, AttributeError, ValidationError) as exc:
+                raise error(f"{path}: line {line_no}: {exc}") from None
+            yield line_no, value

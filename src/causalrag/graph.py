@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import ArtifactError, IngestionError, NotFoundError, ValidationError, naming_undecodable
+from .errors import ArtifactError, IngestionError, NotFoundError, ValidationError, open_text, tsv_rows
 
 logger = logging.getLogger(__name__)
 
@@ -386,31 +386,22 @@ def ingest_triples(
         node_fields[position].add(semtypes)
         return position
 
-    header_seen = False
+    rows = tsv_rows(lines)
+    first = next(rows, None)
+    if first is None:
+        raise IngestionError("empty triple stream")
+    line_no, header = first
+    if tuple(map(str.lower, header)) not in (TRIPLE_HEADER, (*TRIPLE_HEADER, STRENGTH_COLUMN)):
+        raise IngestionError(
+            f"line {line_no}: missing or invalid header row (expected "
+            f"{', '.join(TRIPLE_HEADER)}[, {STRENGTH_COLUMN}])"
+        )
+
     rows_total = 0
     malformed = 0
     duplicates = 0
-
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if not header_seen:
-            header = tuple(col.strip().lower() for col in line.split("\t"))
-            if header[: len(TRIPLE_HEADER)] != TRIPLE_HEADER or (
-                len(header) > len(TRIPLE_HEADER)
-                and header[len(TRIPLE_HEADER) :] != (STRENGTH_COLUMN,)
-            ):
-                raise IngestionError(
-                    f"line {line_no}: missing or invalid header row (expected "
-                    f"{', '.join(TRIPLE_HEADER)}[, {STRENGTH_COLUMN}])"
-                )
-            header_seen = True
-            continue
-
+    for _, fields in rows:
         rows_total += 1
-        fields = list(map(str.strip, line.split("\t")))
         if len(fields) not in (7, 8):
             malformed += 1
             continue
@@ -448,8 +439,6 @@ def ingest_triples(
             strengths[slot] = max(strengths[slot], strength)
     del slots  # freed before the core builds its own set of triples
 
-    if not header_seen:
-        raise IngestionError("empty triple stream")
     if rows_total == 0:
         raise IngestionError("triple stream contained a header but no data rows")
     if not strengths:
@@ -488,7 +477,7 @@ def _frozenset_pool() -> Callable[[Iterable[str]], frozenset[str]]:
 
 
 def load_triples(path, strength_for_predicate: Callable[[str], float] | None = None) -> KnowledgeGraph:
-    with naming_undecodable(path), open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return ingest_triples(fh, strength_for_predicate)
 
 

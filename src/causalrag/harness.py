@@ -27,7 +27,7 @@ from .enhancer import (
     score_paths,
     select_final,
 )
-from .errors import STAGE_ERRORS, DatasetError, ValidationError, naming_undecodable
+from .errors import STAGE_ERRORS, DatasetError, ValidationError, json_lines
 from .graph import KnowledgeGraph
 from .llm import LlmGateway, LlmRequest, extract_answer_label
 from .metrics import compute_metrics
@@ -108,42 +108,26 @@ def load_dataset(path) -> list[QAItem]:
     id a string or an integer, and no object may repeat a key."""
     items: list[QAItem] = []
     seen_ids: set[str] = set()
-    with naming_undecodable(path), open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line, object_pairs_hook=_without_repeated_keys)
-                item_id, question, options, answer = (record[k] for k in ("id", "question", "options", "answer"))
-                if type(item_id) not in (str, int):
-                    raise TypeError(f"id must be a string or an integer, not {json.dumps(item_id)}")
-                texts = {"question": question, "answer": answer}
-                texts.update((f"option {label!r}", text) for label, text in options.items())
-                for name, text in texts.items():
-                    if not isinstance(text, str):
-                        raise TypeError(f"{name} must be a string, not {json.dumps(text)}")
-                item = QAItem(id=str(item_id), question=question, options=options, gold=answer)
-            # ValueError covers bad JSON and over-long integers; RecursionError, deep nesting.
-            except (ValueError, RecursionError, KeyError, TypeError, AttributeError, ValidationError) as exc:
-                raise DatasetError(f"{path}: line {line_no}: {exc}") from None
-            if item.id in seen_ids:
-                raise DatasetError(f"{path}: line {line_no}: duplicate item id {item.id!r}")
-            seen_ids.add(item.id)
-            items.append(item)
+    for line_no, item in json_lines(path, _read_item, DatasetError):
+        if item.id in seen_ids:
+            raise DatasetError(f"{path}: line {line_no}: duplicate item id {item.id!r}")
+        seen_ids.add(item.id)
+        items.append(item)
     if not items:
         raise DatasetError(f"{path}: dataset contains no items")
     return items
 
 
-def _without_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object's dict, refusing a key that repeats (``json`` keeps the last)."""
-    record: dict = {}
-    for key, value in pairs:
-        if key in record:
-            raise ValueError(f"duplicate key {key!r}")
-        record[key] = value
-    return record
+def _read_item(record) -> QAItem:
+    item_id, question, options, answer = (record[k] for k in ("id", "question", "options", "answer"))
+    if type(item_id) not in (str, int):
+        raise TypeError(f"id must be a string or an integer, not {json.dumps(item_id)}")
+    texts = {"question": question, "answer": answer}
+    texts.update((f"option {label!r}", text) for label, text in options.items())
+    for name, text in texts.items():
+        if not isinstance(text, str):
+            raise TypeError(f"{name} must be a string, not {json.dumps(text)}")
+    return QAItem(id=str(item_id), question=question, options=options, gold=answer)
 
 
 class Pipeline:
@@ -229,7 +213,7 @@ class Pipeline:
         if mode is Mode.KG_ONLY:
             # The correlation baseline: the question stands in for the chain
             # of thought and reaches the options over the base graph alone.
-            cot = ChainOfThought(raw="", segments=(item.question, " ".join(item.options.values())))
+            cot = ChainOfThought(segments=(item.question, " ".join(item.options.values())))
             causal_view = None
         else:
             prompt = build_cot_prompt(item.question, item.options, self._cot_template)

@@ -14,7 +14,7 @@ import logging
 import re
 from typing import Iterable
 
-from .errors import naming_undecodable
+from .errors import open_text, tsv_rows
 from .graph import KnowledgeGraph
 
 logger = logging.getLogger(__name__)
@@ -99,13 +99,8 @@ def load_alias_file(path) -> list[tuple[str, str]]:
     """
     rows: list[tuple[str, str]] = []
     malformed = 0
-    with naming_undecodable(path), open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n").rstrip("\r")
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = [f.strip() for f in line.split("\t")]
+    with open_text(path) as fh:
+        for _, fields in tsv_rows(fh):
             if len(fields) < 2 or not fields[0] or not fields[1]:
                 malformed += 1
                 continue

@@ -7,7 +7,6 @@ by (stage, ordinal). All network activity in the package happens here.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import re
@@ -16,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import TranscriptError, TransportError, ValidationError, naming_undecodable
+from .errors import TranscriptError, TransportError, ValidationError, json_lines
 
 logger = logging.getLogger(__name__)
 
@@ -110,21 +109,8 @@ class MockTranscript:
 
     @classmethod
     def load(cls, path) -> "MockTranscript":
-        entries = []
-        with naming_undecodable(path), open(path, encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    stage, ordinal, text = record["stage"], record["ordinal"], record["text"]
-                    if not (isinstance(stage, str) and isinstance(text, str) and type(ordinal) is int):
-                        raise TypeError("stage and text must be strings and ordinal an integer")
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise ValidationError(f"{path}: transcript line {line_no}: {exc}") from None
-                entries.append((stage, ordinal, text))
-        return cls(entries)
+        """Read a JSON-lines transcript of {"stage", "ordinal", "text"} objects."""
+        return cls([entry for _, entry in json_lines(path, _read_entry, ValidationError)])
 
     def __len__(self) -> int:
         return len(self._responses)
@@ -143,6 +129,13 @@ class MockTranscript:
     def reset(self) -> None:
         with self._lock:
             self._cursors = {stage: 0 for stage in STAGES}
+
+
+def _read_entry(record) -> tuple[str, int, str]:
+    stage, ordinal, text = record["stage"], record["ordinal"], record["text"]
+    if not (isinstance(stage, str) and isinstance(text, str) and type(ordinal) is int):
+        raise TypeError("stage and text must be strings and ordinal an integer")
+    return stage, ordinal, text
 
 
 def _http_transport(request: LlmRequest, endpoint: EndpointConfig) -> LlmResponse:

@@ -32,23 +32,7 @@ class Metrics:
     n: int
 
     def to_dict(self) -> dict:
-        return {
-            "per_label": {
-                label: {
-                    "precision": scores.precision,
-                    "recall": scores.recall,
-                    "f1": scores.f1,
-                    "support": scores.support,
-                }
-                for label, scores in self.per_label.items()
-            },
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "accuracy": self.accuracy,
-            "abstain_count": self.abstain_count,
-            "n": self.n,
-        }
+        return {**vars(self), "per_label": {label: dict(vars(scores)) for label, scores in self.per_label.items()}}
 
 
 def compute_metrics(golds: Sequence[str], predictions: Sequence[str | None]) -> Metrics:

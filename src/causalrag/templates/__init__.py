@@ -6,7 +6,7 @@ import functools
 import re
 from importlib import resources
 
-from ..errors import ValidationError, naming_undecodable
+from ..errors import ValidationError, open_text
 
 NO_EVIDENCE_MARKER = "[no graph evidence found]"
 
@@ -19,7 +19,7 @@ def load_template(name: str, override_path: str | None = None) -> str:
     An override file is read on every call; a built-in one once per process.
     """
     if override_path:
-        with naming_undecodable(override_path), open(override_path, encoding="utf-8") as fh:
+        with open_text(override_path) as fh:
             return fh.read()
     return _builtin_template(name)
 

@@ -286,7 +286,7 @@ def test_cot_round_trip_both_encodings():
             for _ in range(rng.randint(1, 8))
         )
         confidence = rng.randint(0, 100) if rng.random() < 0.75 else None
-        original = ChainOfThought(raw="", segments=segments, confidence=confidence)
+        original = ChainOfThought(segments=segments, confidence=confidence)
         ascii_text = " -> ".join([*segments, *([] if confidence is None else [str(confidence)])])
         for text in (render_cot(original), ascii_text):
             reparsed = parse_cot(text)

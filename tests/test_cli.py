@@ -385,6 +385,11 @@ def _bad_input_args(case, artifact, tmp_path):
             "answer", "--graph", str(artifact), "--question", "Which cancer follows smoking?",
             "--option", "A=x", "--option", "B=y", "--option", "A=z",
         ]
+    if case == "case-twin-options":
+        return [
+            "answer", "--graph", str(artifact), "--question", "Which cancer follows smoking?",
+            "--option", "a=Lung cancer", "--option", "A=Stroke",
+        ]
     if case == "non-utf8-triples":
         bad.write_bytes((FIXTURES / "triples.tsv").read_bytes() + b"C9\t\xff\xfe\tx\tCAUSES\tC1\ty\tz\n")
         return ["build-graph", str(bad), "--output", str(tmp_path / "g.crag")]
@@ -395,6 +400,11 @@ def _bad_input_args(case, artifact, tmp_path):
     if case == "blank-option-dataset":
         record = json.loads((FIXTURES / "dataset.jsonl").read_text(encoding="utf-8").splitlines()[0])
         record["options"]["B"] = "  "
+        bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        return evaluate[:-1] + [str(bad)]
+    if case == "case-twin-option-dataset":
+        record = json.loads((FIXTURES / "dataset.jsonl").read_text(encoding="utf-8").splitlines()[0])
+        record["options"]["a"] = "a twin of option A"
         bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
         return evaluate[:-1] + [str(bad)]
     if case == "non-utf8-transcript":
@@ -416,9 +426,19 @@ def _bad_input_args(case, artifact, tmp_path):
         config.write_text(f"prompts:\n  cot: {bad}\n", encoding="utf-8")
         transcript = FIXTURES / "transcript_full.jsonl"
         return evaluate + ["--config", str(config), "--mock-transcript", str(transcript)]
-    if case == "wrong-type-transcript":
-        bad.write_text(json.dumps({"stage": "cot", "ordinal": "x", "text": "a"}) + "\n", encoding="utf-8")
-        return evaluate + ["--mock-transcript", str(bad)]
+    if case.endswith("-transcript"):
+        transcript = tmp_path / "transcript.jsonl"
+        transcript.write_text(
+            {
+                "wrong-type-transcript": json.dumps({"stage": "cot", "ordinal": "x", "text": "a"}),
+                "repeated-key-transcript": '{"stage": "cot", "ordinal": 0, "text": "a", "stage": "infer"}',
+                "long-ordinal-transcript": '{"stage": "cot", "ordinal": ' + "9" * 5000 + ', "text": "a"}',
+                "deep-transcript": "[" * 100_000 + "]" * 100_000,
+            }[case]
+            + "\n",
+            encoding="utf-8",
+        )
+        return evaluate + ["--mock-transcript", str(transcript)]
     bad.write_bytes(
         {
             "invalid-yaml": b"retrieval: [1, 2\n",
@@ -444,7 +464,12 @@ def _bad_input_args(case, artifact, tmp_path):
         ("non-utf8-update-strengths", 1, "utf-8"),
         ("non-utf8-aliases", 1, "utf-8"),
         ("non-utf8-template", 1, "utf-8"),
-        ("wrong-type-transcript", 2, "transcript line 1"),
+        ("wrong-type-transcript", 2, "transcript.jsonl: line 1: stage and text must be strings"),
+        ("repeated-key-transcript", 2, "transcript.jsonl: line 1: duplicate key 'stage'"),
+        ("long-ordinal-transcript", 2, "transcript.jsonl: line 1: Exceeds the limit"),
+        ("deep-transcript", 2, "transcript.jsonl: line 1: maximum recursion depth exceeded"),
+        ("case-twin-options", 2, "option labels 'a' and 'A' differ only in case"),
+        ("case-twin-option-dataset", 1, "line 1: item q01: option labels 'A' and 'a' differ only in case"),
         ("invalid-yaml", 2, "invalid YAML"),
         ("non-utf8-yaml", 2, "invalid YAML"),
         ("wrong-type-config", 2, "retrieval.max_hops: expected int, got 'x'"),
@@ -458,6 +483,8 @@ def test_bad_input_exits_with_its_code_without_traceback(artifact, tmp_path, cap
     assert err.startswith("error:")
     assert message in err
     assert "Traceback" not in err
+    if "transcript.jsonl" in message:
+        assert err.startswith(f"error: {tmp_path / 'transcript.jsonl'}: line 1: ")
     if case.startswith("non-utf8") and case != "non-utf8-yaml":
         bad = tmp_path / "bad"
         offset = bad.read_bytes().index(b"\xff")

@@ -8,6 +8,7 @@ from causalrag.cot import (
     ARROW,
     ChainOfThought,
     build_cot_prompt,
+    normalize_options,
     parse_cot,
     render_cot,
 )
@@ -33,6 +34,13 @@ def test_prompt_rejects_empty_question_and_few_options():
         build_cot_prompt("   ", {"A": "x", "B": "y"})
     with pytest.raises(ValidationError):
         build_cot_prompt("q?", {"A": "only one"})
+
+
+def test_option_labels_that_differ_only_in_case_are_rejected():
+    # Answers match labels in any case, so "Answer: a" could not tell such labels apart.
+    with pytest.raises(ValidationError, match="^option labels 'a' and 'A' differ only in case$"):
+        normalize_options({"a": "x", "B": "y", "A": "z"})
+    assert normalize_options({"a": "x", "b": "y"}) == [("a", "x"), ("b", "y")]
 
 
 def test_placeholders_inside_values_stay_literal():
@@ -125,7 +133,7 @@ def test_segments_never_contain_arrows():
 
 
 def test_render_uses_unicode_arrow_canonically():
-    cot = ChainOfThought(raw="", segments=("a", "b"), confidence=70)
+    cot = ChainOfThought(segments=("a", "b"), confidence=70)
     assert render_cot(cot) == "a → b → 70"
 
 
@@ -144,7 +152,7 @@ def test_parse_render_round_trip_both_encodings():
     for _ in range(200):
         segments = _random_segments(rng)
         confidence = rng.randint(0, 100) if rng.random() < 0.7 else None
-        original = ChainOfThought(raw="", segments=segments, confidence=confidence)
+        original = ChainOfThought(segments=segments, confidence=confidence)
         parts = [*segments, *([] if confidence is None else [str(confidence)])]
         for rendered in (render_cot(original), " -> ".join(parts)):
             parsed = parse_cot(rendered)
@@ -154,6 +162,6 @@ def test_parse_render_round_trip_both_encodings():
 
 def test_invalid_chain_construction():
     with pytest.raises(ValidationError):
-        ChainOfThought(raw="", segments=())
+        ChainOfThought(segments=())
     with pytest.raises(ValidationError):
-        ChainOfThought(raw="", segments=("a",), confidence=150)
+        ChainOfThought(segments=("a",), confidence=150)

@@ -309,7 +309,7 @@ def test_scored_paths_satisfy_total_identity():
 def test_enhancement_prompt_lists_paths_in_score_order():
     graph = _typed_graph()
     config = EnhancerConfig()
-    cot = ChainOfThought(raw="", segments=("high blood pressure", "stroke risk"), confidence=80)
+    cot = ChainOfThought(segments=("high blood pressure", "stroke risk"), confidence=80)
     pools = [
         [_path(["C1", "C2"], [0.9], [0])],
         [_path(["C9", "C2"], [0.7], [2])],
@@ -329,7 +329,7 @@ def test_enhancement_prompt_lists_paths_in_score_order():
 
 def test_enhancement_prompt_no_evidence_marker():
     graph = _typed_graph()
-    cot = ChainOfThought(raw="", segments=("step",))
+    cot = ChainOfThought(segments=("step",))
     prompt = build_enhancement_prompt(
         [], cot, "Question?", {"A": "x", "B": "y"}, graph
     )

@@ -107,10 +107,12 @@ _OPTIONS = '"options": {"A": "x", "B": "y"}'
         ('{"id": "a", "question": "q?", "options": {"A": "x", "B": "y", "A": "z"}, "answer": "A"}',
          "duplicate key 'A'"),
         (f'{{"id": "a", "question": "q?", {_OPTIONS}, "answer": "A", "id": "b"}}', "duplicate key 'id'"),
+        ('{"id": "a", "question": "q?", "options": {"A": "x", "a": "y"}, "answer": "A"}',
+         "item a: option labels 'A' and 'a' differ only in case"),
     ],
     ids=[
         "null-question", "int-question", "list-option", "int-option", "int-answer", "bool-id", "float-id",
-        "repeated-label", "repeated-field",
+        "repeated-label", "repeated-field", "case-twin-labels",
     ],
 )
 def test_dataset_rejects_non_string_fields_and_repeated_keys(tmp_path, line, message):

@@ -4,8 +4,8 @@ Each text case mutates a valid input line by line and character by
 character (cut, duplicate and swap lines; insert, drop and replace
 characters, with tabs, comment marks, numbers at and beyond the edges of
 their ranges, braces and non-ASCII text), and the dataset also field by
-field. A loader either returns a well-formed result or raises a
-``CausalRagError``. The triple corpus also checks ``ingest_triples``
+field. A loader, the mock transcript's too, either returns a well-formed
+result or raises a ``CausalRagError``. The triple corpus also checks ``ingest_triples``
 against its string-keyed reference, and graph artifacts are truncated,
 bit-flipped and replaced by random bytes.
 """
@@ -22,10 +22,11 @@ import zlib
 import pytest
 
 from causalrag.causal import default_causality_table, parse_strength_updates
-from causalrag.errors import ArtifactError, CausalRagError, ValidationError
+from causalrag.errors import ArtifactError, CausalRagError, TranscriptError, ValidationError
 from causalrag.graph import ingest_triples, load_graph, load_triples, save_graph
 from causalrag.harness import load_dataset
 from causalrag.linker import load_alias_file
+from causalrag.llm import STAGES, MockTranscript
 
 from .conftest import FIXTURES
 from .oracles import edges_of, reference_ingest_triples
@@ -238,4 +239,21 @@ def test_load_dataset_fuzz_raises_only_package_errors(tmp_path):
             assert (item.question, item.options, item.gold) == (record["question"], record["options"], record["answer"])
 
     accepted, rejected = _fuzz(tmp_path, lines, load, seed=8104, mutate=_mutate_dataset)
+    assert accepted and rejected
+
+
+def test_load_transcript_fuzz_raises_only_package_errors(tmp_path):
+    lines = (FIXTURES / "transcript_full.jsonl").read_text(encoding="utf-8").splitlines()
+
+    def load(path):
+        transcript = MockTranscript.load(path)
+        replayed = 0
+        for stage in STAGES:
+            with pytest.raises(TranscriptError):
+                while True:
+                    assert isinstance(transcript.next_response(stage)[1], str)
+                    replayed += 1
+        assert replayed <= len(transcript)
+
+    accepted, rejected = _fuzz(tmp_path, lines, load, seed=8105)
     assert accepted and rejected

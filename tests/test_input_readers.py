@@ -1,0 +1,70 @@
+"""Every input file is read through the readers in ``causalrag.errors``.
+
+``open_text`` is the one place that opens a file as text, so a file that is
+not UTF-8 is always an ``EncodingError`` naming it; ``json_lines`` is the
+one place that decodes JSON, so every JSON-lines input refuses a repeated
+key and reports ``path: line N``. Writes and binary reads may happen
+anywhere.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "causalrag"
+MODULES = sorted(SRC.rglob("*.py"))
+
+
+def _nodes(path: Path) -> list[ast.AST]:
+    return list(ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
+
+
+def _is_text_read(call: ast.Call) -> bool:
+    func = call.func
+    if getattr(func, "id", None) != "open" and getattr(func, "attr", None) != "open":
+        return False
+    modes = call.args[1:2] + [keyword.value for keyword in call.keywords if keyword.arg == "mode"]
+    mode = modes[0] if modes else None
+    if mode is None:
+        return True
+    if not isinstance(mode, ast.Constant) or not isinstance(mode.value, str):
+        return True  # a mode only known at run time may be a text read
+    return "r" in mode.value and "b" not in mode.value
+
+
+def test_the_guard_sees_every_module():
+    assert {"errors.py", "graph.py", "harness.py", "llm.py", "__init__.py"} <= {path.name for path in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(SRC)))
+def test_text_mode_reads_happen_only_in_errors(path):
+    reads = [node.lineno for node in _nodes(path) if isinstance(node, ast.Call) and _is_text_read(node)]
+    if path.name == "errors.py":
+        assert len(reads) == 1  # open_text
+    else:
+        assert reads == [], f"{path.name} opens text at lines {reads}: read it through errors.open_text"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(SRC)))
+def test_json_is_decoded_only_by_json_lines(path):
+    uses = [
+        node.lineno
+        for node in _nodes(path)
+        if isinstance(node, ast.Attribute) and node.attr == "loads" and getattr(node.value, "id", None) == "json"
+        or isinstance(node, ast.ImportFrom) and node.module == "json" and "loads" in (a.name for a in node.names)
+    ]
+    assert uses == [], f"{path.name} uses json.loads at lines {uses}: read through errors.json_lines"
+
+
+def test_the_guard_recognises_reads_and_writes():
+    def call(source):
+        return ast.parse(source).body[0].value
+
+    reads = ["open(p)", 'open(p, encoding="utf-8")', 'open(p, "r")', 'open(p, mode="rt")', "p.open()", "open(p, m)"]
+    for source in reads:
+        assert _is_text_read(call(source)), source
+    for source in ('open(p, "rb")', 'open(p, "w", encoding="utf-8")', 'open(p, mode="wb")', "print(p)"):
+        assert not _is_text_read(call(source)), source

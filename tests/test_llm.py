@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -91,7 +92,23 @@ def test_transcript_load_rejects_wrong_types(tmp_path, field, value):
         json.dumps({"stage": "infer", "ordinal": 0, "text": "Answer: B"}) + "\n" + json.dumps(record) + "\n",
         encoding="utf-8",
     )
-    with pytest.raises(ValidationError, match="transcript line 2"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: line 2: "):
+        MockTranscript.load(path)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"stage": "cot", "ordinal": 1, "text": "b", "stage": "infer"}', "duplicate key 'stage'"),
+        ('{"stage": "cot", "ordinal": ' + "9" * 5000 + ', "text": "b"}', "Exceeds the limit"),
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["repeated-key", "5000-digit-ordinal", "deep-nesting"],
+)
+def test_transcript_load_refuses_what_the_dataset_refuses(tmp_path, line, message):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"stage": "cot", "ordinal": 0, "text": "a"}\n\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: line 3: {message}"):
         MockTranscript.load(path)
 
 

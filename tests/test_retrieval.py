@@ -256,7 +256,6 @@ def test_retrieve_for_cot_causal_throughout():
     view = build_causal_view(graph, default_causality_table(), 0.5)
     index = build_index(graph)
     cot = ChainOfThought(
-        raw="",
         segments=(
             "chronic hypertension strains vessels",
             "stroke risk increases sharply",
@@ -275,9 +274,7 @@ def test_retrieve_for_cot_records_missing_entities():
     graph = _toy_linker_graph()
     view = build_causal_view(graph, default_causality_table(), 0.5)
     index = build_index(graph)
-    cot = ChainOfThought(
-        raw="", segments=("hypertension noted", "nothing linkable here", "stroke occurs")
-    )
+    cot = ChainOfThought(segments=("hypertension noted", "nothing linkable here", "stroke occurs"))
     results = retrieve_for_cot(cot, index, view, graph, RetrievalConfig())
     assert results[0].reason == REASON_NO_ENTITIES
     assert results[0].paths == ()
@@ -294,7 +291,7 @@ def test_retrieve_for_cot_links_each_segment_once():
         "kidney disease can follow",
         "hypertension worsens",
     )
-    cot = ChainOfThought(raw="", segments=segments)
+    cot = ChainOfThought(segments=segments)
     results = retrieve_for_cot(cot, linker, view, graph, RetrievalConfig())
     assert sorted(results) == [0, 1, 2]
     assert sorted(linker.texts) == sorted(segments)
@@ -304,7 +301,7 @@ def test_retrieve_for_cot_single_segment_empty():
     graph = _toy_linker_graph()
     view = build_causal_view(graph, default_causality_table(), 0.5)
     index = build_index(graph)
-    cot = ChainOfThought(raw="", segments=("hypertension",))
+    cot = ChainOfThought(segments=("hypertension",))
     assert retrieve_for_cot(cot, index, view, graph, RetrievalConfig()) == {}
 
 
@@ -320,7 +317,7 @@ def test_retrieve_for_cot_no_paths_reason():
     )
     view = build_causal_view(island, default_causality_table(), 0.5)
     index = build_index(island)
-    cot = ChainOfThought(raw="", segments=("alpha present", "omega suspected"))
+    cot = ChainOfThought(segments=("alpha present", "omega suspected"))
     results = retrieve_for_cot(cot, index, view, island, RetrievalConfig())
     assert results[0].reason == REASON_NO_PATHS
     assert results[0].paths == ()
