@@ -10,6 +10,7 @@ the base graph.
 from __future__ import annotations
 
 import logging
+import math
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -208,12 +209,16 @@ def apply_strength_updates(
     membership. Returns a new view; the base graph is untouched. Every
     updated triple must exist in the base graph.
     """
+    values = list(updates.values())
+    if values and not (0.0 <= min(values) and max(values) <= 1.0 and not math.isnan(sum(values))):
+        # Name the first defect in batch order, a bad strength before its absent triple.
+        for triple, strength in updates.items():
+            if not 0.0 <= strength <= 1.0:
+                raise ValidationError(f"update strength {strength} for {triple} outside [0, 1]")
+            view.base.edge_index(*triple)
     mask = bytearray(view.mask)
     strengths = [block[:] for block in view.strengths]
-    for triple, strength in updates.items():
-        if not 0.0 <= strength <= 1.0:
-            raise ValidationError(f"update strength {strength} for {triple} outside [0, 1]")
-        idx = view.base.edge_index(*triple)
+    for idx, strength in zip(view.base.edge_indices(updates), values):
         strengths[idx >> _SHIFT][idx & _LOW] = strength
         mask[idx] = strength >= view.theta
     return CausalGraphView(base=view.base, theta=view.theta, mask=bytes(mask), strengths=tuple(strengths))

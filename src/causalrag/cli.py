@@ -203,7 +203,7 @@ def cmd_update_strengths(args) -> int:
     updated = apply_strength_updates(view, updates)
     added = len(updated.member_edges - before)
     demoted = len(before - updated.member_edges)
-    updated_edges = {graph.edge_index(*triple) for triple in updates}
+    updated_edges = set(graph.edge_indices(updates))
     revised = len(updated_edges & before & updated.member_edges)
     print(
         f"applied {len(updates)} updates at theta={view.theta}: "

@@ -25,7 +25,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ArtifactError, IngestionError, NotFoundError, ValidationError, open_text, tsv_rows
 
@@ -132,7 +132,7 @@ class KnowledgeGraph:
         self._in_offsets, self._in = _csr(objects, n)
 
         self.stats = stats
-        # Filled on first read, like the search memos below (see ``edge_index``).
+        # Filled on first read, like the search memos below (see ``edge_indices``).
         self._by_key: dict[int, int] | None = None
         # Search memos, filled per node on first read (see ``successors``).
         self._successors: dict[str, tuple[tuple[int, str], ...]] = {}
@@ -168,22 +168,29 @@ class KnowledgeGraph:
         )
 
     def edge_index(self, subject: str, predicate: str, object_: str) -> int:
+        return self.edge_indices(((subject, predicate, object_),))[0]
+
+    def edge_indices(self, triples: Collection[tuple[str, str, str]]) -> list[int]:
+        """The edge index of each ``(subject, predicate, object)``, in order;
+        ``NotFoundError`` names the first triple not in the graph."""
         # Keyed by one int per interned triple, (p * n + s) * n + o, distinct
-        # for distinct triples. The formula is written out twice because a
-        # function call per lookup is a measurable share of a strength update.
-        n, by_key = len(self._ids), self._by_key
-        if by_key is None:
+        # for distinct triples, and resolved in one loop over local names: a
+        # method call per triple is a measurable share of a strength update.
+        index, predicate_index, n, by_key = self._index, self._predicate_index, len(self._ids), self._by_key
+        if by_key is None and triples:
             # A pure function of the immutable graph, so two threads racing
             # to fill it build equal maps and either may win.
             by_key = self._by_key = {
                 (p * n + s) * n + o: idx
                 for idx, (s, p, o) in enumerate(zip(self._subjects, self._predicates, self._objects))
             }
-        s, p, o = self._index.get(subject), self._predicate_index.get(predicate), self._index.get(object_)
-        idx = None if None in (s, p, o) else by_key.get((p * n + s) * n + o)
-        if idx is None:
-            raise NotFoundError(f"triple ({subject!r}, {predicate!r}, {object_!r}) not in graph")
-        return idx
+        found: list[int] = []
+        try:
+            for subject, predicate, object_ in triples:
+                found.append(by_key[(predicate_index[predicate] * n + index[subject]) * n + index[object_]])
+        except KeyError:
+            raise NotFoundError(f"triple ({subject!r}, {predicate!r}, {object_!r}) not in graph") from None
+        return found
 
     @property
     def node_count(self) -> int:

@@ -34,9 +34,6 @@ class LinkerIndex:
         self._entries = {tokens: frozenset(ids) for tokens, ids in entries.items()}
         self._max_tokens = max((len(tokens) for tokens in self._entries), default=0)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def link(self, text: str) -> frozenset[str]:
         """All node ids matched in ``text`` by greedy longest-match scanning."""
         tokens = normalize_surface(text or "").split()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 import threading
@@ -133,6 +134,37 @@ def test_update_unknown_triple_is_not_found(chain_view):
 def test_update_strength_out_of_range_rejected(chain_view):
     with pytest.raises(ValidationError):
         apply_strength_updates(chain_view, {("A", "CAUSES", "B"): 1.4})
+
+
+_DEFECT_GRAPH = [(f"N{i}", "CAUSES", f"N{i + 1}", 0.6) for i in range(6)]
+# Each defect: its batch entry, then the error class and message it raises.
+_DEFECTS = {
+    "high": ((("N3", "CAUSES", "N4"), 1.4), ValidationError,
+             "update strength 1.4 for ('N3', 'CAUSES', 'N4') outside [0, 1]"),
+    "low": ((("N4", "CAUSES", "N5"), -0.2), ValidationError,
+            "update strength -0.2 for ('N4', 'CAUSES', 'N5') outside [0, 1]"),
+    "nan": ((("N5", "CAUSES", "N6"), float("nan")), ValidationError,
+            "update strength nan for ('N5', 'CAUSES', 'N6') outside [0, 1]"),
+    "absent": ((("N0", "CAUSES", "Z"), 0.7), NotFoundError, "triple ('N0', 'CAUSES', 'Z') not in graph"),
+    "absent-and-high": ((("Z", "CAUSES", "N0"), 2.0), ValidationError,
+                        "update strength 2.0 for ('Z', 'CAUSES', 'N0') outside [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("first, second", list(itertools.permutations(_DEFECTS, 2)))
+def test_update_names_the_first_defect_in_batch_order_and_changes_nothing(first, second):
+    view = build_causal_view(make_graph(_DEFECT_GRAPH), default_causality_table(), 0.5)
+    mask, strengths = view.mask, [block.tobytes() for block in view.strengths]
+    valid = [(("N0", "CAUSES", "N1"), 0.2), (("N1", "CAUSES", "N2"), 0.9), (("N2", "CAUSES", "N3"), 0.1)]
+    _, kind, message = _DEFECTS[first]
+    for at, later in itertools.combinations_with_replacement(range(len(valid) + 1), 2):
+        rows = valid[:later] + [_DEFECTS[second][0]] + valid[later:]
+        rows.insert(at, _DEFECTS[first][0])
+        with pytest.raises(kind) as raised:
+            apply_strength_updates(view, dict(rows))
+        assert str(raised.value) == message
+        assert view.mask == mask
+        assert [block.tobytes() for block in view.strengths] == strengths
 
 
 def test_update_idempotent(chain_view):

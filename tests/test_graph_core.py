@@ -123,3 +123,51 @@ def test_columnar_core_and_mask_views_match_the_references(tmp_path):
         seen["isolated"] += any(not ref.forward[n] and not ref.reverse[n] for n in ref.nodes)
         seen["no edges"] += not edges
     assert min(seen.values()) >= 5, seen
+
+
+def _absent_triple(rng: random.Random, ref: ReferenceGraph) -> tuple[str, str, str]:
+    """A triple not in ``ref``: an unknown subject, predicate or object, or three known parts."""
+    ids = ref.node_ids()
+    while True:
+        triple = [rng.choice(ids), rng.choice(_PREDICATES), rng.choice(ids)]
+        part = rng.randrange(4)
+        if part < 3:
+            triple[part] = ("missing", "UNSEEN", "missing")[part]
+        if tuple(triple) not in ref.by_triple:
+            return tuple(triple)
+
+
+def test_edge_indices_match_the_reference_lookup_in_batch_order():
+    rng = random.Random(4242)
+    seen = Counter()
+    for _ in range(300):
+        nodes, edges = _random_graph(rng)
+        ref = ReferenceGraph(nodes, edges)
+        graph = graph_from_edges(nodes, edges)
+        assert graph.edge_indices([]) == [] and graph._by_key is None  # an empty batch builds no map
+
+        batch = list(ref.by_triple)
+        rng.shuffle(batch)
+        if batch:
+            repeated = rng.choice(batch)
+            batch.insert(rng.randint(0, len(batch)), repeated)
+            seen["repeated"] += 1
+        want = [ref.edge_index(*triple) for triple in batch]
+        assert graph.edge_indices(batch) == want
+
+        first = _absent_triple(rng, ref)
+        position = rng.choice((0, rng.randint(0, len(batch)), len(batch)))
+        seen["first" if position == 0 else "last" if position == len(batch) else "middle"] += 1
+        planted = batch[:position] + [first] + batch[position:]
+        if rng.random() < 0.5:
+            planted.insert(rng.randint(position + 1, len(planted)), _absent_triple(rng, ref))
+            seen["second absent"] += 1
+        subject, predicate, object_ = first
+        message = f"triple ({subject!r}, {predicate!r}, {object_!r}) not in graph"
+        with pytest.raises(NotFoundError) as raised:
+            graph.edge_indices(planted)
+        assert str(raised.value) == message
+        with pytest.raises(NotFoundError) as raised:
+            graph.edge_index(*first)
+        assert str(raised.value) == message
+    assert min(seen.values()) >= 20, seen
