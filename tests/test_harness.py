@@ -400,6 +400,19 @@ def test_mock_reports_byte_identical():
     assert rendered[0] == rendered[1]
 
 
+GOLDEN_REPORTS = FIXTURES / "reports"
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
+def test_fixture_reports_match_the_golden_files(mode):
+    """Each mode's fixture report, byte for byte. A deliberate output change
+    rewrites ``tests/fixtures/reports/<mode>.json`` in the same commit."""
+    items = load_dataset(FIXTURES / "dataset.jsonl")
+    rendered = render_report(run_evaluation(build_fixture_pipeline(mode), items, mode))
+    golden = (GOLDEN_REPORTS / f"{mode.value}.json").read_text(encoding="utf-8")
+    assert rendered == golden, f"{mode.value} report differs from {GOLDEN_REPORTS / mode.value}.json"
+
+
 def test_report_echoes_config():
     pipeline = build_fixture_pipeline(Mode.FULL)
     items = load_dataset(FIXTURES / "dataset.jsonl")
