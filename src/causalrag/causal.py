@@ -230,7 +230,8 @@ def parse_strength_updates(lines: Iterable[str]) -> dict[tuple[str, str, str], f
     Blank lines and '#' comments are skipped; an optional header row naming
     the columns is tolerated as the first row that is neither. Malformed
     rows are an error, not a warning: update files are small and
-    hand-curated.
+    hand-curated. A triple given on several rows takes the last row's
+    strength.
     """
     updates: dict[tuple[str, str, str], float] = {}
     for row, (line_no, fields) in enumerate(tsv_rows(lines)):

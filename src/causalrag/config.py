@@ -19,7 +19,7 @@ import yaml
 from .causal import DEFAULT_THETA, CausalityTable, default_causality_table
 from .enhancer import EnhancerConfig
 from .errors import ValidationError
-from .llm import ModelAssignment
+from .llm import STAGES, ModelAssignment
 from .retrieval import RetrievalConfig
 
 logger = logging.getLogger(__name__)
@@ -45,7 +45,7 @@ class PipelineConfig:
             raise ValidationError(f"theta must be in [0, 1], got {self.theta}")
         if self.workers < 1:
             raise ValidationError(f"workers must be >= 1, got {self.workers}")
-        for stage in ("cot", "enhance", "infer"):
+        for stage in STAGES:
             temperature = getattr(self, f"{stage}_temperature")
             if not (temperature >= 0):
                 raise ValidationError(f"temperatures.{stage} must be >= 0, got {temperature}")
@@ -61,11 +61,7 @@ class PipelineConfig:
             "beta": self.enhancer.beta,
             "gamma": self.enhancer.gamma,
             "keep_ratio": self.enhancer.keep_ratio,
-            "models": {
-                "cot": self.assignment.cot,
-                "enhance": self.assignment.enhance,
-                "infer": self.assignment.infer,
-            },
+            "models": {stage: getattr(self.assignment, stage) for stage in STAGES},
             "causality_weights": dict(sorted(self.causality.weights.items())),
             "causality_default_weight": self.causality.default_weight,
             "workers": self.workers,

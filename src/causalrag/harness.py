@@ -56,6 +56,19 @@ class Mode(str, Enum):
         return self.value.replace("_", "-")
 
 
+# The stages each mode runs: (reasons, fuses, enhances). A mode that reasons
+# asks the LLM for a chain of thought and searches it in the causal view; one
+# that does not searches the question's two-step chain over the base graph.
+# Fusing scores the merged paths and keeps the best ``keep_ratio`` of them;
+# enhancing turns those into an LLM summary, so it needs fusing.
+_PLANS: dict[Mode, tuple[bool, bool, bool]] = {
+    Mode.FULL: (True, True, True),
+    Mode.NO_LLM_ENHANCED: (True, True, False),
+    Mode.NO_ENHANCER: (True, False, False),
+    Mode.KG_ONLY: (False, False, False),
+}
+
+
 @dataclass(frozen=True)
 class QAItem:
     """One multiple-choice question with its gold label."""
@@ -191,11 +204,7 @@ class Pipeline:
 
     def _call(self, stage: str, prompt: str, trace: dict) -> str:
         model = self.config.assignment.for_stage(stage)
-        temperature = {
-            "cot": self.config.cot_temperature,
-            "enhance": self.config.enhance_temperature,
-            "infer": self.config.infer_temperature,
-        }[stage]
+        temperature = getattr(self.config, f"{stage}_temperature")
         request = LlmRequest(
             model=model, messages=(("user", prompt),), stage=stage, temperature=temperature
         )
@@ -210,12 +219,8 @@ class Pipeline:
     def _evidence(
         self, item: QAItem, mode: Mode, query_cuis: frozenset[str], trace: dict
     ) -> str:
-        if mode is Mode.KG_ONLY:
-            # The correlation baseline: the question stands in for the chain
-            # of thought and reaches the options over the base graph alone.
-            cot = ChainOfThought(segments=(item.question, " ".join(item.options.values())))
-            causal_view = None
-        else:
+        reasons, fuses, enhances = _PLANS[mode]
+        if reasons:
             prompt = build_cot_prompt(item.question, item.options, self._cot_template)
             cot = parse_cot(self._call("cot", prompt, trace))
             trace["cot"] = {
@@ -223,10 +228,13 @@ class Pipeline:
                 "confidence": cot.confidence,
                 "warnings": list(cot.warnings),
             }
-            causal_view = self.causal_view
+        else:
+            # The correlation baseline: the question stands in for the chain
+            # of thought and reaches the options over the base graph alone.
+            cot = ChainOfThought(segments=(item.question, " ".join(item.options.values())))
 
         retrievals = retrieve_for_cot(
-            cot, self.linker, causal_view, self.graph, self.config.retrieval
+            cot, self.linker, self.causal_view if reasons else None, self.graph, self.config.retrieval
         )
         trace["retrieval"] = [
             {
@@ -241,45 +249,37 @@ class Pipeline:
             for entry in retrievals.values()
         ]
 
-        if mode in (Mode.KG_ONLY, Mode.NO_ENHANCER):
-            raw_paths = [p for entry in retrievals.values() for p in entry.paths]
-            trace["final_path_count"] = len(raw_paths)
-            if mode is Mode.KG_ONLY:
-                return render_paths_block(raw_paths, self.graph)
-            return self._paths_and_cot_block(raw_paths, cot)
+        paths = [p for entry in retrievals.values() for p in entry.paths]
+        if fuses:
+            fused = fuse_paths([entry.paths for entry in retrievals.values()])
+            query_semtypes: set[str] = set()
+            for cui in query_cuis:
+                query_semtypes |= self.graph.node(cui).semantic_types
+            scored = score_paths(fused, query_cuis, query_semtypes, self.graph, self.config.enhancer)
+            final = select_final(scored, self.config.enhancer.keep_ratio)
+            paths = [item_.path for item_ in final]
+            trace["fused_count"] = len(fused)
+            trace["final_paths"] = [
+                {
+                    "nodes": list(item_.path.nodes),
+                    "tier": item_.path.tier,
+                    "path_score": item_.path.score,
+                    "total_score": item_.total_score,
+                    "merge_count": item_.merge_count,
+                }
+                for item_ in final
+            ]
+        trace["final_path_count"] = len(paths)
 
-        fused = fuse_paths([entry.paths for entry in retrievals.values()])
-        query_semtypes: set[str] = set()
-        for cui in query_cuis:
-            query_semtypes |= self.graph.node(cui).semantic_types
-        scored = score_paths(fused, query_cuis, query_semtypes, self.graph, self.config.enhancer)
-        final = select_final(scored, self.config.enhancer.keep_ratio)
-        trace["fused_count"] = len(fused)
-        trace["final_path_count"] = len(final)
-        trace["final_paths"] = [
-            {
-                "nodes": list(item_.path.nodes),
-                "tier": item_.path.tier,
-                "path_score": item_.path.score,
-                "total_score": item_.total_score,
-                "merge_count": item_.merge_count,
-            }
-            for item_ in final
-        ]
-
-        if mode is Mode.NO_LLM_ENHANCED:
-            return self._paths_and_cot_block([s.path for s in final], cot)
-
-        enhance_prompt = build_enhancement_prompt(
-            final, cot, item.question, item.options, self.graph, self._enhance_template
-        )
-        summary = self._call("enhance", enhance_prompt, trace)
-        trace["enhanced_summary"] = summary
-        return summary
-
-    def _paths_and_cot_block(self, paths, cot: ChainOfThought) -> str:
+        if enhances:
+            enhance_prompt = build_enhancement_prompt(
+                final, cot, item.question, item.options, self.graph, self._enhance_template
+            )
+            summary = self._call("enhance", enhance_prompt, trace)
+            trace["enhanced_summary"] = summary
+            return summary
         block = render_paths_block(paths, self.graph)
-        return f"{block}\n\nOriginal chain of thought:\n{render_cot(cot)}"
+        return f"{block}\n\nOriginal chain of thought:\n{render_cot(cot)}" if reasons else block
 
     def _infer(self, item: QAItem, evidence: str, trace: dict) -> str | None:
         prompt = fill_template(

@@ -35,8 +35,8 @@ class ModelAssignment:
     infer: str = MOCK_MODEL
 
     def __post_init__(self):
-        for stage, model in (("cot", self.cot), ("enhance", self.enhance), ("infer", self.infer)):
-            if not model:
+        for stage in STAGES:
+            if not getattr(self, stage):
                 raise ValidationError(f"model for stage {stage!r} must be non-empty")
 
     def for_stage(self, stage: str) -> str:
@@ -45,7 +45,7 @@ class ModelAssignment:
         return getattr(self, stage)
 
     def all_mock(self) -> bool:
-        return self.cot == MOCK_MODEL and self.enhance == MOCK_MODEL and self.infer == MOCK_MODEL
+        return all(getattr(self, stage) == MOCK_MODEL for stage in STAGES)
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,6 @@ class MockTranscript:
     def load(cls, path) -> "MockTranscript":
         """Read a JSON-lines transcript of {"stage", "ordinal", "text"} objects."""
         return cls([entry for _, entry in json_lines(path, _read_entry, ValidationError)])
-
-    def __len__(self) -> int:
-        return len(self._responses)
 
     def next_response(self, stage: str) -> tuple[int, str]:
         with self._lock:

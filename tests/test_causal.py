@@ -412,6 +412,24 @@ def test_parse_strength_updates_takes_the_header_after_leading_comments():
         )
 
 
+def test_a_repeated_triple_takes_its_last_rows_strength(chain_graph, chain_view):
+    """Repeats are not an error: the later row wins, and membership follows it."""
+    updates = parse_strength_updates(
+        [
+            "A\tCAUSES\tB\t0.3",
+            "A\tASSOCIATED_WITH\tC\t0.8",
+            "A\tCAUSES\tB\t0.95",
+            "A\tASSOCIATED_WITH\tC\t0.2",
+        ]
+    )
+    assert updates == {("A", "CAUSES", "B"): 0.95, ("A", "ASSOCIATED_WITH", "C"): 0.2}
+    updated = apply_strength_updates(chain_view, updates)
+    strong = chain_graph.edge_index("A", "CAUSES", "B")
+    assert strong in updated.member_edges
+    assert updated.effective_strength(strong) == 0.95
+    assert chain_graph.edge_index("A", "ASSOCIATED_WITH", "C") not in updated.member_edges
+
+
 def test_parse_strength_updates_rejects_bad_rows():
     with pytest.raises(ValidationError):
         parse_strength_updates(["C1\tCAUSES\tC2"])

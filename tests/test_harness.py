@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import json
 import logging
 import threading
@@ -12,7 +14,9 @@ from causalrag.causal import build_causal_view
 from causalrag.config import load_config
 from causalrag.errors import DatasetError, TransportError, ValidationError
 from causalrag.graph import load_triples
+from causalrag import harness
 from causalrag.harness import (
+    _PLANS,
     Mode,
     Pipeline,
     QAItem,
@@ -143,6 +147,22 @@ def test_qa_item_validation():
 
 
 # -- per-mode stage wiring ---------------------------------------------------------
+
+
+def _mode_members_named(source: str) -> list[str]:
+    return [
+        f"{node.lineno}: Mode.{node.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "Mode" and node.attr in Mode.__members__
+    ]
+
+
+def test_pipeline_methods_name_no_mode_member():
+    """Modes differ only by their row in ``_PLANS``: a new ablation adds a
+    row there, not a branch in the evidence path."""
+    assert set(_PLANS) == set(Mode)
+    assert _mode_members_named("if mode is Mode.KG_ONLY:\n    pass") == ["1: Mode.KG_ONLY"]
+    assert _mode_members_named(inspect.getsource(harness.Pipeline)) == []
 
 
 @pytest.mark.parametrize("mode", list(Mode))

@@ -3,11 +3,11 @@
 Each text case mutates a valid input line by line and character by
 character (cut, duplicate and swap lines; insert, drop and replace
 characters, with tabs, comment marks, numbers at and beyond the edges of
-their ranges, braces and non-ASCII text), and the dataset also field by
-field. A loader, the mock transcript's too, either returns a well-formed
-result or raises a ``CausalRagError``. The triple corpus also checks ``ingest_triples``
-against its string-keyed reference, and graph artifacts are truncated,
-bit-flipped and replaced by random bytes.
+their ranges, braces and non-ASCII text), and the dataset and the mock
+transcript also field by field. A loader, the mock transcript's too, either
+returns a well-formed result or raises a ``CausalRagError``. The triple
+corpus also checks ``ingest_triples`` against its string-keyed reference,
+and graph artifacts are truncated, bit-flipped and replaced by random bytes.
 """
 
 from __future__ import annotations
@@ -61,8 +61,10 @@ def _mutate(rng: random.Random, lines: list[str]) -> list[str]:
     return lines
 
 
-def _fuzz(tmp_path, fixture_lines, load, seed, mutate=_mutate) -> tuple[int, int]:
-    """Run ``load`` on ``CASES`` mutated files; returns (accepted, rejected)."""
+def _fuzz(tmp_path, fixture_lines, load, seed, mutate=_mutate, rejects=CausalRagError) -> tuple[int, int]:
+    """Run ``load`` on ``CASES`` mutated files; returns (accepted, rejected).
+
+    Only ``rejects`` counts as a rejection: any other exception fails the test."""
     rng = random.Random(seed)
     path = tmp_path / "fuzzed"
     accepted = rejected = 0
@@ -70,7 +72,7 @@ def _fuzz(tmp_path, fixture_lines, load, seed, mutate=_mutate) -> tuple[int, int
         path.write_text("\n".join(mutate(rng, fixture_lines)) + "\n", encoding="utf-8")
         try:
             load(path)
-        except CausalRagError:
+        except rejects:
             rejected += 1
         else:
             accepted += 1
@@ -242,7 +244,27 @@ def test_load_dataset_fuzz_raises_only_package_errors(tmp_path):
     assert accepted and rejected
 
 
+_TRANSCRIPT_VALUES = (None, True, 0, -1, 1.5, "", "x", "cot", [], [1], {}, {"a": 1})
+
+
+def _mutate_transcript(rng: random.Random, lines: list[str]) -> list[str]:
+    if rng.random() < 0.4:
+        return _mutate(rng, lines)
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(lines))
+        record = json.loads(lines[at])
+        if rng.random() < 0.2:
+            del record[rng.choice(sorted(record))]
+        else:
+            record[rng.choice(("stage", "ordinal", "text"))] = rng.choice(_TRANSCRIPT_VALUES)
+        lines[at] = json.dumps(record)
+    return lines
+
+
 def test_load_transcript_fuzz_raises_only_package_errors(tmp_path):
+    """Loading raises only ``ValidationError``; replaying what loaded raises
+    only ``TranscriptError``, once each stage runs out."""
     lines = (FIXTURES / "transcript_full.jsonl").read_text(encoding="utf-8").splitlines()
 
     def load(path):
@@ -253,7 +275,7 @@ def test_load_transcript_fuzz_raises_only_package_errors(tmp_path):
                 while True:
                     assert isinstance(transcript.next_response(stage)[1], str)
                     replayed += 1
-        assert replayed <= len(transcript)
+        assert replayed <= len(transcript._responses)
 
-    accepted, rejected = _fuzz(tmp_path, lines, load, seed=8105)
+    accepted, rejected = _fuzz(tmp_path, lines, load, seed=8105, mutate=_mutate_transcript, rejects=ValidationError)
     assert accepted and rejected
