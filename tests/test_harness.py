@@ -14,7 +14,6 @@ from causalrag.causal import build_causal_view
 from causalrag.config import load_config
 from causalrag.errors import DatasetError, TransportError, ValidationError
 from causalrag.graph import load_triples
-from causalrag import harness
 from causalrag.harness import (
     _PLANS,
     Mode,
@@ -162,7 +161,7 @@ def test_pipeline_methods_name_no_mode_member():
     row there, not a branch in the evidence path."""
     assert set(_PLANS) == set(Mode)
     assert _mode_members_named("if mode is Mode.KG_ONLY:\n    pass") == ["1: Mode.KG_ONLY"]
-    assert _mode_members_named(inspect.getsource(harness.Pipeline)) == []
+    assert _mode_members_named(inspect.getsource(Pipeline)) == []
 
 
 @pytest.mark.parametrize("mode", list(Mode))

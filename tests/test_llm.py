@@ -13,13 +13,10 @@ from causalrag.llm import (
     LlmGateway,
     LlmRequest,
     LlmResponse,
-    STAGES,
     MockTranscript,
     ModelAssignment,
     extract_answer_label,
 )
-
-from .conftest import FIXTURES
 
 
 def _request(stage="cot", model="mock", prompt="hello"):
