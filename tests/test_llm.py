@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import random
 import re
 from pathlib import Path
 
@@ -13,10 +14,13 @@ from causalrag.llm import (
     LlmGateway,
     LlmRequest,
     LlmResponse,
+    STAGES,
     MockTranscript,
     ModelAssignment,
     extract_answer_label,
 )
+
+from .conftest import FIXTURES
 
 
 def _request(stage="cot", model="mock", prompt="hello"):
@@ -106,6 +110,37 @@ def test_transcript_load_refuses_what_the_dataset_refuses(tmp_path, line, messag
     path.write_text('{"stage": "cot", "ordinal": 0, "text": "a"}\n\n' + line + "\n", encoding="utf-8")
     with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: line 3: {message}"):
         MockTranscript.load(path)
+
+
+def test_transcript_load_fuzz_raises_only_validation_errors(tmp_path):
+    lines = (FIXTURES / "transcript_full.jsonl").read_text(encoding="utf-8").splitlines()
+    values = [None, True, 0, -1, 1.5, "", "x", "cot", [], [1], {}, {"a": 1}]
+    rng = random.Random(7)
+    path = tmp_path / "t.jsonl"
+    rejected = 0
+    for _ in range(600):
+        mutated = list(lines)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(mutated))
+            record = json.loads(mutated[at])
+            if rng.random() < 0.2:
+                del record[rng.choice(sorted(record))]
+            else:
+                record[rng.choice(("stage", "ordinal", "text"))] = rng.choice(values)
+            mutated[at] = json.dumps(record)
+        path.write_text("\n".join(mutated) + "\n", encoding="utf-8")
+        try:
+            transcript = MockTranscript.load(path)
+        except ValidationError:
+            rejected += 1
+            continue
+        for stage in STAGES:
+            try:
+                while True:
+                    assert isinstance(transcript.next_response(stage)[1], str)
+            except TranscriptError:
+                pass
+    assert 0 < rejected < 600
 
 
 def test_mock_replay_deterministic():
