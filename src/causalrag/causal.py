@@ -169,7 +169,7 @@ class CausalGraphView:
     def touches(self, node_id: str) -> bool:
         """Whether a member edge starts or ends at ``node_id``; unknown ids raise."""
         base, mask = self.base, self.mask
-        return any(mask[i] for i in base.out_edges(node_id) + base.in_edges(node_id))
+        return any(mask[i] for i in (*base.out_edges(node_id), *base.in_edges(node_id)))
 
     def member_node_ids(self) -> frozenset[str]:
         columns, ids = self.base.columns, self.base.node_ids()

@@ -16,6 +16,7 @@ import contextlib
 import functools
 import logging
 import math
+import operator
 import os
 import struct
 import sys
@@ -24,7 +25,7 @@ import zlib
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ArtifactError, IngestionError, NotFoundError, ValidationError, open_text, tsv_rows
@@ -43,7 +44,7 @@ TRIPLE_HEADER = (
 STRENGTH_COLUMN = "strength"
 
 _ARTIFACT_MAGIC = b"CRAG"
-_ARTIFACT_VERSION = 2
+_ARTIFACT_VERSION = 3
 _VERSION = struct.Struct(">H")
 # Node, predicate, set, set-member and edge counts; rows, malformed rows and
 # duplicate rows of the ingest; CRC32 of the body.
@@ -96,18 +97,19 @@ class KnowledgeGraph:
     Node ids and predicates are interned to ints before construction; each
     edge is one slot in the subject, predicate, object and strength columns
     (see ``EdgeColumns``), and ``KgEdge`` objects are built only on demand
-    by ``edge``. Forward and reverse adjacency are CSR arrays: a node's edges
-    sit between two offsets, in ascending edge-index order. Edges keep
-    their ingestion order, which downstream code relies on for reproducible
-    tie-breaking. Parallel edges between the same node pair are allowed as
-    long as their predicates differ.
+    by ``edge``. Edges strictly ascend by key ``(s * P + p) * N + o`` (``N``
+    nodes, ``P`` predicates), the order downstream code relies on for
+    reproducible tie-breaking, so a node's out-edges are one range of edge
+    indices; its in-edges sit between two CSR offsets, in ascending order.
+    Parallel edges between the same node pair are allowed as long as their
+    predicates differ, and order by predicate int.
     """
 
     def __init__(self, nodes, predicate_names, subjects, predicates, objects, strengths, stats: IngestStats):
         """The graph of edge ``i`` = ``subjects[i] --predicates[i]--> objects[i]``
         at ``strengths[i]``: ``array('i')`` columns of ints indexing ``nodes``
-        and ``predicate_names``, and an ``array('d')`` of strengths. Checks
-        every invariant, then lays out the CSR.
+        and ``predicate_names``, in ascending key order, and an ``array('d')``
+        of strengths. Checks every invariant, then lays out the adjacency.
 
         Each invariant is tested over a whole column; only when one fails is
         the first offending node or edge looked for, to name it.
@@ -119,16 +121,18 @@ class KnowledgeGraph:
             raise ValidationError(_first_node_defect(self._nodes))
         self.predicate_names: tuple[str, ...] = tuple(predicate_names)
         self._predicate_index = dict(zip(self.predicate_names, range(len(self.predicate_names))))
+        if not all(self.predicate_names):
+            raise ValidationError("predicate name must be non-empty")
         if len(self._predicate_index) < len(self.predicate_names):
             duplicate = next(p for p, count in Counter(self.predicate_names).items() if count > 1)
             raise ValidationError(f"duplicate predicate {duplicate!r}")
 
         n, columns = len(self._ids), (subjects, predicates, objects, strengths)
-        if not _edges_hold(n, len(self.predicate_names), *columns):
-            raise ValidationError(_first_edge_defect(self._ids, self.predicate_names, *columns))
+        if defect := _edge_defect(self._ids, self.predicate_names, *columns):
+            raise ValidationError(defect)
         self._subjects, self._predicates, self._objects, self._strengths = subjects, predicates, objects, strengths
         self.columns = EdgeColumns(*(memoryview(c).toreadonly() for c in columns))
-        self._out_offsets, self._out = _csr(subjects, n)
+        self._out_offsets = _offsets(subjects, n)
         self._in_offsets, self._in = _csr(objects, n)
 
         self.stats = stats
@@ -209,9 +213,9 @@ class KnowledgeGraph:
 
     # -- traversal -----------------------------------------------------------
 
-    def out_edges(self, node_id: str) -> tuple[int, ...]:
+    def out_edges(self, node_id: str) -> range:
         i = self._position(node_id)
-        return tuple(self._out[self._out_offsets[i] : self._out_offsets[i + 1]])
+        return range(self._out_offsets[i], self._out_offsets[i + 1])
 
     def in_edges(self, node_id: str) -> tuple[int, ...]:
         i = self._position(node_id)
@@ -264,24 +268,24 @@ def _first_node_defect(nodes: Sequence[ConceptNode]) -> str:
     raise AssertionError("no node breaks an invariant")
 
 
-def _edges_hold(node_count: int, predicate_count: int, subjects, predicates, objects, strengths) -> bool:
-    """Whether every node and predicate int is in range, every strength is
-    in [0, 1] (NaN is not) and no triple repeats: one test per whole column."""
-    if not strengths:
-        return True
-    bounds = ((subjects, node_count), (predicates, predicate_count), (objects, node_count))
-    return (
+def _edge_defect(ids, names, subjects, predicates, objects, strengths) -> str | None:
+    """None if every node and predicate int is in range, every strength is in
+    [0, 1] (NaN is not) and the keys strictly ascend (so no triple repeats);
+    else how the first edge to break one does. Each invariant is tested over
+    a whole column; the edges are walked only to name the offending one.
+    With ints in range, ``(s, p, o)`` tuples order as their keys do.
+    """
+    bounds = ((subjects, len(ids)), (predicates, len(names)), (objects, len(ids)))
+    later = islice(zip(subjects, predicates, objects), 1, None)
+    if not strengths or (
         all(0 <= min(column) and max(column) < bound for column, bound in bounds)
         and 0.0 <= min(strengths)
         and max(strengths) <= 1.0
         and not math.isnan(sum(strengths))
-        and len(set(zip(subjects, predicates, objects))) == len(strengths)
-    )
-
-
-def _first_edge_defect(ids, names, subjects, predicates, objects, strengths) -> str:
-    """The first edge, in edge order, that breaks an invariant, and how."""
-    seen: set[tuple[int, int, int]] = set()
+        and all(map(operator.lt, zip(subjects, predicates, objects), later))
+    ):
+        return None
+    previous = (-1, -1, -1)
     for idx, (s, p, o, strength) in enumerate(zip(subjects, predicates, objects, strengths)):
         for role, value, bound in (("subject", s, ids), ("predicate", p, names), ("object", o, ids)):
             if not 0 <= value < len(bound):
@@ -289,10 +293,20 @@ def _first_edge_defect(ids, names, subjects, predicates, objects, strengths) -> 
         triple = (ids[s], names[p], ids[o])
         if not 0.0 <= strength <= 1.0:
             return f"edge {triple} strength {strength} outside [0, 1]"
-        if (s, p, o) in seen:
+        if previous == (s, p, o):
             return f"duplicate triple {triple}"
-        seen.add((s, p, o))
+        if previous > (s, p, o):
+            return f"edge {idx} {triple} out of key order"
+        previous = (s, p, o)
     raise AssertionError("no edge breaks an invariant")
+
+
+def _offsets(keys: array, size: int) -> array:
+    """``offsets[k]``: how many of ``keys`` (ints below ``size``) are below ``k``, for ``k`` in 0..size."""
+    counts = [0] * (size + 1)
+    for key in keys:
+        counts[key + 1] += 1
+    return array("i", accumulate(counts))
 
 
 def _csr(keys: array, size: int) -> tuple[array, array]:
@@ -302,10 +316,7 @@ def _csr(keys: array, size: int) -> tuple[array, array]:
     by a counting sort, which is stable, so each group lists its edges in
     ascending edge index.
     """
-    counts = [0] * (size + 1)
-    for key in keys:
-        counts[key + 1] += 1
-    offsets = array("i", accumulate(counts))
+    offsets = _offsets(keys, size)
     edges = [0] * len(keys)
     free = offsets.tolist()
     for idx, key in enumerate(keys):
@@ -376,8 +387,7 @@ def ingest_triples(
     node_fields: list[set[str]] = []
     node_aliases: dict[int, set[str]] = {}
     predicate_index: dict[str, int] = {}
-    # Each int triple's edge slot; a repeated triple keeps its first slot.
-    slots: dict[tuple[int, int, int], int] = {}
+    # Every well-formed row takes a slot; repeated triples collapse below.
     subjects, predicates, objects = array("i"), array("i"), array("i")
     strengths = array("d")
 
@@ -406,50 +416,48 @@ def ingest_triples(
 
     rows_total = 0
     malformed = 0
-    duplicates = 0
     for _, fields in rows:
         rows_total += 1
-        if len(fields) not in (7, 8):
+        if len(fields) not in (7, 8) or not (fields[0] and fields[3] and fields[4]):
             malformed += 1
             continue
         subj_cui, subj_name, subj_types, predicate, obj_cui, obj_name, obj_types = fields[:7]
-        if not subj_cui or not predicate or not obj_cui:
-            malformed += 1
-            continue
-
         if len(fields) == 8 and fields[7]:
             try:
                 strength = float(fields[7])
             except ValueError:
-                malformed += 1
-                continue
+                strength = math.nan
             if not 0.0 <= strength <= 1.0:
                 malformed += 1
                 continue
         else:
             strength = strength_for_predicate(predicate)
 
-        triple = (
-            note_node(subj_cui, subj_name, subj_types),
-            predicate_index.setdefault(predicate, len(predicate_index)),
-            note_node(obj_cui, obj_name, obj_types),
-        )
-        slot = slots.get(triple)
-        if slot is None:
-            slots[triple] = len(strengths)
-            subjects.append(triple[0])
-            predicates.append(triple[1])
-            objects.append(triple[2])
-            strengths.append(strength)
-        else:
-            duplicates += 1
-            strengths[slot] = max(strengths[slot], strength)
-    del slots  # freed before the core builds its own set of triples
+        subjects.append(note_node(subj_cui, subj_name, subj_types))
+        predicates.append(predicate_index.setdefault(predicate, len(predicate_index)))
+        objects.append(note_node(obj_cui, obj_name, obj_types))
+        strengths.append(strength)
 
     if rows_total == 0:
         raise IngestionError("triple stream contained a header but no data rows")
     if not strengths:
         raise IngestionError(f"all {rows_total} data rows were malformed")
+
+    # The core's edge order: ascending key, each repeated triple collapsed
+    # to its row with the maximum strength.
+    n, p_count = len(node_names), len(predicate_index)
+    keys = [(s * p_count + p) * n + o for s, p, o in zip(subjects, predicates, objects)]
+    kept: list[int] = []
+    for slot in sorted(range(len(keys)), key=keys.__getitem__):
+        if not kept or keys[kept[-1]] != keys[slot]:
+            kept.append(slot)
+        elif strengths[slot] > strengths[kept[-1]]:
+            kept[-1] = slot
+    duplicates = len(keys) - len(kept)
+    del keys
+    subjects, predicates, objects, strengths = (
+        array(column.typecode, map(column.__getitem__, kept)) for column in (subjects, predicates, objects, strengths)
+    )
     if malformed:
         logger.warning("skipped %d malformed triple rows", malformed)
     if duplicates:
@@ -457,30 +465,19 @@ def ingest_triples(
             "collapsed %d duplicate triple rows, keeping each triple's max strength", duplicates
         )
 
-    share = _frozenset_pool()
+    share = functools.cache(lambda items: items)  # one frozenset object per distinct set
     parse = functools.cache(lambda field: frozenset(t.strip() for t in field.split(",") if t.strip()))
     nodes = [
         ConceptNode(
             id=cui,
             name=name,
             semantic_types=share(frozenset().union(*map(parse, fields))),
-            aliases=share(node_aliases.get(position, ())),
+            aliases=share(frozenset(node_aliases.get(position, ()))),
         )
         for position, (cui, name, fields) in enumerate(zip(node_index, node_names, node_fields))
     ]
     stats = IngestStats(rows_total, malformed, duplicates)
     return KnowledgeGraph(nodes, tuple(predicate_index), subjects, predicates, objects, strengths, stats)
-
-
-def _frozenset_pool() -> Callable[[Iterable[str]], frozenset[str]]:
-    """``share(items)``: the frozenset of ``items``, one object per distinct set."""
-    pool: dict[frozenset[str], frozenset[str]] = {}
-
-    def share(items: Iterable[str]) -> frozenset[str]:
-        key = frozenset(items)
-        return pool.setdefault(key, key)
-
-    return share
 
 
 def load_triples(path, strength_for_predicate: Callable[[str], float] | None = None) -> KnowledgeGraph:
@@ -492,7 +489,7 @@ def load_triples(path, strength_for_predicate: Callable[[str], float] | None = N
 
 
 def save_graph(graph: KnowledgeGraph, path) -> None:
-    """Write the graph as a format-2 artifact (laid out in ``load_graph``).
+    """Write the graph as a format-3 artifact (laid out in ``load_graph``).
 
     The bytes go to a temporary file beside the file ``path`` names (after
     symlinks) that then replaces it, so an interrupted save leaves any
@@ -547,26 +544,28 @@ def save_graph(graph: KnowledgeGraph, path) -> None:
 def load_graph(path) -> KnowledgeGraph:
     """Load a graph artifact, refusing unknown formats and versions.
 
-    Format 2 is the magic, a big-endian version word, then the
+    Format 3 is the magic, a big-endian version word, then the
     little-endian ``_HEADER`` (counts, the ingest stats and the CRC32 of
     the body) and the body: each string's length; the UTF-8 strings (node
     ids, node names, predicate names, then the members of each distinct
     semantic-type or alias set); each set's member count; each node's
     semantic-type set, then each node's alias set; and the subject,
     predicate and object (``int32``) and strength (``float64``) edge
-    columns. Every length is checked against the file's size before
-    anything is allocated, and the graph is checked in full even when the
-    checksum matches: the checksum catches corruption, it does not vouch
-    for the writer. Any defect raises ``ArtifactError``.
+    columns, in the graph's ascending key order. Every length is checked
+    against the file's size before anything is allocated, and the graph is
+    checked in full even when the checksum matches: the checksum catches
+    corruption, it does not vouch for the writer. Any defect raises
+    ``ArtifactError``. Versions 1 and 2, whose edges follow row order, are
+    refused with a hint to rebuild.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 6 or blob[:4] != _ARTIFACT_MAGIC:
         raise ArtifactError(f"{path}: not a causalrag graph artifact")
     (version,) = _VERSION.unpack_from(blob, 4)
-    if version == 1:
+    if version in (1, 2):
         raise ArtifactError(
-            f"{path}: artifact version 1 is no longer read; rebuild it with causalrag build-graph"
+            f"{path}: artifact version {version} is no longer read; rebuild it with causalrag build-graph"
         )
     if version != _ARTIFACT_VERSION:
         raise ArtifactError(
@@ -579,7 +578,7 @@ def load_graph(path) -> KnowledgeGraph:
 
 
 def _decode(data: memoryview) -> KnowledgeGraph:
-    """The graph in a format-2 artifact, from its header on."""
+    """The graph in a format-3 artifact, from its header on."""
     if len(data) < _HEADER.size:
         raise ValidationError(f"header needs {_HEADER.size} bytes, the file holds {len(data)}")
     n, n_predicates, n_sets, n_members, m, *stats, crc = _HEADER.unpack_from(data)

@@ -39,22 +39,22 @@ _logger = logging.getLogger(__name__)
 
 def graph_from_edges(nodes, edges, stats=IngestStats()) -> KnowledgeGraph:
     """The graph of ``KgEdge`` rows over ``nodes``: ids and predicates are
-    interned, in order of first use, into the constructor's int columns."""
+    interned, in order of first use, into the constructor's int columns,
+    and the rows sorted into the constructor's key order."""
     nodes, edges = tuple(nodes), tuple(edges)
     index = {node.id: position for position, node in enumerate(nodes)}
     predicate_index: dict[str, int] = {}
-    subjects, predicates, objects = array("i"), array("i"), array("i")
+    rows = []
     for edge in edges:
         s, p, o = edge.subject, edge.predicate, edge.object
         if s not in index:
             raise ValidationError(f"edge {(s, p, o)} references unknown subject")
         if o not in index:
             raise ValidationError(f"edge {(s, p, o)} references unknown object")
-        subjects.append(index[s])
-        predicates.append(predicate_index.setdefault(p, len(predicate_index)))
-        objects.append(index[o])
-    strengths = array("d", [edge.strength for edge in edges])
-    return KnowledgeGraph(nodes, tuple(predicate_index), subjects, predicates, objects, strengths, stats)
+        rows.append((index[s], predicate_index.setdefault(p, len(predicate_index)), index[o], edge.strength))
+    rows.sort(key=lambda row: row[:3])
+    columns = [array(code, [row[k] for row in rows]) for k, code in enumerate("iiid")]
+    return KnowledgeGraph(nodes, tuple(predicate_index), *columns, stats)
 
 
 def edges_of(graph) -> tuple[KgEdge, ...]:
@@ -68,11 +68,20 @@ class ReferenceGraph:
     One ``KgEdge`` per edge, dict-of-lists forward and reverse indexes and a
     triple map, answering the reads ``KnowledgeGraph`` answers from its
     columns and CSR arrays. Unknown ids and triples raise ``KeyError``.
+    Edges are held in the order ``graph_from_edges`` gives them: by subject
+    position in ``nodes``, then predicate by first use in ``edges``, then
+    object position.
     """
 
     def __init__(self, nodes, edges):
         self.nodes = {node.id: node for node in nodes}
-        self.edges = tuple(edges)
+        position = {node_id: i for i, node_id in enumerate(self.nodes)}
+        first_use: dict[str, int] = {}
+        for edge in edges:
+            first_use.setdefault(edge.predicate, len(first_use))
+        self.edges = tuple(
+            sorted(edges, key=lambda e: (position[e.subject], first_use[e.predicate], position[e.object]))
+        )
         self.forward = {node_id: [] for node_id in self.nodes}
         self.reverse = {node_id: [] for node_id in self.nodes}
         self.by_triple = {}

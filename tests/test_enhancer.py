@@ -44,11 +44,12 @@ def _typed_graph():
         ConceptNode(id="C9", name="Aspirin", semantic_types=frozenset({"phsu"})),
         ConceptNode(id="C4", name="Untyped"),
     ]
+    # Listed in edge (key) order: edge i is the i-th row.
     edges = [
         KgEdge(subject="C1", predicate="CAUSES", object="C2", strength=0.9),
         KgEdge(subject="C1", predicate="PREDISPOSES", object="C2", strength=0.8),
-        KgEdge(subject="C9", predicate="TREATS", object="C2", strength=0.7),
         KgEdge(subject="C1", predicate="AFFECTS", object="C4", strength=0.6),
+        KgEdge(subject="C9", predicate="TREATS", object="C2", strength=0.7),
         KgEdge(subject="C4", predicate="CAUSES", object="C2", strength=0.9),
     ]
     return graph_from_edges(nodes, edges)
@@ -68,7 +69,7 @@ def test_fusion_merges_same_endpoints_and_intermediates():
 
 def test_fusion_keeps_distinct_intermediate_sets_apart():
     direct = _path(["C1", "C2"], [0.9], [0])
-    via = _path(["C1", "C4", "C2"], [0.6, 0.9], [3, 4])
+    via = _path(["C1", "C4", "C2"], [0.6, 0.9], [2, 4])
     fused = fuse_paths([[direct, via]])
     assert len(fused) == 2
     assert all(f.merge_count == 1 for f in fused)
@@ -118,7 +119,7 @@ def test_fusion_representative_is_group_maximum():
 
 
 def test_cui_overlap_half():
-    path = _path(["C1", "C2", "C9"], [0.9, 0.7], [0, 2])
+    path = _path(["C1", "C2", "C9"], [0.9, 0.7], [0, 3])
     assert cui_overlap({"C1", "C2", "C3", "C4"}, path) == pytest.approx(0.5)
 
 
@@ -139,7 +140,7 @@ def test_semantic_overlap_values():
     path = _path(["C1", "C2"], [0.9], [0])
     assert semantic_overlap({"dsyn", "phsu"}, path, graph) == pytest.approx(0.5)
     assert semantic_overlap({"dsyn"}, path, graph) == 1.0
-    untyped = _path(["C1", "C4"], [0.6], [3])
+    untyped = _path(["C1", "C4"], [0.6], [2])
     assert semantic_overlap({"neop"}, untyped, graph) == 0.0
 
 
@@ -153,7 +154,7 @@ def test_semantic_overlap_empty_query_warns_and_returns_zero(caplog):
 
 def test_length_score_values():
     assert length_score(_path(["C1", "C2"], [0.9], [0])) == pytest.approx(0.5)
-    assert length_score(_path(["C1", "C4", "C2", "C9"], [0.6, 0.9, 0.7], [3, 4, 2])) == pytest.approx(0.25)
+    assert length_score(_path(["C1", "C4", "C2", "C9"], [0.6, 0.9, 0.7], [2, 4, 3])) == pytest.approx(0.25)
     # formula fixed point: a zero-length path would score 1/(1+0) = 1.0, but the
     # path type forbids constructing one
     assert 1.0 / (1.0 + 0) == 1.0
@@ -289,8 +290,8 @@ def test_scored_paths_satisfy_total_identity():
     graph = _typed_graph()
     config = EnhancerConfig(alpha=0.4, beta=0.3, gamma=0.3)
     pools = [
-        [_path(["C1", "C2"], [0.9], [0]), _path(["C1", "C4", "C2"], [0.6, 0.9], [3, 4])],
-        [_path(["C9", "C2"], [0.7], [2])],
+        [_path(["C1", "C2"], [0.9], [0]), _path(["C1", "C4", "C2"], [0.6, 0.9], [2, 4])],
+        [_path(["C9", "C2"], [0.7], [3])],
     ]
     scored = score_paths(fuse_paths(pools), {"C1", "C2"}, {"dsyn"}, graph, config)
     assert scored
@@ -312,7 +313,7 @@ def test_enhancement_prompt_lists_paths_in_score_order():
     cot = ChainOfThought(segments=("high blood pressure", "stroke risk"), confidence=80)
     pools = [
         [_path(["C1", "C2"], [0.9], [0])],
-        [_path(["C9", "C2"], [0.7], [2])],
+        [_path(["C9", "C2"], [0.7], [3])],
     ]
     scored = score_paths(fuse_paths(pools), {"C1", "C2"}, {"dsyn"}, graph, config)
     final = select_final(scored, 1.0)

@@ -200,6 +200,9 @@ def test_adjacency_covers_every_edge_once_each_direction():
     reverse = [i for node in graph.node_ids() for i in graph.in_edges(node)]
     assert sorted(forward) == list(range(graph.edge_count))
     assert sorted(reverse) == list(range(graph.edge_count))
+    # Each node's out-edges are one contiguous ascending run, and the runs
+    # tile the edges in node order.
+    assert forward == list(range(graph.edge_count))
 
 
 _ALPHA, _BETA = ConceptNode("A", "Alpha"), ConceptNode("B", "Beta")
@@ -369,11 +372,20 @@ class _Hostile:
         return (_record_load, ("ran",))
 
 
+def test_version_2_artifact_is_refused_with_a_rebuild_hint(fixtures_dir):
+    """``graph_v2.crag`` was written by ``build-graph`` from the fixture TSV
+    in format 2, whose edges follow row order, not key order."""
+    with pytest.raises(ArtifactError) as info:
+        load_graph(fixtures_dir / "graph_v2.crag")
+    message = str(info.value)
+    assert "version 2" in message and "rebuild it with causalrag build-graph" in message
+
+
 def test_artifact_payload_cannot_run_code(tmp_path):
-    """A pickled payload is never decoded, behind a version-1 or a version-2 header."""
+    """A pickled payload is never decoded, behind a version-1, -2 or -3 header."""
     payload = pickle.dumps({"nodes": _Hostile(), "edges": [], "stats": (0, 0, 0)}, protocol=4)
     path = tmp_path / "hostile.crag"
-    for version, message in ((1, "version 1"), (2, "corrupt")):
+    for version, message in ((1, "version 1"), (2, "version 2"), (3, "corrupt")):
         path.write_bytes(b"CRAG" + struct.pack(">H", version) + payload)
         with pytest.raises(ArtifactError, match=message) as info:
             load_graph(path)
@@ -409,18 +421,18 @@ def test_artifact_rejects_bad_magic_and_version(tmp_path):
         load_graph(path)
 
 
-def _v2_artifact(
+def _v3_artifact(
     ids=("A", "B", "C"),
     names=("Alpha", "Beta", "Gamma"),
     predicates=("CAUSES", "TREATS"),
     sets=(("dsyn",), (), ("beta",)),
     node_sets=(0, 1, 1, 1, 2, 1),
-    edges=((0, 0, 1, 0.9), (1, 1, 2, 0.7), (0, 0, 2, 1.0)),
+    edges=((0, 0, 1, 0.9), (0, 0, 2, 1.0), (1, 1, 2, 0.7)),
     set_sizes=None,
     edge_count=None,
     trailing=b"",
 ) -> bytes:
-    """A format-2 artifact laid out by hand, with a valid checksum.
+    """A format-3 artifact laid out by hand, with a valid checksum.
 
     Strings may be given as bytes, to plant bad UTF-8. ``set_sizes``
     overrides each set's member count as written, and ``edge_count`` the
@@ -445,16 +457,16 @@ def _v2_artifact(
     m = len(edges) if edge_count is None else edge_count
     counts = (len(ids), len(predicates), len(sets), sum(map(len, sets)), m)
     header = struct.pack("<5I3QI", *counts, 3, 0, 0, zlib.crc32(body))
-    return b"CRAG" + struct.pack(">H", 2) + header + body
+    return b"CRAG" + struct.pack(">H", 3) + header + body
 
 
 def test_hand_built_payload_loads(tmp_path):
     """The layout documented in ``load_graph`` reads, and ``save_graph`` writes it byte for byte."""
     path = tmp_path / "hand.crag"
-    path.write_bytes(_v2_artifact())
+    path.write_bytes(_v3_artifact())
     graph = load_graph(path)
     assert edges_of(graph) == (
-        KgEdge("A", "CAUSES", "B", 0.9), KgEdge("B", "TREATS", "C", 0.7), KgEdge("A", "CAUSES", "C", 1.0)
+        KgEdge("A", "CAUSES", "B", 0.9), KgEdge("A", "CAUSES", "C", 1.0), KgEdge("B", "TREATS", "C", 0.7)
     )
     assert list(graph.nodes()) == [
         ConceptNode("A", "Alpha", frozenset({"dsyn"})),
@@ -477,71 +489,77 @@ _NAN = float("nan")
     "artifact, message",
     [
         pytest.param(
-            _v2_artifact(edges=((0, 0, 1, 0.9), (1, 1, 2), (0, 0, 2, 1.0))),
+            _v3_artifact(edges=((0, 0, 1, 0.9), (1, 1, 2), (0, 0, 2, 1.0))),
             "strings need 37 bytes, the body holds 29",
             id="3-field edge row-nodes0-edges0",
         ),
         pytest.param(
-            _v2_artifact(edges=((0, 0, 1, 0.9), (1, 1, 2, 0.7, 0.1), (0, 0, 2, 1.0))),
+            _v3_artifact(edges=((0, 0, 1, 0.9), (1, 1, 2, 0.7, 0.1), (0, 0, 2, 1.0))),
             "strings need 37 bytes, the body holds 45",
             id="5-field edge row-nodes1-edges1",
         ),
         pytest.param(
-            _v2_artifact(edges=((0, 0, 1, 0.9), (1, 1, 2, 0.7), (0, 0, 2, _NAN))),
+            _v3_artifact(edges=((0, 0, 1, 0.9), (0, 0, 2, _NAN), (1, 1, 2, 0.7))),
             "edge ('A', 'CAUSES', 'C') strength nan outside [0, 1]",
             id="NaN strength-nodes3-edges3",
         ),
         pytest.param(
-            _v2_artifact(edges=((0, 0, 1, 1.5),)), "edge ('A', 'CAUSES', 'B') strength 1.5 outside [0, 1]", id="1.5"
+            _v3_artifact(edges=((0, 0, 1, 1.5),)), "edge ('A', 'CAUSES', 'B') strength 1.5 outside [0, 1]", id="1.5"
         ),
         pytest.param(
-            _v2_artifact(edges=((0, 0, 1, -0.1),)), "edge ('A', 'CAUSES', 'B') strength -0.1 outside [0, 1]", id="-0.1"
+            _v3_artifact(edges=((0, 0, 1, -0.1),)), "edge ('A', 'CAUSES', 'B') strength -0.1 outside [0, 1]", id="-0.1"
         ),
         pytest.param(
-            _v2_artifact(edges=((0, 0, 1, 0.9), (1, 1, 2, 0.7), (3, 0, 2, 0.5))),
+            _v3_artifact(edges=((0, 0, 1, 0.9), (1, 1, 2, 0.7), (3, 0, 2, 0.5))),
             "edge 2 subject 3 out of range [0, 3)",
             id="non-string edge id-nodes8-edges8",
         ),
         pytest.param(
-            _v2_artifact(edges=((0, 0, 1, 0.9), (1, 1, 2, 0.7), (0, 2, 2, 0.5))),
+            _v3_artifact(edges=((0, 0, 1, 0.9), (1, 1, 2, 0.7), (0, 2, 2, 0.5))),
             "edge 2 predicate 2 out of range [0, 2)",
             id="non-string predicate-nodes9-edges9",
         ),
         pytest.param(
-            _v2_artifact(edges=((0, 0, 1, 0.9), (1, 1, 2, 0.7), (0, 0, 3, 0.5))),
+            _v3_artifact(edges=((0, 0, 1, 0.9), (1, 1, 2, 0.7), (0, 0, 3, 0.5))),
             "edge 2 object 3 out of range [0, 3)",
             id="edge to an unknown node-nodes10-edges10",
         ),
-        pytest.param(_v2_artifact(edges=((0, 0, -1, 0.9),)), "edge 0 object -1 out of range [0, 3)", id="object"),
+        pytest.param(_v3_artifact(edges=((0, 0, -1, 0.9),)), "edge 0 object -1 out of range [0, 3)", id="object"),
         pytest.param(
-            _v2_artifact(edges=((0, 0, 1, 0.9), (1, 1, 2, 0.7), (0, 0, 1, 0.2))),
+            _v3_artifact(edges=((0, 0, 1, 0.9), (0, 0, 1, 0.2), (1, 1, 2, 0.7))),
             "duplicate triple ('A', 'CAUSES', 'B')",
             id="duplicate triple",
         ),
-        pytest.param(_v2_artifact(ids=("A", "", "C")), "node id must be non-empty", id="empty node id"),
-        pytest.param(_v2_artifact(ids=("A", "C", "C")), "duplicate node id 'C'", id="duplicate node id"),
-        pytest.param(_v2_artifact(names=("Alpha", "", "Gamma")), "node 'B' has an empty name", id="empty name"),
         pytest.param(
-            _v2_artifact(predicates=("CAUSES", "CAUSES")), "duplicate predicate 'CAUSES'", id="duplicate predicate"
+            _v3_artifact(edges=((0, 0, 2, 1.0), (0, 0, 1, 0.9), (1, 1, 2, 0.7))),
+            "edge 1 ('A', 'CAUSES', 'B') out of key order",
+            id="edges out of order",
+        ),
+        pytest.param(_v3_artifact(ids=("A", "", "C")), "node id must be non-empty", id="empty node id"),
+        pytest.param(_v3_artifact(ids=("A", "C", "C")), "duplicate node id 'C'", id="duplicate node id"),
+        pytest.param(_v3_artifact(names=("Alpha", "", "Gamma")), "node 'B' has an empty name", id="empty name"),
+        pytest.param(
+            _v3_artifact(predicates=("CAUSES", "CAUSES")), "duplicate predicate 'CAUSES'", id="duplicate predicate"
+        ),
+        pytest.param(_v3_artifact(predicates=("CAUSES", "")), "predicate name must be non-empty", id="empty predicate"),
+        pytest.param(
+            _v3_artifact(names=("Alpha", b"B\xffta", "Gamma")), "can't decode byte 0xff", id="bad utf-8"
         ),
         pytest.param(
-            _v2_artifact(names=("Alpha", b"B\xffta", "Gamma")), "can't decode byte 0xff", id="bad utf-8"
+            _v3_artifact(node_sets=(0, 1, 1, 1, 3, 1)), "node set 3 out of range [0, 3)", id="set index"
         ),
         pytest.param(
-            _v2_artifact(node_sets=(0, 1, 1, 1, 3, 1)), "node set 3 out of range [0, 3)", id="set index"
-        ),
-        pytest.param(
-            _v2_artifact(node_sets=(0, 1, 1, 1, 2)),
+            _v3_artifact(node_sets=(0, 1, 1, 1, 2)),
             "strings need 37 bytes, the body holds 33",
             id="3-field node row-nodes11-edges11",
         ),
-        pytest.param(_v2_artifact(set_sizes=(1, 0, 2)), "sets hold 3 members, the header declares 2", id="member count"),
+        pytest.param(_v3_artifact(set_sizes=(1, 0, 2)), "sets hold 3 members, the header declares 2", id="member count"),
         pytest.param(
-            _v2_artifact(edges=(), edge_count=5),
+            _v3_artifact(edges=(), edge_count=5),
             "counts need 176 bytes of columns, the body holds 113",
             id="edges not a list-nodes12-5",
         ),
-        pytest.param(_v2_artifact(trailing=b"\x00"), "strings need 37 bytes, the body holds 38", id="trailing bytes"),
+        pytest.param(_v3_artifact(trailing=b"\x00"), "strings need 37 bytes, the body holds 38", id="trailing bytes"),
     ],
 )
 def test_corrupt_payload_is_an_artifact_error(tmp_path, artifact, message):
@@ -555,15 +573,15 @@ def test_corrupt_payload_is_an_artifact_error(tmp_path, artifact, message):
 
 def test_artifact_checksum_and_declared_sizes_are_checked_before_reading(tmp_path):
     path = tmp_path / "hand.crag"
-    blob = bytearray(_v2_artifact())
+    blob = bytearray(_v3_artifact())
     blob[-1] ^= 0x40
     path.write_bytes(bytes(blob))
     with pytest.raises(ArtifactError, match="checksum mismatch"):
         load_graph(path)
     # A billion edges, resealed: refused by size, with no allocation tried.
-    header = bytearray(_v2_artifact()[6:54])
+    header = bytearray(_v3_artifact()[6:54])
     struct.pack_into("<I", header, 16, 10**9)
-    blob = b"CRAG\x00\x02" + bytes(header) + _v2_artifact()[54:]
+    blob = b"CRAG\x00\x03" + bytes(header) + _v3_artifact()[54:]
     path.write_bytes(blob)
     with pytest.raises(ArtifactError, match="counts need 20000000"):
         load_graph(path)

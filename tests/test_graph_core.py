@@ -68,7 +68,8 @@ def _assert_same_core(graph: KnowledgeGraph, ref: ReferenceGraph, rng: random.Ra
                 graph.edge_index(*absent)
     for node_id in ref.node_ids():
         assert graph.node(node_id) is graph.node(node_id) == ref.nodes[node_id]
-        for read in ("out_edges", "in_edges", "successors", "edges_into"):
+        assert tuple(graph.out_edges(node_id)) == ref.out_edges(node_id), node_id
+        for read in ("in_edges", "successors", "edges_into"):
             assert getattr(graph, read)(node_id) == getattr(ref, read)(node_id), (read, node_id)
     for read in (graph.out_edges, graph.in_edges, graph.successors, graph.edges_into, graph.node):
         with pytest.raises(NotFoundError):

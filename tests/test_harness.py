@@ -13,7 +13,7 @@ import pytest
 from causalrag.causal import build_causal_view
 from causalrag.config import load_config
 from causalrag.errors import DatasetError, TransportError, ValidationError
-from causalrag.graph import load_triples
+from causalrag.graph import KnowledgeGraph, load_graph, load_triples, save_graph
 from causalrag.harness import (
     _PLANS,
     Mode,
@@ -44,9 +44,12 @@ TRANSCRIPTS = {
 }
 
 
-def build_fixture_pipeline(mode: Mode, gateway: LlmGateway | None = None) -> Pipeline:
+def build_fixture_pipeline(
+    mode: Mode, gateway: LlmGateway | None = None, graph: KnowledgeGraph | None = None
+) -> Pipeline:
     config = load_config(FIXTURES / "config.yaml")
-    graph = load_triples(FIXTURES / "triples.tsv", config.causality.weight)
+    if graph is None:
+        graph = load_triples(FIXTURES / "triples.tsv", config.causality.weight)
     view = build_causal_view(graph, config.causality, config.theta)
     linker = build_index(graph)
     if gateway is None:
@@ -409,13 +412,14 @@ def test_kg_only_evaluation_metrics():
     assert by_id["q03"]["predicted"] != by_id["q03"]["gold"]
 
 
-def test_mock_reports_byte_identical():
+def test_mock_reports_byte_identical(tmp_path):
+    """The full-mode report is the same byte for byte whether the graph is
+    ingested or, as ``evaluate`` reads it, saved and loaded as an artifact."""
     items = load_dataset(FIXTURES / "dataset.jsonl")
-    rendered = []
-    for _ in range(2):
-        pipeline = build_fixture_pipeline(Mode.FULL)
-        report = run_evaluation(pipeline, items, Mode.FULL)
-        rendered.append(render_report(report))
+    ingested = build_fixture_pipeline(Mode.FULL)
+    save_graph(ingested.graph, tmp_path / "graph.crag")
+    loaded = build_fixture_pipeline(Mode.FULL, graph=load_graph(tmp_path / "graph.crag"))
+    rendered = [render_report(run_evaluation(pipeline, items, Mode.FULL)) for pipeline in (ingested, loaded)]
     assert rendered[0] == rendered[1]
 
 

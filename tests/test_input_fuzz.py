@@ -163,7 +163,7 @@ def test_artifact_fuzz_raises_only_artifact_errors(tmp_path, capfd):
         noise = rng.randbytes(rng.randrange(200))
         counts = [rng.choice((0, 1, 3, 16, rng.randrange(2**32))) for _ in range(5)]
         header = struct.pack("<5I3QI", *counts, 0, 0, 0, 0)
-        cases.append(rng.choice((noise, b"CRAG\x00\x02" + noise, _resealed(b"CRAG\x00\x02" + header + noise))))
+        cases.append(rng.choice((noise, blob[:6] + noise, _resealed(blob[:6] + header + noise))))
 
     path = tmp_path / "fuzzed.crag"
     messages = set()
