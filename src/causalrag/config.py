@@ -51,17 +51,13 @@ class PipelineConfig:
                 raise ValidationError(f"temperatures.{stage} must be >= 0, got {temperature}")
 
     def echo(self) -> dict:
-        """Fully resolved knobs for embedding in reports."""
+        """Fully resolved knobs for embedding in reports: the retrieval and
+        enhancer fields sit at the top level, the stage models under ``models``."""
         return {
             "theta": self.theta,
-            "max_hops": self.retrieval.max_hops,
-            "k": self.retrieval.k,
-            "distance_slack": self.retrieval.distance_slack,
-            "alpha": self.enhancer.alpha,
-            "beta": self.enhancer.beta,
-            "gamma": self.enhancer.gamma,
-            "keep_ratio": self.enhancer.keep_ratio,
-            "models": {stage: getattr(self.assignment, stage) for stage in STAGES},
+            **vars(self.retrieval),
+            **vars(self.enhancer),
+            "models": dict(vars(self.assignment)),
             "causality_weights": dict(sorted(self.causality.weights.items())),
             "causality_default_weight": self.causality.default_weight,
             "workers": self.workers,

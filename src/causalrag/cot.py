@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import CotParseError, ValidationError
-from .templates import fill_template, load_template
+from .templates import fill_template
 
 ARROW = "→"
 _SPLIT_RE = re.compile(r"→|->")
@@ -57,13 +57,11 @@ def format_options(options) -> str:
     return "\n".join(f"{label}. {text}" for label, text in normalize_options(options))
 
 
-def build_cot_prompt(question: str, options, template: str | None = None) -> str:
+def build_cot_prompt(question: str, options, template: str) -> str:
     """Fill the chain-of-thought generation template for one question."""
     if not question or not question.strip():
         raise ValidationError("question must be non-empty")
-    block = format_options(options)
-    tpl = template if template is not None else load_template("cot_generation.txt")
-    return fill_template(tpl, question=question.strip(), options=block)
+    return fill_template(template, question=question.strip(), options=format_options(options))
 
 
 def parse_cot(raw: str) -> ChainOfThought:

@@ -18,7 +18,7 @@ from .cot import ChainOfThought, format_options, render_cot
 from .errors import ValidationError
 from .graph import KnowledgeGraph
 from .retrieval import GraphPath, _selection_key
-from .templates import NO_EVIDENCE_MARKER, fill_template, load_template
+from .templates import NO_EVIDENCE_MARKER, fill_template
 
 logger = logging.getLogger(__name__)
 
@@ -195,15 +195,13 @@ def build_enhancement_prompt(
     question: str,
     options: Mapping[str, str],
     graph: KnowledgeGraph,
-    template: str | None = None,
+    template: str,
 ) -> str:
     """Fill the consistency-check template with CoT and rendered evidence paths."""
-    tpl = template if template is not None else load_template("path_enhancement.txt")
-    block = render_paths_block([item.path for item in final], graph)
     return fill_template(
-        tpl,
+        template,
         question=question.strip(),
         options=format_options(options),
         cot=render_cot(cot),
-        paths=block,
+        paths=render_paths_block([item.path for item in final], graph),
     )

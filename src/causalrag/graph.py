@@ -177,21 +177,22 @@ class KnowledgeGraph:
     def edge_indices(self, triples: Collection[tuple[str, str, str]]) -> list[int]:
         """The edge index of each ``(subject, predicate, object)``, in order;
         ``NotFoundError`` names the first triple not in the graph."""
-        # Keyed by one int per interned triple, (p * n + s) * n + o, distinct
-        # for distinct triples, and resolved in one loop over local names: a
-        # method call per triple is a measurable share of a strength update.
-        index, predicate_index, n, by_key = self._index, self._predicate_index, len(self._ids), self._by_key
+        # Keyed by each triple's sort key (see the class docstring), and
+        # resolved in one loop over local names: a method call per triple is
+        # a measurable share of a strength update.
+        index, predicate_index, by_key = self._index, self._predicate_index, self._by_key
+        n, p_count = len(self._ids), len(self.predicate_names)
         if by_key is None and triples:
             # A pure function of the immutable graph, so two threads racing
             # to fill it build equal maps and either may win.
             by_key = self._by_key = {
-                (p * n + s) * n + o: idx
+                (s * p_count + p) * n + o: idx
                 for idx, (s, p, o) in enumerate(zip(self._subjects, self._predicates, self._objects))
             }
         found: list[int] = []
         try:
             for subject, predicate, object_ in triples:
-                found.append(by_key[(predicate_index[predicate] * n + index[subject]) * n + index[object_]])
+                found.append(by_key[(index[subject] * p_count + predicate_index[predicate]) * n + index[object_]])
         except KeyError:
             raise NotFoundError(f"triple ({subject!r}, {predicate!r}, {object_!r}) not in graph") from None
         return found

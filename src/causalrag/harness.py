@@ -105,14 +105,7 @@ class PredictionRecord:
     trace: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "item_id": self.item_id,
-            "gold": self.gold,
-            "predicted": self.predicted if self.predicted is not None else "abstain",
-            "unmapped": self.unmapped,
-            "error": self.error,
-            "trace": self.trace,
-        }
+        return {**vars(self), "predicted": self.predicted if self.predicted is not None else "abstain"}
 
 
 def load_dataset(path) -> list[QAItem]:
@@ -203,7 +196,7 @@ class Pipeline:
         return self.linker.link(text)
 
     def _call(self, stage: str, prompt: str, trace: dict) -> str:
-        model = self.config.assignment.for_stage(stage)
+        model = getattr(self.config.assignment, stage)
         temperature = getattr(self.config, f"{stage}_temperature")
         request = LlmRequest(
             model=model, messages=(("user", prompt),), stage=stage, temperature=temperature
@@ -238,7 +231,7 @@ class Pipeline:
         )
         trace["retrieval"] = [
             {
-                "segment_index": entry.segment_index,
+                "segment_index": index,
                 "source_entities": list(entry.source_entities),
                 "target_entities": list(entry.target_entities),
                 "tier": entry.tier,
@@ -246,7 +239,7 @@ class Pipeline:
                 "kept": len(entry.paths),
                 "reason": entry.reason,
             }
-            for entry in retrievals.values()
+            for index, entry in retrievals.items()
         ]
 
         paths = [p for entry in retrievals.values() for p in entry.paths]
@@ -298,16 +291,18 @@ def run_evaluation(pipeline: Pipeline, items: Iterable[QAItem], mode: Mode) -> d
     """Evaluate a dataset and assemble the machine-readable report.
 
     Items whose linked entities never touch the causal subgraph are flagged
-    unmapped and excluded from the metrics; failures abstain. In all-mock
-    assignments the run is single-worker and the report is a pure function
-    of (dataset, config, transcript), so timing is omitted for byte-stable
-    output.
+    unmapped and excluded from the metrics; failures abstain. Items run one
+    at a time, in dataset order, whenever the gateway holds a transcript,
+    because it hands out canned responses in call order per stage; that
+    includes runs that mix mock and live stages. Other runs use ``workers``
+    threads. An all-mock report is a pure function of (dataset, config,
+    transcript), so its timing is omitted for byte-stable output.
     """
     items = list(items)
     deterministic = pipeline.config.assignment.all_mock()
     started = time.perf_counter()
 
-    if deterministic or pipeline.config.workers == 1:
+    if pipeline.gateway.transcript is not None or pipeline.config.workers == 1:
         records = [pipeline.answer(item, mode) for item in items]
     else:
         with ThreadPoolExecutor(max_workers=pipeline.config.workers) as pool:

@@ -25,6 +25,10 @@ MOCK_MODEL = "mock"
 ENDPOINT_ENV = "LLM_ENDPOINT"
 API_KEY_ENV = "LLM_API_KEY"
 
+MAX_ATTEMPTS = 3  # per live call, the first try included
+MAX_TOKENS = 1024  # completion cap sent with every live request
+TIMEOUT_SECONDS = 60.0  # per HTTP round trip
+
 
 @dataclass(frozen=True)
 class ModelAssignment:
@@ -39,11 +43,6 @@ class ModelAssignment:
             if not getattr(self, stage):
                 raise ValidationError(f"model for stage {stage!r} must be non-empty")
 
-    def for_stage(self, stage: str) -> str:
-        if stage not in STAGES:
-            raise ValidationError(f"unknown stage {stage!r}")
-        return getattr(self, stage)
-
     def all_mock(self) -> bool:
         return all(getattr(self, stage) == MOCK_MODEL for stage in STAGES)
 
@@ -54,7 +53,6 @@ class LlmRequest:
     messages: tuple[tuple[str, str], ...]
     stage: str
     temperature: float = 0.0
-    max_tokens: int = 1024
 
     def __post_init__(self):
         if not self.messages:
@@ -78,7 +76,6 @@ class LlmResponse:
 class EndpointConfig:
     url: str
     api_key: str = ""
-    timeout_seconds: float = 60.0
 
     @classmethod
     def from_env(cls) -> "EndpointConfig | None":
@@ -147,13 +144,11 @@ def _http_transport(request: LlmRequest, endpoint: EndpointConfig) -> LlmRespons
         "model": request.model,
         "messages": [{"role": role, "content": content} for role, content in request.messages],
         "temperature": request.temperature,
-        "max_tokens": request.max_tokens,
+        "max_tokens": MAX_TOKENS,
     }
     started = time.perf_counter()
     try:
-        response = requests.post(
-            endpoint.url, json=body, headers=headers, timeout=endpoint.timeout_seconds
-        )
+        response = requests.post(endpoint.url, json=body, headers=headers, timeout=TIMEOUT_SECONDS)
     except requests.RequestException as exc:
         raise TransportError(f"request failed: {exc}", transient=True) from exc
     if response.status_code == 429 or response.status_code >= 500:
@@ -191,15 +186,11 @@ class LlmGateway:
         endpoint: EndpointConfig | None = None,
         transcript: MockTranscript | None = None,
         transport: Callable[[LlmRequest, EndpointConfig], LlmResponse] | None = None,
-        max_attempts: int = 3,
         backoff_seconds: float = 0.5,
     ):
-        if max_attempts < 1:
-            raise ValidationError(f"max_attempts must be >= 1, got {max_attempts}")
         self.endpoint = endpoint
         self.transcript = transcript
         self._transport = transport or _http_transport
-        self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
 
     def complete(self, request: LlmRequest) -> LlmResponse:
@@ -221,27 +212,25 @@ class LlmGateway:
                 f"no endpoint configured (set {ENDPOINT_ENV}) for model {request.model!r}"
             )
         last_error: TransportError | None = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             try:
                 return self._transport(request, self.endpoint)
             except TransportError as exc:
                 last_error = exc
                 if not exc.transient:
                     raise
-                if attempt + 1 < self.max_attempts:
+                if attempt + 1 < MAX_ATTEMPTS:
                     delay = self.backoff_seconds * (2**attempt)
                     logger.debug(
                         "transient LLM failure (attempt %d/%d): %s; retrying in %.1fs",
                         attempt + 1,
-                        self.max_attempts,
+                        MAX_ATTEMPTS,
                         exc,
                         delay,
                     )
                     if delay > 0:
                         time.sleep(delay)
-        raise TransportError(
-            f"giving up after {self.max_attempts} attempts: {last_error}"
-        )
+        raise TransportError(f"giving up after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
 # -- answer extraction ----------------------------------------------------------

@@ -243,7 +243,6 @@ def _selection_key(path: GraphPath):
 class SegmentRetrieval:
     """Outcome of retrieval for one consecutive segment pair."""
 
-    segment_index: int
     source_entities: tuple[str, ...]
     target_entities: tuple[str, ...]
     tier: str | None
@@ -259,7 +258,8 @@ def retrieve_for_cot(
     base,
     config: RetrievalConfig,
 ) -> dict[int, SegmentRetrieval]:
-    """Run entity linking plus path search for every consecutive segment pair.
+    """Run entity linking plus path search for every consecutive segment pair,
+    keyed by the index of the pair's first segment.
 
     Pairs whose segments link to no entities, or whose entity sets connect to
     nothing within ``max_hops`` in either tier, contribute empty entries with
@@ -279,7 +279,6 @@ def retrieve_for_cot(
             tier = candidates[0].tier
             selected = prune_and_select(candidates, config)
         results[index] = SegmentRetrieval(
-            segment_index=index,
             source_entities=from_ids,
             target_entities=to_ids,
             tier=tier,

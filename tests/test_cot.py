@@ -15,13 +15,15 @@ from causalrag.cot import (
 from causalrag.errors import CotParseError, ValidationError
 from causalrag.templates import fill_template, load_template
 
+COT_TEMPLATE = load_template("cot_generation.txt")
+
 
 # -- prompt construction ----------------------------------------------------------
 
 
 def test_prompt_embeds_question_options_and_format_rules():
     options = {"A": "Stroke", "B": "Lung cancer", "C": "Retinopathy", "D": "Neuropathy"}
-    prompt = build_cot_prompt("Which complication follows hypertension?", options)
+    prompt = build_cot_prompt("Which complication follows hypertension?", options, COT_TEMPLATE)
     assert "Which complication follows hypertension?" in prompt
     for label, text in options.items():
         assert f"{label}. {text}" in prompt
@@ -31,9 +33,9 @@ def test_prompt_embeds_question_options_and_format_rules():
 
 def test_prompt_rejects_empty_question_and_few_options():
     with pytest.raises(ValidationError):
-        build_cot_prompt("   ", {"A": "x", "B": "y"})
+        build_cot_prompt("   ", {"A": "x", "B": "y"}, COT_TEMPLATE)
     with pytest.raises(ValidationError):
-        build_cot_prompt("q?", {"A": "only one"})
+        build_cot_prompt("q?", {"A": "only one"}, COT_TEMPLATE)
 
 
 def test_option_labels_that_differ_only_in_case_are_rejected():

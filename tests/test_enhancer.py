@@ -23,9 +23,11 @@ from causalrag.enhancer import (
 from causalrag.errors import ValidationError
 from causalrag.graph import ConceptNode, KgEdge
 from causalrag.retrieval import GraphPath
-from causalrag.templates import NO_EVIDENCE_MARKER
+from causalrag.templates import NO_EVIDENCE_MARKER, load_template
 
 from .oracles import graph_from_edges
+
+ENHANCE_TEMPLATE = load_template("path_enhancement.txt")
 
 
 def _path(nodes, strengths, edges, tier="causal"):
@@ -318,7 +320,7 @@ def test_enhancement_prompt_lists_paths_in_score_order():
     scored = score_paths(fuse_paths(pools), {"C1", "C2"}, {"dsyn"}, graph, config)
     final = select_final(scored, 1.0)
     prompt = build_enhancement_prompt(
-        final, cot, "What follows hypertension?", {"A": "Stroke", "B": "Nothing"}, graph
+        final, cot, "What follows hypertension?", {"A": "Stroke", "B": "Nothing"}, graph, ENHANCE_TEMPLATE
     )
     first = prompt.find("Hypertension --[CAUSES (0.90)]--> Stroke")
     second = prompt.find("Aspirin --[TREATS (0.70)]--> Stroke")
@@ -332,7 +334,7 @@ def test_enhancement_prompt_no_evidence_marker():
     graph = _typed_graph()
     cot = ChainOfThought(segments=("step",))
     prompt = build_enhancement_prompt(
-        [], cot, "Question?", {"A": "x", "B": "y"}, graph
+        [], cot, "Question?", {"A": "x", "B": "y"}, graph, ENHANCE_TEMPLATE
     )
     assert NO_EVIDENCE_MARKER in prompt
 

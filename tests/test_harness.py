@@ -5,6 +5,7 @@ import inspect
 import json
 import logging
 import threading
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -229,6 +230,35 @@ def test_live_calls_in_flight_reach_the_worker_count():
     assert [r["predicted"] for r in report["records"]] == ["A"] * workers
 
 
+def test_mixed_mock_and_live_stages_give_each_item_its_own_transcript_entry():
+    items = load_dataset(FIXTURES / "dataset.jsonl")
+
+    class SlowFirstItemLinker:
+        def __init__(self, index):
+            self.index = index
+
+        def link(self, text):
+            if items[0].question in text:
+                time.sleep(0.2)  # the other worker reaches the transcript first
+            return self.index.link(text)
+
+    gateway = LlmGateway(
+        endpoint=EndpointConfig(url="http://example/llm"),
+        transcript=MockTranscript.load(FIXTURES / TRANSCRIPTS[Mode.NO_LLM_ENHANCED]),
+        transport=lambda request, endpoint: LlmResponse(text="Answer: A"),
+    )
+    pipeline = build_fixture_pipeline(Mode.NO_LLM_ENHANCED, gateway=gateway)
+    pipeline.linker = SlowFirstItemLinker(pipeline.linker)
+    pipeline.config = replace(pipeline.config, assignment=ModelAssignment(cot="mock", infer="live-a"), workers=2)
+    report = run_evaluation(pipeline, items, Mode.NO_LLM_ENHANCED)
+    cot_ordinals = {
+        record["item_id"]: [call["ordinal"] for call in record["trace"]["llm_calls"] if call["stage"] == "cot"]
+        for record in report["records"]
+    }
+    assert cot_ordinals == {item.id: [ordinal] for ordinal, item in enumerate(items)}
+    assert report["timing_seconds"] is not None  # omitted only when every stage is mock
+
+
 def test_full_mode_uses_causal_paths_everywhere():
     pipeline = build_fixture_pipeline(Mode.FULL)
     items = load_dataset(FIXTURES / "dataset.jsonl")
@@ -342,7 +372,6 @@ def test_flaky_endpoint_warns_once_per_degraded_item(caplog):
     gateway = LlmGateway(
         endpoint=EndpointConfig(url="http://example/llm"),
         transport=transport,
-        max_attempts=3,
         backoff_seconds=0.0,
     )
     pipeline = build_fixture_pipeline(Mode.FULL, gateway=gateway)

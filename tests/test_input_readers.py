@@ -4,7 +4,8 @@
 not UTF-8 is always an ``EncodingError`` naming it; ``json_lines`` is the
 one place that decodes JSON, so every JSON-lines input refuses a repeated
 key and reports ``path: line N``. Writes and binary reads may happen
-anywhere.
+anywhere. Only ``harness.py`` names a built-in prompt template file, so
+each stage's template is chosen in one place.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "causalrag"
 MODULES = sorted(SRC.rglob("*.py"))
+TEMPLATE_FILES = sorted(path.name for path in (SRC / "templates").glob("*.txt"))
 
 
 def _nodes(path: Path) -> list[ast.AST]:
@@ -57,6 +59,27 @@ def test_json_is_decoded_only_by_json_lines(path):
         or isinstance(node, ast.ImportFrom) and node.module == "json" and "loads" in (a.name for a in node.names)
     ]
     assert uses == [], f"{path.name} uses json.loads at lines {uses}: read through errors.json_lines"
+
+
+def test_the_guard_sees_every_template():
+    assert TEMPLATE_FILES == ["answer_inference.txt", "cot_generation.txt", "path_enhancement.txt"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(SRC)))
+def test_only_the_harness_names_a_template_file(path):
+    named = sorted(
+        {
+            name
+            for node in _nodes(path)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for name in TEMPLATE_FILES
+            if name in node.value
+        }
+    )
+    if path.name == "harness.py":
+        assert named == TEMPLATE_FILES
+    else:
+        assert named == [], f"{path.name} names {named}: take the template from the Pipeline"
 
 
 def test_the_guard_recognises_reads_and_writes():

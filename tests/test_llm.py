@@ -174,7 +174,6 @@ def test_retry_then_success():
     gateway = LlmGateway(
         endpoint=EndpointConfig(url="http://example/llm"),
         transport=transport,
-        max_attempts=3,
         backoff_seconds=0.0,
     )
     response = gateway.complete(_request(model="gpt-model"))
@@ -187,7 +186,6 @@ def test_transient_retries_log_at_debug_only(caplog):
     gateway = LlmGateway(
         endpoint=EndpointConfig(url="http://example/llm"),
         transport=transport,
-        max_attempts=3,
         backoff_seconds=0.0,
     )
     with caplog.at_level(logging.DEBUG, logger="causalrag.llm"):
@@ -202,7 +200,6 @@ def test_three_transient_failures_exhaust_retries():
     gateway = LlmGateway(
         endpoint=EndpointConfig(url="http://example/llm"),
         transport=transport,
-        max_attempts=3,
         backoff_seconds=0.0,
     )
     with pytest.raises(TransportError, match="3 attempts"):
@@ -307,6 +304,32 @@ def test_a_missing_token_count_reads_as_zero(monkeypatch, usage):
     assert (response.prompt_tokens, response.completion_tokens) == (0, 0)
 
 
+@pytest.mark.parametrize("api_key", ["", "sk-test"], ids=["no-key", "key"])
+def test_the_http_request_carries_the_body_headers_and_timeout(monkeypatch, api_key):
+    import requests
+
+    posts = []
+    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: posts.append((args, kwargs)) or _Reply(_chat_reply()))
+    request = LlmRequest(
+        model="gpt-model", messages=(("system", "be brief"), ("user", "hello")), stage="infer", temperature=0.3
+    )
+    LlmGateway(endpoint=EndpointConfig(url="http://example/llm", api_key=api_key)).complete(request)
+    [(args, kwargs)] = posts
+    assert args == ("http://example/llm",)
+    assert kwargs["json"] == {
+        "model": "gpt-model",
+        "messages": [{"role": "system", "content": "be brief"}, {"role": "user", "content": "hello"}],
+        "temperature": 0.3,
+        "max_tokens": 1024,
+    }
+    expected_headers = {"Content-Type": "application/json"}
+    if api_key:
+        expected_headers["Authorization"] = "Bearer sk-test"
+    assert kwargs["headers"] == expected_headers
+    assert kwargs["timeout"] == 60
+    assert set(kwargs) == {"json", "headers", "timeout"}
+
+
 def test_live_without_endpoint_is_transport_error():
     gateway = LlmGateway()
     with pytest.raises(TransportError, match="no endpoint"):
@@ -324,7 +347,7 @@ def test_request_validation():
 
 def test_assignment_validation_and_mock_check():
     assignment = ModelAssignment(cot="mock", enhance="big-model", infer="mock")
-    assert assignment.for_stage("enhance") == "big-model"
+    assert assignment.enhance == "big-model"
     assert not assignment.all_mock()
     assert ModelAssignment().all_mock()
     with pytest.raises(ValidationError):
