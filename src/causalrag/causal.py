@@ -18,7 +18,7 @@ from itertools import compress
 from typing import Iterable, Mapping
 
 from .errors import ValidationError, tsv_rows
-from .graph import KgEdge, KnowledgeGraph
+from .graph import KgEdge, KnowledgeGraph, group_edges
 
 logger = logging.getLogger(__name__)
 
@@ -97,18 +97,19 @@ class CausalGraphView:
     edge, so a revised view equals a fresh count of the rule.
 
     The path search reads ``successors`` and ``edges_into``. Each view
-    memoises them per node on first read, by filtering the base graph's
-    memo entries through the mask. An entry, like ``member_edges``, is a
-    pure function of the immutable view, so concurrent fills race benignly.
-    A revised view starts with an empty memo, so no entry can outlive a
-    membership change.
+    memoises them per node on first read, built straight from the base
+    graph's out-edge range and in-edge CSR through the mask, so reading a
+    view fills no memo of the base graph. An entry, like ``member_edges``,
+    is a pure function of the immutable view, so concurrent fills race
+    benignly. A revised view starts with an empty memo, so no entry can
+    outlive a membership change.
     """
 
     base: KnowledgeGraph
     theta: float
     mask: bytes = field(repr=False)
     strengths: tuple[array, ...] = field(repr=False)
-    _successors: dict[str, tuple[tuple[int, str], ...]] = field(
+    _successors: dict[str, dict[str, tuple[int, ...]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _edges_into: dict[str, dict[str, tuple[int, ...]]] = field(
@@ -127,31 +128,28 @@ class CausalGraphView:
         mask = self.mask
         return tuple(i for i in self.base.out_edges(node_id) if mask[i])
 
-    def successors(self, node_id: str) -> tuple[tuple[int, str], ...]:
-        """The base graph's ``successors`` entry, member edges only (pairs shared)."""
+    def successors(self, node_id: str) -> dict[str, tuple[int, ...]]:
+        """The base graph's ``successors`` map, member edges only; do not change it."""
         try:
             return self._successors[node_id]
         except KeyError:
             pass
-        mask = self.mask
-        pairs = tuple(pair for pair in self.base.successors(node_id) if mask[pair[0]])
-        self._successors[node_id] = pairs
-        return pairs
+        base = self.base
+        out = base.out_edges(node_id)
+        members = compress(out, self.mask[out.start : out.stop])
+        entry = self._successors[node_id] = group_edges(base.node_ids(), base.columns.objects, members)
+        return entry
 
     def edges_into(self, goal: str) -> dict[str, tuple[int, ...]]:
-        """The base graph's ``edges_into`` entry, member edges only; do not change it."""
+        """The base graph's ``edges_into`` map, member edges only; do not change it."""
         try:
             return self._edges_into[goal]
         except KeyError:
             pass
-        mask = self.mask
-        into = {}
-        for subject, idxs in self.base.edges_into(goal).items():
-            kept = tuple(idx for idx in idxs if mask[idx])
-            if kept:
-                into[subject] = kept
-        self._edges_into[goal] = into
-        return into
+        base, mask = self.base, self.mask
+        members = [idx for idx in base.in_edges(goal) if mask[idx]]
+        entry = self._edges_into[goal] = group_edges(base.node_ids(), base.columns.subjects, members)
+        return entry
 
     def effective_strength(self, index: int) -> float:
         return self.strengths[index >> _SHIFT][index & _LOW]

@@ -139,7 +139,7 @@ class KnowledgeGraph:
         # Filled on first read, like the search memos below (see ``edge_indices``).
         self._by_key: dict[int, int] | None = None
         # Search memos, filled per node on first read (see ``successors``).
-        self._successors: dict[str, tuple[tuple[int, str], ...]] = {}
+        self._successors: dict[str, dict[str, tuple[int, ...]]] = {}
         self._edges_into: dict[str, dict[str, tuple[int, ...]]] = {}
 
     # -- lookups -------------------------------------------------------------
@@ -222,37 +222,46 @@ class KnowledgeGraph:
         i = self._position(node_id)
         return tuple(self._in[self._in_offsets[i] : self._in_offsets[i + 1]])
 
-    # The path search's two reads. Each entry is built on the node's first
-    # read and kept: it is a pure function of the immutable graph, so two
-    # threads filling the same entry store equal values and the race is benign.
+    # The path search's two reads, in one shape: a map from the far end of
+    # each edge to those edges. Each entry is built on the node's first read
+    # and kept: it is a pure function of the immutable graph, so two threads
+    # filling the same entry store equal values and the race is benign. The
+    # returned mapping is the memo entry itself; callers must not change it.
 
-    def successors(self, node_id: str) -> tuple[tuple[int, str], ...]:
-        """``(edge index, object)`` for each out-edge, ascending edge index."""
+    def successors(self, node_id: str) -> dict[str, tuple[int, ...]]:
+        """Each object of an out-edge of ``node_id`` -> those edges, ascending index.
+
+        The map has the shape of ``edges_into``, so the search can join a
+        node's successors with a goal's in-edges on their keys.
+        """
         try:
             return self._successors[node_id]
         except KeyError:
             pass
-        ids, objects = self._ids, self._objects
-        pairs = tuple((idx, ids[objects[idx]]) for idx in self.out_edges(node_id))
-        self._successors[node_id] = pairs
-        return pairs
+        entry = self._successors[node_id] = group_edges(self._ids, self._objects, self.out_edges(node_id))
+        return entry
 
     def edges_into(self, goal: str) -> dict[str, tuple[int, ...]]:
-        """Each node with an edge into ``goal`` -> those edges, ascending index.
-
-        The returned mapping is the memo entry itself; callers must not change it.
-        """
+        """Each node with an edge into ``goal`` -> those edges, ascending index."""
         try:
             return self._edges_into[goal]
         except KeyError:
             pass
-        ids, subjects = self._ids, self._subjects
-        grouped: dict[str, list[int]] = {}
-        for idx in self.in_edges(goal):
-            grouped.setdefault(ids[subjects[idx]], []).append(idx)
-        into = {subject: tuple(idxs) for subject, idxs in grouped.items()}
-        self._edges_into[goal] = into
-        return into
+        entry = self._edges_into[goal] = group_edges(self._ids, self._subjects, self.in_edges(goal))
+        return entry
+
+
+def group_edges(ids: Sequence[str], ends, idxs: Iterable[int]) -> dict[str, tuple[int, ...]]:
+    """``ids[ends[i]]`` -> the edges ``i`` of ``idxs`` with that end, in the given order.
+
+    ``ends`` is an edge column of node ints: the objects for a node's
+    successors, the subjects for a goal's in-edges.
+    """
+    grouped: dict[str, tuple[int, ...]] = {}
+    for idx in idxs:
+        end = ids[ends[idx]]
+        grouped[end] = grouped.get(end, ()) + (idx,)
+    return grouped
 
 
 def _first_node_defect(nodes: Sequence[ConceptNode]) -> str:

@@ -12,7 +12,9 @@ always produce identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import product
+from operator import itemgetter
+from typing import Iterable
 
 from .cot import ChainOfThought
 from .errors import NotFoundError, ValidationError
@@ -93,50 +95,72 @@ def path_score(path: GraphPath) -> float:
 
 def _enumerate_simple_paths(
     source, start: str, goal: str, max_hops: int, into_goal: dict[str, tuple[int, ...]]
-) -> Iterator[tuple[tuple[str, ...], tuple[int, ...]]]:
-    """Depth-first enumeration of loop-free directed paths start -> goal.
+) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
+    """Every loop-free directed path start -> goal of at most ``max_hops``
+    edges, as ``(nodes, edges)``, sorted by edge tuple.
 
-    ``into_goal`` is ``source.edges_into(goal)``. A node one hop short of
-    ``max_hops`` takes its last hop from it instead of scanning its
-    successors, and the level before enters a non-goal node only if it has
-    an edge into the goal: any other node is at least two hops away, so
-    the pruning drops no path. Neighbors expand in ascending edge-index
-    order, which makes the yield order (and everything built on it)
-    deterministic. The stack of successor iterators is explicit, so a
-    finished search leaves no reference cycle holding ``source``.
+    ``into_goal`` is ``source.edges_into(goal)``. ``source.successors``
+    maps each target to its parallel edges, so the depth-first search
+    enters a target once and carries the edge choices of each hop; paths
+    expand them with ``itertools.product``. A node two hops short of
+    ``max_hops`` is never walked: its last two hops are one key join of its
+    successors with ``into_goal`` (``m.keys() & into_goal.keys()``) plus a
+    ``goal in m`` test, so its cost follows the paths it completes. The
+    sort by edge tuple is the order a walk of every node's out-edges in
+    ascending edge index yields, since no path's edges are a prefix of
+    another's. The stack of successor iterators is explicit, so a finished
+    search leaves no reference cycle holding ``source``.
     """
     if start == goal:
-        return
-    last = max_hops - 1
-    if last == 0:
-        for idx in into_goal.get(start, ()):
-            yield (start, goal), (idx,)
-        return
-    node_stack = [start]
-    edge_stack: list[int] = []
-    on_path = {start}
-    # frames[d] walks the successors of node_stack[d]; a target enters at depth len(frames).
-    frames = [iter(source.successors(start))]
-    while frames:
-        for idx, target in frames[-1]:
-            if target == goal:
-                yield (*node_stack, goal), (*edge_stack, idx)
-            elif target in on_path:
-                continue
-            elif len(frames) < last:
-                node_stack.append(target)
-                edge_stack.append(idx)
-                on_path.add(target)
-                frames.append(iter(source.successors(target)))
-                break
-            elif target in into_goal:
-                for last_idx in into_goal[target]:
-                    yield (*node_stack, target, goal), (*edge_stack, idx, last_idx)
-        else:
-            frames.pop()
-            if frames:
-                on_path.discard(node_stack.pop())
-                edge_stack.pop()
+        return []
+    if max_hops == 1:
+        return [((start, goal), (idx,)) for idx in into_goal.get(start, ())]
+    found: list[tuple[tuple[str, ...], tuple[int, ...]]] = []
+    into_keys = into_goal.keys()
+
+    def close(path: tuple[str, ...], choices: tuple[tuple[int, ...], ...], successors) -> None:
+        """Every path that leaves ``path``, two hops short, from its last node
+        through ``successors`` and ends within two hops; ``choices[d]`` holds
+        the parallel edges of hop ``d`` of ``path``."""
+        if goal in successors:
+            found.extend(((*path, goal), edges) for edges in product(*choices, successors[goal]))
+        for target in successors.keys() & into_keys:
+            if target not in path and target != goal:
+                found.extend(
+                    ((*path, target, goal), edges)
+                    for edges in product(*choices, successors[target], into_goal[target])
+                )
+
+    top = max_hops - 2
+    if top == 0:
+        close((start,), (), source.successors(start))
+    else:
+        nodes = [start]
+        hops: list[tuple[int, ...]] = []  # hops[d]: the parallel edges nodes[d] -> nodes[d + 1]
+        # frames[d] walks the successors of nodes[d]; a target enters at depth len(frames).
+        frames = [iter(source.successors(start).items())]
+        while frames:
+            for target, idxs in frames[-1]:
+                if target == goal:
+                    found.extend(((*nodes, goal), edges) for edges in product(*hops, idxs))
+                elif target in nodes:
+                    continue
+                elif len(frames) < top:
+                    nodes.append(target)
+                    hops.append(idxs)
+                    frames.append(iter(source.successors(target).items()))
+                    break
+                else:
+                    successors = source.successors(target)
+                    if goal in successors or not into_keys.isdisjoint(successors.keys()):
+                        close((*nodes, target), (*hops, idxs), successors)
+            else:
+                frames.pop()
+                if frames:
+                    nodes.pop()
+                    hops.pop()
+    found.sort(key=itemgetter(1))
+    return found
 
 
 def _collect_tier(

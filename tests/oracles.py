@@ -113,7 +113,10 @@ class ReferenceGraph:
         return tuple(self.reverse[node_id])
 
     def successors(self, node_id):
-        return tuple((idx, self.edges[idx].object) for idx in self.forward[node_id])
+        grouped = {}
+        for idx in self.forward[node_id]:
+            grouped.setdefault(self.edges[idx].object, []).append(idx)
+        return {target: tuple(idxs) for target, idxs in grouped.items()}
 
     def edges_into(self, goal):
         grouped = {}

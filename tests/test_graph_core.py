@@ -86,9 +86,10 @@ def _assert_view_matches_recount(view, ref: ReferenceGraph, table, overrides) ->
     for node_id in ref.node_ids():
         assert view.touches(node_id) == (node_id in ends)
         assert view.out_edges(node_id) == tuple(i for i in ref.out_edges(node_id) if i in members)
-        assert view.successors(node_id) == tuple(p for p in ref.successors(node_id) if p[0] in members)
-        into = {s: tuple(i for i in idxs if i in members) for s, idxs in ref.edges_into(node_id).items()}
-        assert view.edges_into(node_id) == {s: idxs for s, idxs in into.items() if idxs}
+        for read in ("successors", "edges_into"):
+            kept = {end: tuple(i for i in idxs if i in members) for end, idxs in getattr(ref, read)(node_id).items()}
+            want = {end: idxs for end, idxs in kept.items() if idxs}
+            assert getattr(view, read)(node_id) == want, (read, node_id)
     for idx, edge in enumerate(ref.edges):
         assert view.effective_strength(idx) == overrides.get(idx, edge.strength)
 

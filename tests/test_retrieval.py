@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import random
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -22,6 +23,7 @@ from causalrag.retrieval import (
     REASON_NO_PATHS,
     GraphPath,
     RetrievalConfig,
+    _enumerate_simple_paths,
     find_paths,
     path_score,
     prune_and_select,
@@ -460,12 +462,16 @@ def test_find_paths_equals_the_unpruned_reference_in_order():
 class _OutEdgeRecorder:
     """A container that records every node whose out-edges are read, through
     ``successors`` (the search) or ``out_edges`` (the unpruned reference), and
-    every node that takes its last hop from a goal's ``edges_into``."""
+    every node that takes its last hop from a goal's ``edges_into``. The maps
+    it hands out, each node's in ``maps`` and the last goal's in ``into``,
+    record how they are read."""
 
     def __init__(self, graph):
         self.graph = graph
         self.out_calls: list[str] = []
         self.entered: list[str] = []
+        self.maps: dict[str, _RecordingMap] = {}
+        self.into: _RecordingMap | None = None
 
     def __getattr__(self, name):
         return getattr(self.graph, name)
@@ -476,26 +482,47 @@ class _OutEdgeRecorder:
 
     def successors(self, node_id):
         self.out_calls.append(node_id)
-        return self.graph.successors(node_id)
+        self.maps[node_id] = _RecordingMap(self.graph.successors(node_id))
+        return self.maps[node_id]
 
     def edges_into(self, goal):
-        return _RecordingLookups(self.graph.edges_into(goal), self.entered)
+        self.into = _RecordingMap(self.graph.edges_into(goal), self.entered)
+        return self.into
 
 
-class _RecordingLookups(dict):
-    """``edges_into`` that records which nodes take their last hop from it."""
+class _RecordingMap(dict):
+    """A search map that logs each key looked up in it and counts each way
+    it is iterated. A key join or an ``in`` test reads the dict itself, past
+    these methods: of those, only the ``keys`` call shows."""
 
-    def __init__(self, mapping, log):
+    def __init__(self, mapping, looked_up: list | None = None):
         super().__init__(mapping)
-        self.log = log
+        self.looked_up = [] if looked_up is None else looked_up
+        self.reads: Counter[str] = Counter()
 
     def get(self, key, default=None):
-        self.log.append(key)
+        self.looked_up.append(key)
         return super().get(key, default)
 
     def __getitem__(self, key):
-        self.log.append(key)
+        self.looked_up.append(key)
         return super().__getitem__(key)
+
+    def keys(self):
+        self.reads["keys"] += 1
+        return super().keys()
+
+    def __iter__(self):
+        self.reads["iter"] += 1
+        return super().__iter__()
+
+    def items(self):
+        self.reads["items"] += 1
+        return super().items()
+
+    def values(self):
+        self.reads["values"] += 1
+        return super().values()
 
 
 def _fan(max_hops: int):
@@ -541,3 +568,83 @@ def test_goal_directed_search_reads_no_out_edges_one_hop_short(max_hops):
     unpruned = _OutEdgeRecorder(graph)
     list(enumerate_simple_paths_unpruned(unpruned, "S", "G", max_hops))
     assert sorted(unpruned.out_calls) == sorted(depth)
+
+
+# -- key join two hops short, against the unpruned DFS ----------------------------------
+
+_HUB_PREDICATES = ("CAUSES", "TREATS", "PREVENTS", "AFFECTS", "ASSOCIATED_WITH", "RELATED_TO")
+_HUB_GRID = (0.0, 0.2, 0.5, 0.7, 0.9, 1.0)
+
+
+def _hub_multigraph(rng: random.Random):
+    """10-14 nodes, one hub with at least 50 out-edges, and random edges:
+    parallel edges differ by predicate, and self-loops occur."""
+    ids = [f"N{i}" for i in range(rng.randint(10, 14))]
+    hub = rng.choice(ids)
+    triples: dict[tuple[str, str, str], None] = {}
+    while sum(s == hub for s, _, _ in triples) < 50:
+        target = rng.choice(ids)
+        for predicate in rng.sample(_HUB_PREDICATES, rng.randint(1, 4)):
+            triples.setdefault((hub, predicate, target))
+    for _ in range(rng.randint(0, 30)):
+        subject = hub if rng.random() < 0.2 else rng.choice(ids)
+        object_ = hub if rng.random() < 0.2 else rng.choice(ids)
+        for predicate in rng.sample(_HUB_PREDICATES, rng.choice((1, 1, 2, 3))):
+            triples.setdefault((subject, predicate, object_))
+    graph = make_graph([(*triple, rng.choice(_HUB_GRID)) for triple in triples])
+    table = CausalityTable(weights={p: rng.choice(_HUB_GRID) for p in _HUB_PREDICATES[:4]}, default_weight=0.5)
+    return graph, table, hub
+
+
+def test_key_joined_search_equals_the_unpruned_dfs_as_ordered_lists():
+    rng = random.Random(20261019)
+    seen = Counter()
+    for graph_no in range(300):
+        graph, table, hub = _hub_multigraph(rng)
+        edges = edges_of(graph)
+        seen["self-loop"] += any(e.subject == e.object for e in edges)
+        seen["parallel"] += len({(e.subject, e.object) for e in edges}) < len(edges)
+        view = build_causal_view(graph, table, rng.choice(_HUB_GRID))
+        batch = {(e.subject, e.predicate, e.object): rng.choice(_HUB_GRID) for e in rng.sample(edges, 10)}
+        revised = apply_strength_updates(view, batch)
+        max_hops = 1 + graph_no % 4
+        node_ids = graph.node_ids()
+        endpoints = [
+            (hub, rng.choice(node_ids)), (rng.choice(node_ids), hub), (rng.choice(node_ids), rng.choice(node_ids))
+        ]
+        for name, source in (("graph", graph), ("view", view), ("revised", revised)):
+            for start, goal in endpoints:
+                found = _enumerate_simple_paths(source, start, goal, max_hops, source.edges_into(goal))
+                assert found == list(enumerate_simple_paths_unpruned(source, start, goal, max_hops)), (
+                    graph_no, name, start, goal,
+                )
+                seen[name] += bool(found)
+                seen[f"{max_hops} hops"] += bool(found)
+                seen["parallel path"] += any(p[0] == q[0] for p, q in zip(found, found[1:]))
+    assert min(seen.values()) >= 10, seen
+
+
+def test_a_hub_two_hops_short_is_key_joined_not_walked():
+    """S -> H -> 200 fan nodes, two of which have an edge into G; each fan
+    node also has dead-end edges. H sits two hops short of ``max_hops=3``."""
+    fan = [f"X{i:03d}" for i in range(200)]
+    specs = [("S", "CAUSES", "H", 0.9)]
+    specs += [("H", "CAUSES", x, 0.9) for x in fan]
+    specs += [(x, "CAUSES", f"{x}.end", 0.9) for x in fan]
+    specs += [("X017", "CAUSES", "G", 0.9), ("X150", "TREATS", "G", 0.7)]
+    graph = make_graph(specs)
+    recorder = _OutEdgeRecorder(graph)
+
+    found = _enumerate_simple_paths(recorder, "S", "G", 3, recorder.edges_into("G"))
+
+    assert found == list(enumerate_simple_paths_unpruned(graph, "S", "G", 3))
+    assert [nodes for nodes, _ in found] == [("S", "H", "X017", "G"), ("S", "H", "X150", "G")]
+    assert len(graph.successors("H")) == 200 and len(graph.edges_into("G")) == 2
+    # Only S and H are read; S is walked, H is key-joined and never iterated.
+    assert recorder.out_calls == ["S", "H"]
+    assert recorder.maps["S"].reads["items"] == 1
+    hub = recorder.maps["H"]
+    assert hub.reads["keys"] >= 1 and hub.reads["iter"] == hub.reads["items"] == hub.reads["values"] == 0
+    # One lookup in H's map and one in G's in-edges per three-hop path.
+    three_hop = sum(len(edges) == 3 for _, edges in found)
+    assert len(hub.looked_up) == len(recorder.into.looked_up) == three_hop == 2
