@@ -18,7 +18,7 @@ from itertools import compress
 from typing import Iterable, Mapping
 
 from .errors import ValidationError, tsv_rows
-from .graph import KgEdge, KnowledgeGraph, group_edges
+from .graph import KgEdge, KnowledgeGraph, SearchReads
 
 logger = logging.getLogger(__name__)
 
@@ -75,7 +75,7 @@ _LOW = (1 << _SHIFT) - 1
 
 
 @dataclass(frozen=True)
-class CausalGraphView:
+class CausalGraphView(SearchReads):
     """Thresholded subview of a knowledge graph.
 
     Membership and per-edge effective strengths live here; the base graph
@@ -96,13 +96,11 @@ class CausalGraphView:
     mask, not the strength column, remembers that an update decided an
     edge, so a revised view equals a fresh count of the rule.
 
-    The path search reads ``successors`` and ``edges_into``. Each view
-    memoises them per node on first read, built straight from the base
-    graph's out-edge range and in-edge CSR through the mask, so reading a
-    view fills no memo of the base graph. An entry, like ``member_edges``,
-    is a pure function of the immutable view, so concurrent fills race
-    benignly. A revised view starts with an empty memo, so no entry can
-    outlive a membership change.
+    The path search reads ``successors`` and ``edges_into``, inherited
+    from ``SearchReads``: each view memoises them per node on first read,
+    built straight from the base graph's columns through the mask, so
+    reading a view fills no memo of the base graph. A revised view starts
+    with an empty memo, so no entry can outlive a membership change.
     """
 
     base: KnowledgeGraph
@@ -127,29 +125,6 @@ class CausalGraphView:
     def out_edges(self, node_id: str) -> tuple[int, ...]:
         mask = self.mask
         return tuple(i for i in self.base.out_edges(node_id) if mask[i])
-
-    def successors(self, node_id: str) -> dict[str, tuple[int, ...]]:
-        """The base graph's ``successors`` map, member edges only; do not change it."""
-        try:
-            return self._successors[node_id]
-        except KeyError:
-            pass
-        base = self.base
-        out = base.out_edges(node_id)
-        members = compress(out, self.mask[out.start : out.stop])
-        entry = self._successors[node_id] = group_edges(base.node_ids(), base.columns.objects, members)
-        return entry
-
-    def edges_into(self, goal: str) -> dict[str, tuple[int, ...]]:
-        """The base graph's ``edges_into`` map, member edges only; do not change it."""
-        try:
-            return self._edges_into[goal]
-        except KeyError:
-            pass
-        base, mask = self.base, self.mask
-        members = [idx for idx in base.in_edges(goal) if mask[idx]]
-        entry = self._edges_into[goal] = group_edges(base.node_ids(), base.columns.subjects, members)
-        return entry
 
     def effective_strength(self, index: int) -> float:
         return self.strengths[index >> _SHIFT][index & _LOW]

@@ -47,7 +47,7 @@ class PipelineConfig:
             raise ValidationError(f"workers must be >= 1, got {self.workers}")
         for stage in STAGES:
             temperature = getattr(self, f"{stage}_temperature")
-            if not (temperature >= 0):
+            if not 0 <= temperature < math.inf:
                 raise ValidationError(f"temperatures.{stage} must be >= 0, got {temperature}")
 
     def echo(self) -> dict:

@@ -25,7 +25,7 @@ import zlib
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, compress, islice
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ArtifactError, IngestionError, NotFoundError, ValidationError, open_text, tsv_rows
@@ -91,7 +91,46 @@ class EdgeColumns(NamedTuple):
     strengths: memoryview
 
 
-class KnowledgeGraph:
+class SearchReads:
+    """The path search's two reads, written once for the graph and its views.
+
+    Both group the member edges of ``self.base``'s columns, where edge ``i``
+    is a member when ``self.mask[i]`` is 1, into a map from the far end of
+    each edge to those edges, ascending index; so the search can join a
+    node's successors with a goal's in-edges on their keys. A graph is the
+    view that keeps every edge: its own ``base``, with every byte 1. Each
+    entry is built on the node's first read and kept in ``self._successors``
+    or ``self._edges_into``: it is a pure function of the immutable
+    container, so two threads filling the same entry store equal values and
+    the race is benign. The returned mapping is the memo entry itself;
+    callers must not change it.
+    """
+
+    def successors(self, node_id: str) -> dict[str, tuple[int, ...]]:
+        """Each object of a member out-edge of ``node_id`` -> those edges."""
+        try:
+            return self._successors[node_id]
+        except KeyError:
+            pass
+        base = self.base
+        out = base.out_edges(node_id)
+        members = compress(out, self.mask[out.start : out.stop])
+        entry = self._successors[node_id] = _group_edges(base.node_ids(), base.columns.objects, members)
+        return entry
+
+    def edges_into(self, goal: str) -> dict[str, tuple[int, ...]]:
+        """Each node with a member edge into ``goal`` -> those edges."""
+        try:
+            return self._edges_into[goal]
+        except KeyError:
+            pass
+        base, mask = self.base, self.mask
+        members = [idx for idx in base.in_edges(goal) if mask[idx]]
+        entry = self._edges_into[goal] = _group_edges(base.node_ids(), base.columns.subjects, members)
+        return entry
+
+
+class KnowledgeGraph(SearchReads):
     """Immutable directed labeled multigraph, stored by column.
 
     Node ids and predicates are interned to ints before construction; each
@@ -132,6 +171,7 @@ class KnowledgeGraph:
             raise ValidationError(defect)
         self._subjects, self._predicates, self._objects, self._strengths = subjects, predicates, objects, strengths
         self.columns = EdgeColumns(*(memoryview(c).toreadonly() for c in columns))
+        self.mask = b"\x01" * len(strengths)
         self._out_offsets = _offsets(subjects, n)
         self._in_offsets, self._in = _csr(objects, n)
 
@@ -141,6 +181,10 @@ class KnowledgeGraph:
         # Search memos, filled per node on first read (see ``successors``).
         self._successors: dict[str, dict[str, tuple[int, ...]]] = {}
         self._edges_into: dict[str, dict[str, tuple[int, ...]]] = {}
+
+    @property
+    def base(self) -> KnowledgeGraph:
+        return self
 
     # -- lookups -------------------------------------------------------------
 
@@ -222,36 +266,8 @@ class KnowledgeGraph:
         i = self._position(node_id)
         return tuple(self._in[self._in_offsets[i] : self._in_offsets[i + 1]])
 
-    # The path search's two reads, in one shape: a map from the far end of
-    # each edge to those edges. Each entry is built on the node's first read
-    # and kept: it is a pure function of the immutable graph, so two threads
-    # filling the same entry store equal values and the race is benign. The
-    # returned mapping is the memo entry itself; callers must not change it.
 
-    def successors(self, node_id: str) -> dict[str, tuple[int, ...]]:
-        """Each object of an out-edge of ``node_id`` -> those edges, ascending index.
-
-        The map has the shape of ``edges_into``, so the search can join a
-        node's successors with a goal's in-edges on their keys.
-        """
-        try:
-            return self._successors[node_id]
-        except KeyError:
-            pass
-        entry = self._successors[node_id] = group_edges(self._ids, self._objects, self.out_edges(node_id))
-        return entry
-
-    def edges_into(self, goal: str) -> dict[str, tuple[int, ...]]:
-        """Each node with an edge into ``goal`` -> those edges, ascending index."""
-        try:
-            return self._edges_into[goal]
-        except KeyError:
-            pass
-        entry = self._edges_into[goal] = group_edges(self._ids, self._subjects, self.in_edges(goal))
-        return entry
-
-
-def group_edges(ids: Sequence[str], ends, idxs: Iterable[int]) -> dict[str, tuple[int, ...]]:
+def _group_edges(ids: Sequence[str], ends, idxs: Iterable[int]) -> dict[str, tuple[int, ...]]:
     """``ids[ends[i]]`` -> the edges ``i`` of ``idxs`` with that end, in the given order.
 
     ``ends`` is an edge column of node ints: the objects for a node's
@@ -338,8 +354,8 @@ def _csr(keys: array, size: int) -> tuple[array, array]:
 def shortest_path_length(source, start: str, goal: str, max_hops: int) -> int | None:
     """Directed BFS hop count from ``start`` to ``goal``, or None beyond ``max_hops``.
 
-    ``source`` is anything exposing ``has_node``, ``out_edges`` and ``edge``
-    (the base graph or a causal view).
+    ``source`` is the base graph or a causal view: anything exposing
+    ``has_node`` and ``successors``.
     """
     if max_hops < 1:
         raise ValidationError(f"max_hops must be >= 1, got {max_hops}")
@@ -353,8 +369,7 @@ def shortest_path_length(source, start: str, goal: str, max_hops: int) -> int | 
     for depth in range(1, max_hops + 1):
         next_frontier: list[str] = []
         for node_id in frontier:
-            for idx in source.out_edges(node_id):
-                target = source.edge(idx).object
+            for target in source.successors(node_id):
                 if target == goal:
                     return depth
                 if target not in seen:

@@ -147,6 +147,8 @@ class Pipeline:
         gateway: LlmGateway,
         config: PipelineConfig,
     ):
+        if causal_view.base is not graph:
+            raise ValidationError("causal_view must be a view of graph")
         self.graph = graph
         self.causal_view = causal_view
         self.linker = linker

@@ -4,8 +4,8 @@ Surface forms are normalized (lowercased, punctuation collapsed to spaces,
 whitespace squeezed) and matched against free text with a greedy
 longest-match scan, so a longer surface suppresses any shorter surface
 nested at the same position. The index is exact-match only by design; a
-smarter recognizer can be swapped in anywhere a ``link(text)`` callable is
-accepted.
+smarter recognizer can be swapped in as any object with a ``link(text)``
+method.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ class LlmRequest:
     def __post_init__(self):
         if not self.messages:
             raise ValidationError("request must contain at least one message")
-        if self.temperature < 0:
+        if not 0 <= self.temperature < float("inf"):
             raise ValidationError(f"temperature must be >= 0, got {self.temperature}")
         if self.stage not in STAGES:
             raise ValidationError(f"unknown stage {self.stage!r}")

@@ -49,7 +49,7 @@ class GraphPath:
 
     ``edges`` are indices into the base graph's edge list; ``strengths``
     were read from the container (view or base graph) the path was found in,
-    so causal-tier paths carry any override strengths.
+    so causal-tier paths carry the view's effective strengths.
     """
 
     nodes: tuple[str, ...]

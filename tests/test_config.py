@@ -163,6 +163,8 @@ def test_temperatures_are_range_checked_when_read(stage):
         config_from_mapping({"temperatures": {stage: -0.5}})
     with pytest.raises(ValidationError, match=rf"^temperatures\.{stage} must be >= 0, got nan$"):
         PipelineConfig(**{**vars(default_config()), f"{stage}_temperature": math.nan})
+    with pytest.raises(ValidationError, match=rf"^temperatures\.{stage} must be >= 0, got inf$"):
+        PipelineConfig(**{**vars(default_config()), f"{stage}_temperature": math.inf})
     assert getattr(config_from_mapping({"temperatures": {stage: 0}}), f"{stage}_temperature") == 0.0
 
 

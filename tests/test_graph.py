@@ -15,6 +15,7 @@ from collections import deque
 
 import pytest
 
+from causalrag.causal import CausalityTable, build_causal_view
 from causalrag.config import load_config
 from causalrag.errors import ArtifactError, IngestionError, NotFoundError, ValidationError
 from causalrag.graph import (
@@ -302,7 +303,11 @@ def _bfs_oracle(graph, start, goal, max_hops):
 
 
 def test_shortest_path_matches_bruteforce_on_random_graphs():
+    """On each random graph and on a view of it at a random theta: the BFS
+    reads ``successors``, the oracle the filtered ``out_edges``."""
     rng = random.Random(20250810)
+    theta_rng = random.Random(22)
+    table = CausalityTable({"REL": 1.0})
     for _ in range(60):
         node_count = rng.randint(2, 12)
         names = [f"N{i}" for i in range(node_count)]
@@ -318,14 +323,14 @@ def test_shortest_path_matches_bruteforce_on_random_graphs():
         if not edges:
             continue
         graph = make_graph(edges)
+        view = build_causal_view(graph, table, theta_rng.random())
         max_hops = rng.randint(1, 4)
         for _ in range(10):
             a, b = rng.choice(names), rng.choice(names)
             if not (graph.has_node(a) and graph.has_node(b)):
                 continue
-            assert shortest_path_length(graph, a, b, max_hops) == _bfs_oracle(
-                graph, a, b, max_hops
-            )
+            for source in (graph, view):
+                assert shortest_path_length(source, a, b, max_hops) == _bfs_oracle(source, a, b, max_hops)
 
 
 # -- artifact round trip --------------------------------------------------------

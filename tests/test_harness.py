@@ -14,7 +14,7 @@ import pytest
 from causalrag.causal import build_causal_view
 from causalrag.config import load_config
 from causalrag.errors import DatasetError, TransportError, ValidationError
-from causalrag.graph import KnowledgeGraph, load_graph, load_triples, save_graph
+from causalrag.graph import KnowledgeGraph, ingest_triples, load_graph, load_triples, save_graph
 from causalrag.harness import (
     _PLANS,
     Mode,
@@ -322,6 +322,25 @@ def test_kg_only_reports_no_paths_for_a_linked_pair_without_one():
             "reason": "no-paths",
         }
     ]
+
+
+def test_pipeline_refuses_a_causal_view_of_another_graph():
+    """The search reads edge indices from the view and renders them through
+    the graph, so a view of any other graph is refused up front."""
+    config = load_config(FIXTURES / "config.yaml")
+    graph = load_triples(FIXTURES / "triples.tsv", config.causality.weight)
+    rows = (FIXTURES / "triples.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    other = ingest_triples(rows[: len(rows) // 2], config.causality.weight)
+    gateway = LlmGateway(transcript=MockTranscript.load(FIXTURES / TRANSCRIPTS[Mode.FULL]))
+    for view_graph in (other, load_triples(FIXTURES / "triples.tsv", config.causality.weight)):
+        with pytest.raises(ValidationError, match="^causal_view must be a view of graph$"):
+            Pipeline(
+                graph=graph,
+                causal_view=build_causal_view(view_graph, config.causality, config.theta),
+                linker=build_index(graph),
+                gateway=gateway,
+                config=config,
+            )
 
 
 def test_no_enhancer_keeps_raw_segment_paths():

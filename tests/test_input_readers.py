@@ -5,7 +5,11 @@ not UTF-8 is always an ``EncodingError`` naming it; ``json_lines`` is the
 one place that decodes JSON, so every JSON-lines input refuses a repeated
 key and reports ``path: line N``. Writes and binary reads may happen
 anywhere. Only ``harness.py`` names a built-in prompt template file, so
-each stage's template is chosen in one place.
+each stage's template is chosen in one place. Only ``graph.py`` defines the
+path search's reads, ``successors`` and ``edges_into`` (once each, for the
+graph and its views alike), and no other module imports the helper that
+groups their edges, so the shape of a search-memo entry is known in one
+module.
 """
 
 from __future__ import annotations
@@ -80,6 +84,25 @@ def test_only_the_harness_names_a_template_file(path):
         assert named == TEMPLATE_FILES
     else:
         assert named == [], f"{path.name} names {named}: take the template from the Pipeline"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(SRC)))
+def test_only_graph_defines_the_search_reads(path):
+    nodes = _nodes(path)
+    defined = sorted(
+        node.name for node in nodes if isinstance(node, ast.FunctionDef) and node.name in ("successors", "edges_into")
+    )
+    grouping = [
+        node.lineno
+        for node in nodes
+        if isinstance(node, ast.ImportFrom) and any(alias.name.endswith("group_edges") for alias in node.names)
+        or isinstance(node, ast.Attribute) and node.attr.endswith("group_edges")
+    ]
+    assert grouping == [], f"{path.name} imports the edge-grouping helper at lines {grouping}"
+    if path.name == "graph.py":
+        assert defined == ["edges_into", "successors"]
+    else:
+        assert defined == [], f"{path.name} defines {defined}: inherit them from graph.SearchReads"
 
 
 def test_the_guard_recognises_reads_and_writes():

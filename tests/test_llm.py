@@ -339,8 +339,9 @@ def test_live_without_endpoint_is_transport_error():
 def test_request_validation():
     with pytest.raises(ValidationError):
         LlmRequest(model="m", messages=(), stage="cot")
-    with pytest.raises(ValidationError):
-        LlmRequest(model="m", messages=(("user", "x"),), stage="cot", temperature=-1)
+    for temperature in (-1, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match=r"^temperature must be >= 0, got "):
+            LlmRequest(model="m", messages=(("user", "x"),), stage="cot", temperature=temperature)
     with pytest.raises(ValidationError):
         LlmRequest(model="m", messages=(("user", "x"),), stage="warmup")
 
