@@ -16,7 +16,7 @@ from .causal import apply_strength_updates, build_causal_view, parse_strength_up
 from .config import PipelineConfig, load_config
 from .errors import STAGE_ERRORS, CausalRagError, ValidationError, open_text
 from .graph import load_graph, load_triples, save_graph
-from .harness import Mode, Pipeline, QAItem, load_dataset, render_report, run_evaluation, summarize_report
+from .harness import Mode, Pipeline, QAItem, load_dataset, run_evaluation, summarize_report, write_report
 from .linker import build_index, load_alias_file
 from .llm import STAGES, EndpointConfig, LlmGateway, MockTranscript
 
@@ -176,7 +176,7 @@ def cmd_evaluate(args) -> int:
     report = run_evaluation(pipeline, items, Mode.from_flag(args.mode))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(render_report(report))
+            write_report(report, fh)
         print(f"wrote {args.report}")
     print(summarize_report(report))
     return 0

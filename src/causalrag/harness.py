@@ -9,6 +9,7 @@ degrade to abstentions so long evaluations survive transient faults.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import time
@@ -149,6 +150,8 @@ class Pipeline:
     ):
         if causal_view.base is not graph:
             raise ValidationError("causal_view must be a view of graph")
+        if linker.graph is not graph:
+            raise ValidationError("linker must be built from graph")
         self.graph = graph
         self.causal_view = causal_view
         self.linker = linker
@@ -335,9 +338,17 @@ def run_evaluation(pipeline: Pipeline, items: Iterable[QAItem], mode: Mode) -> d
     }
 
 
+def write_report(report: Mapping, fh) -> None:
+    """Stream a report deterministically (sorted keys, trailing newline) into ``fh``."""
+    json.dump(report, fh, indent=2, sort_keys=True, ensure_ascii=False)
+    fh.write("\n")
+
+
 def render_report(report: Mapping) -> str:
-    """Serialize a report deterministically (sorted keys, trailing newline)."""
-    return json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """The text ``write_report`` writes, as one string."""
+    fh = io.StringIO()
+    write_report(report, fh)
+    return fh.getvalue()
 
 
 def summarize_report(report: Mapping) -> str:

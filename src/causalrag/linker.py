@@ -5,7 +5,7 @@ whitespace squeezed) and matched against free text with a greedy
 longest-match scan, so a longer surface suppresses any shorter surface
 nested at the same position. The index is exact-match only by design; a
 smarter recognizer can be swapped in as any object with a ``link(text)``
-method.
+method and a ``graph`` attribute naming the graph whose ids it returns.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ def normalize_surface(text: str) -> str:
 
 
 class LinkerIndex:
-    """Normalized surface form -> node id set, built once and then read-only."""
+    """Normalized surface form -> ``graph``'s node id set, built once, read-only."""
 
-    def __init__(self, entries: dict[tuple[str, ...], set[str]]):
+    def __init__(self, entries: dict[tuple[str, ...], set[str]], graph: KnowledgeGraph):
+        self.graph = graph
         self._entries = {tokens: frozenset(ids) for tokens, ids in entries.items()}
         self._max_tokens = max((len(tokens) for tokens in self._entries), default=0)
 
@@ -85,7 +86,7 @@ def build_index(
     if unknown:
         logger.warning("skipped %d alias rows naming an unknown CUI", unknown)
 
-    return LinkerIndex(entries)
+    return LinkerIndex(entries, graph)
 
 
 def load_alias_file(path) -> list[tuple[str, str]]:

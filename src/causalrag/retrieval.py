@@ -88,8 +88,6 @@ class GraphPath:
 
 def path_score(path: GraphPath) -> float:
     """Mean edge strength along the path."""
-    if not path.edges:
-        raise ValidationError("cannot score an empty path")
     return sum(path.strengths) / len(path.edges)
 
 
@@ -99,17 +97,16 @@ def _enumerate_simple_paths(
     """Every loop-free directed path start -> goal of at most ``max_hops``
     edges, as ``(nodes, edges)``, sorted by edge tuple.
 
-    ``into_goal`` is ``source.edges_into(goal)``. ``source.successors``
-    maps each target to its parallel edges, so the depth-first search
-    enters a target once and carries the edge choices of each hop; paths
-    expand them with ``itertools.product``. A node two hops short of
-    ``max_hops`` is never walked: its last two hops are one key join of its
-    successors with ``into_goal`` (``m.keys() & into_goal.keys()``) plus a
-    ``goal in m`` test, so its cost follows the paths it completes. The
-    sort by edge tuple is the order a walk of every node's out-edges in
-    ascending edge index yields, since no path's edges are a prefix of
-    another's. The stack of successor iterators is explicit, so a finished
-    search leaves no reference cycle holding ``source``.
+    ``into_goal`` is ``source.edges_into(goal)``; ``source.successors`` maps
+    each target to its parallel edges, which ``itertools.product`` expands.
+    A pending entry is a path, its hops' parallel edges, its last node's
+    successors and how many more nodes may be walked. One with none left is
+    never walked: one key join of its successors with ``into_goal`` and a
+    ``goal in m`` test finish its last two hops, and it is pushed only if one
+    can succeed. Entries run in any order: the sort by edge tuple is the order
+    a walk of out-edges by ascending index yields, as no path's edges are a
+    prefix of another's. A plain work list, not a closure or recursion,
+    leaves no reference cycle holding ``source`` and no depth limit.
     """
     if start == goal:
         return []
@@ -117,48 +114,24 @@ def _enumerate_simple_paths(
         return [((start, goal), (idx,)) for idx in into_goal.get(start, ())]
     found: list[tuple[tuple[str, ...], tuple[int, ...]]] = []
     into_keys = into_goal.keys()
-
-    def close(path: tuple[str, ...], choices: tuple[tuple[int, ...], ...], successors) -> None:
-        """Every path that leaves ``path``, two hops short, from its last node
-        through ``successors`` and ends within two hops; ``choices[d]`` holds
-        the parallel edges of hop ``d`` of ``path``."""
+    pending = [((start,), (), source.successors(start), max_hops - 2)]
+    while pending:
+        path, hops, successors, walks = pending.pop()
         if goal in successors:
-            found.extend(((*path, goal), edges) for edges in product(*choices, successors[goal]))
-        for target in successors.keys() & into_keys:
-            if target not in path and target != goal:
-                found.extend(
-                    ((*path, target, goal), edges)
-                    for edges in product(*choices, successors[target], into_goal[target])
-                )
-
-    top = max_hops - 2
-    if top == 0:
-        close((start,), (), source.successors(start))
-    else:
-        nodes = [start]
-        hops: list[tuple[int, ...]] = []  # hops[d]: the parallel edges nodes[d] -> nodes[d + 1]
-        # frames[d] walks the successors of nodes[d]; a target enters at depth len(frames).
-        frames = [iter(source.successors(start).items())]
-        while frames:
-            for target, idxs in frames[-1]:
-                if target == goal:
-                    found.extend(((*nodes, goal), edges) for edges in product(*hops, idxs))
-                elif target in nodes:
-                    continue
-                elif len(frames) < top:
-                    nodes.append(target)
-                    hops.append(idxs)
-                    frames.append(iter(source.successors(target).items()))
-                    break
-                else:
-                    successors = source.successors(target)
-                    if goal in successors or not into_keys.isdisjoint(successors.keys()):
-                        close((*nodes, target), (*hops, idxs), successors)
-            else:
-                frames.pop()
-                if frames:
-                    nodes.pop()
-                    hops.pop()
+            found.extend(((*path, goal), edges) for edges in product(*hops, successors[goal]))
+        if walks == 0:
+            for target in successors.keys() & into_keys:
+                if target not in path and target != goal:
+                    found.extend(
+                        ((*path, target, goal), edges)
+                        for edges in product(*hops, successors[target], into_goal[target])
+                    )
+            continue
+        for target, idxs in successors.items():
+            if target != goal and target not in path:
+                ahead = source.successors(target)
+                if walks > 1 or goal in ahead or not into_keys.isdisjoint(ahead.keys()):
+                    pending.append(((*path, target), (*hops, idxs), ahead, walks - 1))
     found.sort(key=itemgetter(1))
     return found
 

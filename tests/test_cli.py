@@ -184,7 +184,7 @@ def test_evaluate_writes_report(artifact, tmp_path, capsys):
     )
     captured = capsys.readouterr().out
     assert code == 0
-    assert report_path.exists()
+    assert report_path.read_bytes() == (FIXTURES / "reports" / "full.json").read_bytes()
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["metrics"]["accuracy"] == 1.0
     assert "macro precision=100.00%" in captured

@@ -343,6 +343,23 @@ def test_pipeline_refuses_a_causal_view_of_another_graph():
             )
 
 
+def test_pipeline_refuses_a_linker_built_from_another_graph():
+    """A linker of the full fixture graph links ids that a half-fixture graph
+    lacks, which aborted ``run_evaluation`` outside the stage-error guard."""
+    config = load_config(FIXTURES / "config.yaml")
+    rows = (FIXTURES / "triples.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    graph = ingest_triples(rows[: len(rows) // 2], config.causality.weight)
+    gateway = LlmGateway(transcript=MockTranscript.load(FIXTURES / TRANSCRIPTS[Mode.FULL]))
+    with pytest.raises(ValidationError, match="^linker must be built from graph$"):
+        Pipeline(
+            graph=graph,
+            causal_view=build_causal_view(graph, config.causality, config.theta),
+            linker=build_index(load_triples(FIXTURES / "triples.tsv", config.causality.weight)),
+            gateway=gateway,
+            config=config,
+        )
+
+
 def test_no_enhancer_keeps_raw_segment_paths():
     pipeline = build_fixture_pipeline(Mode.NO_ENHANCER)
     items = load_dataset(FIXTURES / "dataset.jsonl")

@@ -149,7 +149,7 @@ def test_causal_first_guarantee_and_score_floor():
     assert fallback and all(p.tier == "fallback" for p in fallback)
 
 
-@pytest.mark.parametrize("max_hops", [1, 2, 3])
+@pytest.mark.parametrize("max_hops", [1, 2, 3, 4])
 def test_finished_search_leaves_no_cycle_holding_the_view(chain_graph, max_hops):
     # With the cycle collector off, only reference counting can free the view:
     # a search that left a reference cycle through its frames would pin it.
@@ -165,6 +165,13 @@ def test_finished_search_leaves_no_cycle_holding_the_view(chain_graph, max_hops)
         assert freed() is None
     finally:
         gc.enable()
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    ids = [f"N{i}" for i in range(1500)]
+    graph = make_graph([(a, "CAUSES", b, 0.9) for a, b in zip(ids, ids[1:])])
+    found = _enumerate_simple_paths(graph, ids[0], ids[-1], 1500, graph.edges_into(ids[-1]))
+    assert [nodes for nodes, _ in found] == [tuple(ids)]
 
 
 def test_find_paths_uses_view_override_strengths(chain_graph, chain_view):
@@ -550,7 +557,7 @@ def _fan(max_hops: int):
     return make_graph(specs), depth, into_goal
 
 
-@pytest.mark.parametrize("max_hops", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_hops", [1, 2, 3, 4, 5])
 def test_goal_directed_search_reads_no_out_edges_one_hop_short(max_hops):
     graph, depth, into_goal = _fan(max_hops)
     recorder = _OutEdgeRecorder(graph)
