@@ -3,9 +3,11 @@
 Surface forms are normalized (lowercased, punctuation collapsed to spaces,
 whitespace squeezed) and matched against free text with a greedy
 longest-match scan, so a longer surface suppresses any shorter surface
-nested at the same position. The index is exact-match only by design; a
-smarter recognizer can be swapped in as any object with a ``link(text)``
-method and a ``graph`` attribute naming the graph whose ids it returns.
+nested at the same position. A table maps each surface's first token to the
+widths of the surfaces it starts, longest first, so a token that starts no
+surface costs one lookup. The index is exact-match only by design; a smarter
+recognizer can be swapped in as any object with a ``link(text)`` method and
+a ``graph`` attribute naming the graph whose ids it returns.
 """
 
 from __future__ import annotations
@@ -19,12 +21,17 @@ from .graph import KnowledgeGraph
 
 logger = logging.getLogger(__name__)
 
-_NON_WORD_RE = re.compile(r"[\W_]+", re.UNICODE)
+_TOKEN_RE = re.compile(r"[^\W_]+")
+
+
+def _tokens(text: str) -> list[str]:
+    """Lowercased runs of letters and digits; ``_`` separates, as punctuation does."""
+    return _TOKEN_RE.findall(text.lower())
 
 
 def normalize_surface(text: str) -> str:
     """Lowercase, strip punctuation to spaces, collapse whitespace."""
-    return " ".join(_NON_WORD_RE.sub(" ", text.lower()).split())
+    return " ".join(_tokens(text))
 
 
 class LinkerIndex:
@@ -32,23 +39,32 @@ class LinkerIndex:
 
     def __init__(self, entries: dict[tuple[str, ...], set[str]], graph: KnowledgeGraph):
         self.graph = graph
-        self._entries = {tokens: frozenset(ids) for tokens, ids in entries.items()}
-        self._max_tokens = max((len(tokens) for tokens in self._entries), default=0)
+        self._entries = {tokens: frozenset(ids) for tokens, ids in entries.items() if tokens and ids}
+        # First token -> widths it starts, longest first; equal tuples are shared.
+        self._widths: dict[str, tuple[int, ...]] = {}
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for tokens in sorted(self._entries, key=len, reverse=True):
+            widths = self._widths.get(tokens[0], ())
+            if len(tokens) not in widths:
+                widths += (len(tokens),)
+                self._widths[tokens[0]] = shared.setdefault(widths, widths)
 
     def link(self, text: str) -> frozenset[str]:
-        """All node ids matched in ``text`` by greedy longest-match scanning."""
-        tokens = normalize_surface(text or "").split()
+        """All node ids matched in ``text`` by greedy longest-match scanning:
+        a key of width w exists only where its first token lists w."""
+        tokens = _tokens(text or "")
+        entries, table = self._entries, self._widths
         found: set[str] = set()
         i = 0
         n = len(tokens)
         while i < n:
-            longest = min(self._max_tokens, n - i)
-            for width in range(longest, 0, -1):
-                ids = self._entries.get(tuple(tokens[i : i + width]))
-                if ids:
-                    found |= ids
-                    i += width
-                    break
+            for width in table.get(tokens[i], ()):
+                if width <= n - i:
+                    ids = entries.get(tuple(tokens[i : i + width]))
+                    if ids:
+                        found |= ids
+                        i += width
+                        break
             else:
                 i += 1
         return frozenset(found)
@@ -67,7 +83,7 @@ def build_index(
     entries: dict[tuple[str, ...], set[str]] = {}
 
     def add(surface: str, node_id: str) -> None:
-        tokens = tuple(normalize_surface(surface).split())
+        tokens = tuple(_tokens(surface))
         if not tokens:
             return
         entries.setdefault(tokens, set()).add(node_id)

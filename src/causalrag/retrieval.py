@@ -43,7 +43,7 @@ class RetrievalConfig:
             raise ValidationError(f"distance_slack must be >= 0, got {self.distance_slack}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphPath:
     """A loop-free directed path with its per-edge strengths resolved.
 
@@ -77,10 +77,6 @@ class GraphPath:
     @property
     def score(self) -> float:
         return path_score(self)
-
-    @property
-    def endpoints(self) -> tuple[str, str]:
-        return (self.nodes[0], self.nodes[-1])
 
     def node_key(self) -> str:
         return "->".join(self.nodes)
@@ -146,13 +142,7 @@ def _collect_tier(
     def listing(start: str, goal: str, is_reversed: bool) -> list[GraphPath]:
         found = _enumerate_simple_paths(source, start, goal, config.max_hops, source.edges_into(goal))
         return [
-            GraphPath(
-                nodes=nodes,
-                edges=edges,
-                strengths=tuple(source.effective_strength(i) for i in edges),
-                tier=tier,
-                reversed=is_reversed,
-            )
+            GraphPath(nodes, edges, tuple(map(source.effective_strength, edges)), tier, is_reversed)
             for nodes, edges in found
         ]
 
@@ -222,18 +212,19 @@ def prune_and_select(candidates: list[GraphPath], config: RetrievalConfig) -> li
     """
     shortest: dict[tuple[str, str], int] = {}
     for path in candidates:
-        shortest[path.endpoints] = min(path.length, shortest.get(path.endpoints, path.length))
+        ends, hops = (path.nodes[0], path.nodes[-1]), len(path.edges)
+        shortest[ends] = min(hops, shortest.get(ends, hops))
     kept = [
         path
         for path in candidates
-        if path.length <= shortest[path.endpoints] + config.distance_slack
+        if len(path.edges) <= shortest[path.nodes[0], path.nodes[-1]] + config.distance_slack
     ]
     kept.sort(key=_selection_key)
     return kept[: config.k]
 
 
 def _selection_key(path: GraphPath):
-    return (-path.score, path.length, path.node_key(), path.reversed, path.edges)
+    return (-path_score(path), len(path.edges), path.node_key(), path.reversed, path.edges)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
 
 from causalrag.graph import ConceptNode, KgEdge
-from causalrag.linker import build_index, load_alias_file, normalize_surface
+from causalrag.linker import LinkerIndex, _tokens, build_index, load_alias_file, normalize_surface
 
 from .oracles import graph_from_edges
+from .test_retrieval import _RecordingMap
 
 
 def _graph(nodes):
@@ -24,6 +27,37 @@ def test_normalization_rules():
     assert normalize_surface("  Myocardial   Infarction. ") == "myocardial infarction"
     assert normalize_surface("type-2 (diabetes)") == "type 2 diabetes"
     assert normalize_surface("___") == ""
+
+
+def _old_rule_tokens(text: str) -> list[str]:
+    """Reference tokenizer: substitute each run of non-word characters and
+    ``_`` with a space, then split on whitespace."""
+    return re.sub(r"[\W_]+", " ", text.lower()).split()
+
+
+def test_tokens_match_the_substitute_and_split_rule_on_every_code_point():
+    # A space separates the cases under both rules, so each chunk's tokens are
+    # its cases' tokens in order; the message names the cases that differ.
+    for start in range(0, sys.maxunicode + 1, 4096):
+        chars = [chr(cp) for cp in range(start, min(start + 4096, sys.maxunicode + 1))]
+        text = " ".join(f"a{c}b {c} x{c}" for c in chars)
+        assert _tokens(text) == _old_rule_tokens(text), [
+            hex(ord(c)) for c in chars
+            if _tokens(f"a{c}b {c} x{c}") != _old_rule_tokens(f"a{c}b {c} x{c}")
+        ]
+
+
+def test_tokens_match_the_substitute_and_split_rule_on_random_strings():
+    pool = list("aZ9_ -.,\t\n") + [
+        "\u0301", "\u0308", "\u20dd",  # combining marks
+        "é", "ß", "İ", "Σ", "ς", "ж", "中", "ǅ",  # non-ASCII letters
+        "٣", "²", "Ⅻ", "৪",  # non-ASCII digits and numerals
+        "\u3000", "\u00a0", "\u2028",  # ideographic, no-break and line separator spaces
+    ]
+    rng = random.Random(24)
+    for _ in range(5000):
+        text = "".join(rng.choice(pool) for _ in range(rng.randint(0, 16)))
+        assert _tokens(text) == _old_rule_tokens(text), repr(text)
 
 
 def test_index_keys_are_normalized():
@@ -89,9 +123,10 @@ def test_link_deterministic():
 
 
 def _naive_scan_oracle(surfaces: dict[str, set[str]], text: str) -> set[str]:
-    """Token-by-token longest-match reimplementation over raw surface keys."""
-    tokens = normalize_surface(text).split()
-    keys = {tuple(normalize_surface(s).split()): ids for s, ids in surfaces.items()}
+    """Token-by-token longest-match reimplementation over raw surface keys,
+    tokenizing by the old rule so that it shares no code with the linker."""
+    tokens = _old_rule_tokens(text)
+    keys = {tuple(_old_rule_tokens(s)): ids for s, ids in surfaces.items()}
     keys = {k: v for k, v in keys.items() if k}
     found: set[str] = set()
     i = 0
@@ -130,6 +165,60 @@ def test_link_matches_naive_substring_oracle():
     for _ in range(300):
         text = " ".join(rng.choice(vocabulary) for _ in range(rng.randint(1, 12)))
         assert index.link(text) == _naive_scan_oracle(surfaces, text)
+
+
+def test_link_matches_naive_oracle_when_surfaces_share_a_first_token():
+    # "heart" starts surfaces of widths 1, 2 and 4 but none of width 3, and
+    # "MI" names two nodes.
+    nodes = [
+        ("C1", "Heart", ()),
+        ("C2", "Heart Failure", ()),
+        ("C3", "Heart failure with effusion", ()),
+        ("C4", "Myocardial Infarction", ("MI",)),
+        ("C5", "Mitral Insufficiency", ("MI",)),
+        ("C6", "Aspirin", ()),
+    ]
+    surfaces: dict[str, set[str]] = {}
+    for nid, name, aliases in nodes:
+        for surface in (name, *aliases):
+            surfaces.setdefault(surface, set()).add(nid)
+    index = build_index(_graph(nodes))
+    assert index._widths["heart"] == (4, 2, 1)
+
+    # the 4-token surface is longer than what is left after the last "heart"
+    assert index.link("heart failure with effusion then heart failure with") == {"C3", "C2"}
+    rng = random.Random(24)
+    vocabulary = [
+        "heart", "Heart,", "failure", "failure-with", "with", "effusion", "effusion_",
+        "mi", "MI.", "myocardial", "infarction", "aspirin", "the",
+    ]
+    for _ in range(1500):
+        text = " ".join(rng.choice(vocabulary) for _ in range(rng.randint(1, 10)))
+        assert index.link(text) == _naive_scan_oracle(surfaces, text), text
+
+
+def test_link_looks_up_surfaces_only_where_one_starts():
+    graph = _graph([("C1", "Aspirin", ()), ("C2", "Stroke", ()), ("C3", "Heart Failure", ())])
+    index = build_index(graph)
+    index._entries = entries = _RecordingMap(index._entries)
+
+    # "failure" ends a surface but starts none
+    assert index.link(" ".join(["failure", "of", "the"] * 333 + ["pump"])) == frozenset()
+    assert entries.looked_up == []
+    # a two-token surface is not tried where one token is left
+    assert index.link("failure of the heart") == frozenset()
+    assert entries.looked_up == []
+
+    assert index.link(" ".join(["aspirin", "stroke"] * 50)) == {"C1", "C2"}
+    assert entries.looked_up == [("aspirin",), ("stroke",)] * 50
+
+
+def test_index_drops_empty_surface_keys_and_empty_id_sets():
+    graph = _graph([("C1", "Aspirin", ()), ("C2", "Stroke", ())])
+    index = LinkerIndex({(): {"C1"}, ("aspirin",): set()}, graph)
+    assert index._entries == {} and index._widths == {}
+    for text in ("", "aspirin", "aspirin and stroke", "   "):
+        assert index.link(text) == frozenset()
 
 
 def test_alias_file_merged_and_unknown_cui_skipped(tmp_path, caplog):

@@ -4,7 +4,7 @@ import gc
 import random
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -62,6 +62,16 @@ def test_path_score_is_mean_strength():
 def test_empty_path_rejected():
     with pytest.raises(ValidationError):
         GraphPath(nodes=("A",), edges=(), strengths=(), tier="causal")
+
+
+def test_path_is_a_frozen_slotted_value():
+    path = _path(["A", "B", "C"], [0.9, 0.7], edges=[3, 5])
+    with pytest.raises(FrozenInstanceError):
+        path.tier = "fallback"
+    assert not hasattr(path, "__dict__")
+    twin = _path(["A", "B", "C"], [0.9, 0.7], edges=[3, 5])
+    assert twin == path and twin is not path and hash(twin) == hash(path)
+    assert replace(path, reversed=True) != path
 
 
 def test_loopy_path_rejected():
