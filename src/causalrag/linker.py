@@ -3,11 +3,11 @@
 Surface forms are normalized (lowercased, punctuation collapsed to spaces,
 whitespace squeezed) and matched against free text with a greedy
 longest-match scan, so a longer surface suppresses any shorter surface
-nested at the same position. A table maps each surface's first token to the
-widths of the surfaces it starts, longest first, so a token that starts no
-surface costs one lookup. The index is exact-match only by design; a smarter
-recognizer can be swapped in as any object with a ``link(text)`` method and
-a ``graph`` attribute naming the graph whose ids it returns.
+nested at the same position. Only a token that starts some surface is
+matched against the index, so any other token costs one set lookup. The
+index is exact-match only by design; a smarter recognizer can be swapped in
+as any object with a ``link(text)`` method and a ``graph`` attribute naming
+the graph whose ids it returns.
 """
 
 from __future__ import annotations
@@ -29,44 +29,30 @@ def _tokens(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def normalize_surface(text: str) -> str:
-    """Lowercase, strip punctuation to spaces, collapse whitespace."""
-    return " ".join(_tokens(text))
-
-
 class LinkerIndex:
     """Normalized surface form -> ``graph``'s node id set, built once, read-only."""
 
     def __init__(self, entries: dict[tuple[str, ...], set[str]], graph: KnowledgeGraph):
         self.graph = graph
         self._entries = {tokens: frozenset(ids) for tokens, ids in entries.items() if tokens and ids}
-        # First token -> widths it starts, longest first; equal tuples are shared.
-        self._widths: dict[str, tuple[int, ...]] = {}
-        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for tokens in sorted(self._entries, key=len, reverse=True):
-            widths = self._widths.get(tokens[0], ())
-            if len(tokens) not in widths:
-                widths += (len(tokens),)
-                self._widths[tokens[0]] = shared.setdefault(widths, widths)
+        self._starts = frozenset(tokens[0] for tokens in self._entries)
+        self._max_tokens = max(map(len, self._entries), default=0)
 
     def link(self, text: str) -> frozenset[str]:
-        """All node ids matched in ``text`` by greedy longest-match scanning:
-        a key of width w exists only where its first token lists w."""
+        """All node ids matched in ``text`` by greedy longest-match scanning."""
         tokens = _tokens(text or "")
-        entries, table = self._entries, self._widths
         found: set[str] = set()
         i = 0
         n = len(tokens)
         while i < n:
-            for width in table.get(tokens[i], ()):
-                if width <= n - i:
-                    ids = entries.get(tuple(tokens[i : i + width]))
+            if tokens[i] in self._starts:
+                for width in range(min(self._max_tokens, n - i), 0, -1):
+                    ids = self._entries.get(tuple(tokens[i : i + width]))
                     if ids:
                         found |= ids
-                        i += width
+                        i += width - 1
                         break
-            else:
-                i += 1
+            i += 1
         return frozenset(found)
 
 

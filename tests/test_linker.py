@@ -5,7 +5,7 @@ import re
 import sys
 
 from causalrag.graph import ConceptNode, KgEdge
-from causalrag.linker import LinkerIndex, _tokens, build_index, load_alias_file, normalize_surface
+from causalrag.linker import LinkerIndex, _tokens, build_index, load_alias_file
 
 from .oracles import graph_from_edges
 from .test_retrieval import _RecordingMap
@@ -24,9 +24,9 @@ def _graph(nodes):
 
 
 def test_normalization_rules():
-    assert normalize_surface("  Myocardial   Infarction. ") == "myocardial infarction"
-    assert normalize_surface("type-2 (diabetes)") == "type 2 diabetes"
-    assert normalize_surface("___") == ""
+    assert _tokens("  Myocardial   Infarction. ") == ["myocardial", "infarction"]
+    assert _tokens("type-2 (diabetes)") == ["type", "2", "diabetes"]
+    assert _tokens("___") == []
 
 
 def _old_rule_tokens(text: str) -> list[str]:
@@ -183,7 +183,7 @@ def test_link_matches_naive_oracle_when_surfaces_share_a_first_token():
         for surface in (name, *aliases):
             surfaces.setdefault(surface, set()).add(nid)
     index = build_index(_graph(nodes))
-    assert index._widths["heart"] == (4, 2, 1)
+    assert "heart" in index._starts and index._max_tokens == 4
 
     # the 4-token surface is longer than what is left after the last "heart"
     assert index.link("heart failure with effusion then heart failure with") == {"C3", "C2"}
@@ -205,18 +205,23 @@ def test_link_looks_up_surfaces_only_where_one_starts():
     # "failure" ends a surface but starts none
     assert index.link(" ".join(["failure", "of", "the"] * 333 + ["pump"])) == frozenset()
     assert entries.looked_up == []
-    # a two-token surface is not tried where one token is left
+    # a starting token tries the widths that fit in what is left, longest first
     assert index.link("failure of the heart") == frozenset()
-    assert entries.looked_up == []
+    assert entries.looked_up == [("heart",)]
+    entries.looked_up.clear()
+    assert index.link("aspirin stroke") == {"C1", "C2"}
+    assert entries.looked_up == [("aspirin", "stroke"), ("aspirin",), ("stroke",)]
 
-    assert index.link(" ".join(["aspirin", "stroke"] * 50)) == {"C1", "C2"}
+    one_token = build_index(_graph([("C1", "Aspirin", ()), ("C2", "Stroke", ())]))
+    one_token._entries = entries = _RecordingMap(one_token._entries)
+    assert one_token.link(" ".join(["aspirin", "stroke"] * 50)) == {"C1", "C2"}
     assert entries.looked_up == [("aspirin",), ("stroke",)] * 50
 
 
 def test_index_drops_empty_surface_keys_and_empty_id_sets():
     graph = _graph([("C1", "Aspirin", ()), ("C2", "Stroke", ())])
     index = LinkerIndex({(): {"C1"}, ("aspirin",): set()}, graph)
-    assert index._entries == {} and index._widths == {}
+    assert index._entries == {} and not index._starts
     for text in ("", "aspirin", "aspirin and stroke", "   "):
         assert index.link(text) == frozenset()
 
