@@ -100,7 +100,10 @@ class CausalGraphView(SearchReads):
     from ``SearchReads``: each view memoises them per node on first read,
     built straight from the base graph's columns through the mask, so
     reading a view fills no memo of the base graph. A revised view starts
-    with an empty memo, so no entry can outlive a membership change.
+    with an empty memo but shares its parent's lineage store, so a miss
+    reuses the entry of a node the revisions left alone, or patches the
+    edges they flipped. ``build_causal_view`` starts a new store; a store
+    holds entries and bytes, never views, and dies with its last view.
     """
 
     base: KnowledgeGraph
@@ -113,6 +116,7 @@ class CausalGraphView(SearchReads):
     _edges_into: dict[str, dict[str, tuple[int, ...]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _lineage: tuple[dict, dict] = field(default_factory=lambda: ({}, {}), repr=False, compare=False)
 
     # Traversal protocol shared with KnowledgeGraph -------------------------
 
@@ -142,7 +146,8 @@ class CausalGraphView(SearchReads):
     def touches(self, node_id: str) -> bool:
         """Whether a member edge starts or ends at ``node_id``; unknown ids raise."""
         base, mask = self.base, self.mask
-        return any(mask[i] for i in (*base.out_edges(node_id), *base.in_edges(node_id)))
+        out = base.out_edges(node_id)
+        return 1 in mask[out.start : out.stop] or any(map(mask.__getitem__, base.in_edges(node_id)))
 
     def member_node_ids(self) -> frozenset[str]:
         columns, ids = self.base.columns, self.base.node_ids()
@@ -189,12 +194,13 @@ def apply_strength_updates(
             if not 0.0 <= strength <= 1.0:
                 raise ValidationError(f"update strength {strength} for {triple} outside [0, 1]")
             view.base.edge_index(*triple)
+    base, theta = view.base, view.theta
     mask = bytearray(view.mask)
     strengths = [block[:] for block in view.strengths]
-    for idx, strength in zip(view.base.edge_indices(updates), values):
+    for idx, strength in zip(base.edge_indices(updates), values):
         strengths[idx >> _SHIFT][idx & _LOW] = strength
-        mask[idx] = strength >= view.theta
-    return CausalGraphView(base=view.base, theta=view.theta, mask=bytes(mask), strengths=tuple(strengths))
+        mask[idx] = strength >= theta
+    return CausalGraphView(base, theta, bytes(mask), tuple(strengths), _lineage=view._lineage)
 
 
 def parse_strength_updates(lines: Iterable[str]) -> dict[tuple[str, str, str], float]:

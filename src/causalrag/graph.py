@@ -99,11 +99,12 @@ class SearchReads:
     each edge to those edges, ascending index; so the search can join a
     node's successors with a goal's in-edges on their keys. A graph is the
     view that keeps every edge: its own ``base``, with every byte 1. Each
-    entry is built on the node's first read and kept in ``self._successors``
-    or ``self._edges_into``: it is a pure function of the immutable
-    container, so two threads filling the same entry store equal values and
-    the race is benign. The returned mapping is the memo entry itself;
-    callers must not change it.
+    entry is memoised in ``self._successors`` or ``self._edges_into`` on the
+    node's first read; callers must not change it. A miss goes through the
+    direction's lineage store in ``self._lineage``, shared by a view and its
+    revisions (the graph has its own; see ``_lineage_entry``). An entry is a
+    pure function of its node's mask bytes, so any view of a lineage may use
+    any slot, and two threads racing on one each get their own view's.
     """
 
     def successors(self, node_id: str) -> dict[str, tuple[int, ...]]:
@@ -114,8 +115,9 @@ class SearchReads:
             pass
         base = self.base
         out = base.out_edges(node_id)
-        members = compress(out, self.mask[out.start : out.stop])
-        entry = self._successors[node_id] = _group_edges(base.node_ids(), base.columns.objects, members)
+        flags = self.mask[out.start : out.stop]
+        entry = _lineage_entry(self._lineage[0], node_id, out, flags, base.node_ids(), base.columns.objects)
+        self._successors[node_id] = entry
         return entry
 
     def edges_into(self, goal: str) -> dict[str, tuple[int, ...]]:
@@ -124,9 +126,10 @@ class SearchReads:
             return self._edges_into[goal]
         except KeyError:
             pass
-        base, mask = self.base, self.mask
-        members = [idx for idx in base.in_edges(goal) if mask[idx]]
-        entry = self._edges_into[goal] = _group_edges(base.node_ids(), base.columns.subjects, members)
+        into = self.base.in_edges(goal)
+        flags = bytes(map(self.mask.__getitem__, into))
+        entry = _lineage_entry(self._lineage[1], goal, into, flags, self.base.node_ids(), self.base.columns.subjects)
+        self._edges_into[goal] = entry
         return entry
 
 
@@ -178,9 +181,10 @@ class KnowledgeGraph(SearchReads):
         self.stats = stats
         # Filled on first read, like the search memos below (see ``edge_indices``).
         self._by_key: dict[int, int] | None = None
-        # Search memos, filled per node on first read (see ``successors``).
+        # Search memos and lineage stores, filled per node on first read (see ``SearchReads``).
         self._successors: dict[str, dict[str, tuple[int, ...]]] = {}
         self._edges_into: dict[str, dict[str, tuple[int, ...]]] = {}
+        self._lineage: tuple[dict, dict] = ({}, {})
 
     @property
     def base(self) -> KnowledgeGraph:
@@ -265,6 +269,32 @@ class KnowledgeGraph(SearchReads):
     def in_edges(self, node_id: str) -> tuple[int, ...]:
         i = self._position(node_id)
         return tuple(self._in[self._in_offsets[i] : self._in_offsets[i + 1]])
+
+
+def _lineage_entry(store: dict, node_id: str, edges, flags: bytes, ids, ends) -> dict[str, tuple[int, ...]]:
+    """``_group_edges`` of the ``edges`` of ``node_id`` whose mask byte in ``flags`` is 1,
+    through the node's slot ``(flags, entry)`` in the lineage ``store``: the stored entry
+    for equal flags, a copy with only the flipped edges moved for other flags, a fresh
+    grouping with no slot. The result replaces the slot; no stored entry is changed."""
+    slot = store.get(node_id)
+    if slot is None:
+        entry = _group_edges(ids, ends, compress(edges, flags))
+    elif slot[0] == flags:
+        return slot[1]
+    else:
+        entry = dict(slot[1])
+        for at in compress(range(len(flags)), map(operator.ne, slot[0], flags)):
+            idx = edges[at]
+            end = ids[ends[idx]]
+            group = entry.get(end, ())
+            if flags[at]:
+                entry[end] = tuple(sorted((*group, idx)))
+            elif len(group) > 1:
+                entry[end] = tuple(i for i in group if i != idx)
+            else:
+                del entry[end]
+    store[node_id] = (flags, entry)
+    return entry
 
 
 def _group_edges(ids: Sequence[str], ends, idxs: Iterable[int]) -> dict[str, tuple[int, ...]]:

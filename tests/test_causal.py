@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 
+from causalrag import graph as graph_module
 from causalrag.causal import (
     _LOW,
     CausalityTable,
@@ -374,6 +377,133 @@ def test_search_memo_fills_race_benignly_across_threads():
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
     assert len(view._successors) == len(view._edges_into) == len(node_ids)
+
+
+def _flags(view, edges):
+    return bytes(view.mask[i] for i in edges)
+
+
+def test_a_revision_reuses_the_parent_entry_of_every_node_its_batch_left_alone():
+    rng = random.Random(2506)
+    reused = patched = 0
+    for _ in range(200):
+        graph, specs, table = _random_graph_and_table(rng)
+        view = build_causal_view(graph, table, rng.choice(_GRID))
+        parent = {n: (view.successors(n), view.edges_into(n)) for n in graph.node_ids()}
+        revised = apply_strength_updates(view, _random_batch(rng, specs))
+        for node_id, entries in parent.items():
+            reads = (revised.successors, revised.edges_into)
+            edges = (graph.out_edges(node_id), graph.in_edges(node_id))
+            recount = _recount_search_reads(graph, revised.member_edges, node_id)
+            for read, entry, own, want in zip(reads, entries, edges, recount):
+                if _flags(view, own) == _flags(revised, own):
+                    assert read(node_id) is entry
+                    reused += 1
+                else:
+                    assert read(node_id) == want
+                    patched += 1
+    assert reused and patched
+
+
+def test_a_flipped_in_edge_of_a_hub_is_patched_without_regrouping(monkeypatch):
+    # Each source reaches the hub by a member, a non-member and a member edge, in edge order.
+    weights = (("CAUSES", 0.9), ("ASSOCIATED_WITH", 0.2), ("TREATS", 0.8))
+    graph = make_graph([(f"S{i:02d}", p, "HUB", s) for i in range(40) for p, s in weights])
+    view = build_causal_view(graph, default_causality_table(), 0.5)
+    into, out = view.edges_into("HUB"), view.successors("S07")
+    assert len(into) == 40 and all(len(edges) == 2 for edges in into.values())
+
+    fills = []
+    group_edges = graph_module._group_edges
+    monkeypatch.setattr(graph_module, "_group_edges", lambda *args: fills.append(args) or group_edges(*args))
+    promoted = apply_strength_updates(view, {("S07", "ASSOCIATED_WITH", "HUB"): 0.9})
+    demoted = apply_strength_updates(promoted, {("S07", p, "HUB"): 0.1 for p, _ in weights})
+    for revised, s07 in ((promoted, 3), (demoted, 0)):
+        for read, node_id, want in (
+            (revised.edges_into, "HUB", _recount_search_reads(graph, revised.member_edges, "HUB")[1]),
+            (revised.successors, "S07", _recount_search_reads(graph, revised.member_edges, "S07")[0]),
+        ):
+            entry = read(node_id)
+            assert entry == want
+            assert all(list(edges) == sorted(edges) for edges in entry.values())
+        assert len(revised.edges_into("HUB").get("S07", ())) == s07
+    assert fills == []
+    assert view._lineage[1]["HUB"][0] == _flags(demoted, graph.in_edges("HUB"))
+    # The patches copied the stored entries; the parent's stay as they were.
+    assert view.edges_into("HUB") is into and into == _recount_search_reads(graph, view.member_edges, "HUB")[1]
+    assert view.successors("S07") is out and len(out["HUB"]) == 2
+
+
+def test_lineage_reads_race_benignly_across_sibling_revisions_and_thetas():
+    rng = random.Random(2507)
+    triples = sorted({(f"N{rng.randrange(40)}", rng.choice(_PREDICATES), f"N{rng.randrange(40)}") for _ in range(400)})
+    triples = [triple for triple in triples if triple[0] != triple[2]]
+    graph = make_graph([(*triple, rng.choice(_GRID)) for triple in triples])
+    table = default_causality_table()
+    node_ids = list(graph.node_ids())
+    view = build_causal_view(graph, table, 0.5)
+    for node_id in rng.sample(node_ids, len(node_ids) // 2):
+        view.successors(node_id)
+        view.edges_into(node_id)
+    siblings = [
+        apply_strength_updates(view, {triple: rng.choice(_GRID) for triple in rng.sample(triples, 60)})
+        for _ in range(2)
+    ]
+    containers = (*siblings, build_causal_view(graph, table, 0.3))
+    expected = [{n: _recount_search_reads(graph, c.member_edges, n) for n in node_ids} for c in containers]
+    mismatches: list[tuple[int, str]] = []
+
+    def reader(seed: int) -> None:
+        # Every thread reads each node from all three views in turn, so the
+        # siblings keep taking and replacing each other's slots.
+        for node_id in random.Random(seed).sample(node_ids, len(node_ids)):
+            for k, (container, want) in enumerate(zip(containers, expected)):
+                if (container.successors(node_id), container.edges_into(node_id)) != want[node_id]:
+                    mismatches.append((k, node_id))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+    assert siblings[0]._lineage is siblings[1]._lineage is view._lineage
+    assert containers[2]._lineage is not view._lineage
+
+
+def test_a_lineage_store_keeps_one_slot_per_node_and_no_view():
+    rng = random.Random(2508)
+    triples = sorted({(f"N{rng.randrange(60)}", rng.choice(_PREDICATES), f"N{rng.randrange(60)}") for _ in range(300)})
+    graph = make_graph([(*triple, rng.choice(_GRID)) for triple in triples])
+    table = default_causality_table()
+    node_ids = list(graph.node_ids())
+    view = build_causal_view(graph, table, 0.5)
+    store = view._lineage
+    dropped = []
+    for _ in range(60):
+        for node_id in rng.sample(node_ids, 20):
+            view.successors(node_id)
+            view.edges_into(node_id)
+        dropped.append(weakref.ref(view))
+        view = apply_strength_updates(view, {triple: rng.choice(_GRID) for triple in rng.sample(triples, 30)})
+        assert view._lineage is store
+    gc.collect()
+    assert [ref() for ref in dropped] == [None] * len(dropped)
+    for slots, edges_of_node, direction in ((store[0], graph.out_edges, 0), (store[1], graph.in_edges, 1)):
+        assert len(slots) <= graph.node_count and set(slots) <= set(node_ids)
+        for node_id, (flags, entry) in slots.items():
+            # Each slot holds bytes and an entry, and the entry is its flags' grouping.
+            assert type(flags) is bytes and type(entry) is dict
+            members = {i for i, flag in zip(edges_of_node(node_id), flags) if flag}
+            assert entry == _recount_search_reads(graph, members, node_id)[direction]
+    stores = (store, build_causal_view(graph, table, 0.3)._lineage, build_causal_view(graph, table, 0.5)._lineage)
+    assert len({id(slots) for lineage in (*stores, graph._lineage) for slots in lineage}) == 8
 
 
 def test_view_never_contains_foreign_edges(chain_graph):
