@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import CotParseError, ValidationError
 from .templates import fill_template
@@ -53,15 +53,20 @@ def normalize_options(options: Mapping[str, str]) -> list[tuple[str, str]]:
     return [(str(label), str(text)) for label, text in pairs]
 
 
-def format_options(options) -> str:
-    return "\n".join(f"{label}. {text}" for label, text in normalize_options(options))
+def format_options(pairs: Iterable[tuple[str, str]]) -> str:
+    """The options block of a prompt, one ``label. text`` line per pair.
+
+    The pairs must be valid: ``normalize_options``' result, or the
+    ``items()`` of options that passed it.
+    """
+    return "\n".join(f"{label}. {text}" for label, text in pairs)
 
 
 def build_cot_prompt(question: str, options, template: str) -> str:
     """Fill the chain-of-thought generation template for one question."""
     if not question or not question.strip():
         raise ValidationError("question must be non-empty")
-    return fill_template(template, question=question.strip(), options=format_options(options))
+    return fill_template(template, question=question.strip(), options=format_options(normalize_options(options)))
 
 
 def parse_cot(raw: str) -> ChainOfThought:

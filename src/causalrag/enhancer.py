@@ -12,9 +12,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .cot import ChainOfThought, format_options, render_cot
+from .cot import ChainOfThought, render_cot
 from .errors import ValidationError
 from .graph import KnowledgeGraph
 from .retrieval import GraphPath, _selection_key
@@ -193,15 +193,16 @@ def build_enhancement_prompt(
     final: Sequence[ScoredPath],
     cot: ChainOfThought,
     question: str,
-    options: Mapping[str, str],
+    options: str,
     graph: KnowledgeGraph,
     template: str,
 ) -> str:
-    """Fill the consistency-check template with CoT and rendered evidence paths."""
+    """Fill the consistency-check template with CoT and rendered evidence
+    paths; ``options`` is the question's ``format_options`` block."""
     return fill_template(
         template,
         question=question.strip(),
-        options=format_options(options),
+        options=options,
         cot=render_cot(cot),
         paths=render_paths_block([item.path for item in final], graph),
     )

@@ -102,7 +102,8 @@ class SearchReads:
     entry is memoised in ``self._successors`` or ``self._edges_into`` on the
     node's first read; callers must not change it. A miss goes through the
     direction's lineage store in ``self._lineage``, shared by a view and its
-    revisions (the graph has its own; see ``_lineage_entry``). An entry is a
+    revisions (see ``_lineage_entry``). The graph's mask never changes, so
+    nothing could reuse a slot of its own: its stores keep none. An entry is a
     pure function of its node's mask bytes, so any view of a lineage may use
     any slot, and two threads racing on one each get their own view's.
     """
@@ -181,10 +182,10 @@ class KnowledgeGraph(SearchReads):
         self.stats = stats
         # Filled on first read, like the search memos below (see ``edge_indices``).
         self._by_key: dict[int, int] | None = None
-        # Search memos and lineage stores, filled per node on first read (see ``SearchReads``).
+        # Search memos, filled per node on first read (see ``SearchReads``).
         self._successors: dict[str, dict[str, tuple[int, ...]]] = {}
         self._edges_into: dict[str, dict[str, tuple[int, ...]]] = {}
-        self._lineage: tuple[dict, dict] = ({}, {})
+        self._lineage: tuple[dict, dict] = (_NoSlots(), _NoSlots())
 
     @property
     def base(self) -> KnowledgeGraph:
@@ -269,6 +270,15 @@ class KnowledgeGraph(SearchReads):
     def in_edges(self, node_id: str) -> tuple[int, ...]:
         i = self._position(node_id)
         return tuple(self._in[self._in_offsets[i] : self._in_offsets[i + 1]])
+
+
+class _NoSlots(dict):
+    """A lineage store that keeps no slot, for a container that is never revised."""
+
+    __slots__ = ()
+
+    def __setitem__(self, node_id, slot) -> None:
+        pass
 
 
 def _lineage_entry(store: dict, node_id: str, edges, flags: bytes, ids, ends) -> dict[str, tuple[int, ...]]:

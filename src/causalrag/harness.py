@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 from .causal import CausalGraphView
 from .config import PipelineConfig
-from .cot import ChainOfThought, build_cot_prompt, format_options, normalize_options, parse_cot, render_cot
+from .cot import ChainOfThought, format_options, normalize_options, parse_cot, render_cot
 from .enhancer import (
     build_enhancement_prompt,
     fuse_paths,
@@ -176,9 +176,11 @@ class Pipeline:
                 item_id=item.id, gold=item.gold, predicted=None, unmapped=True, trace=trace
             )
 
+        # QAItem validated the options, so the three prompts share one block.
+        options = format_options(item.options.items())
         try:
-            evidence = self._evidence(item, mode, query_cuis, trace)
-            predicted = self._infer(item, evidence, trace)
+            evidence = self._evidence(item, options, mode, query_cuis, trace)
+            predicted = self._infer(item, options, evidence, trace)
             return PredictionRecord(
                 item_id=item.id, gold=item.gold, predicted=predicted, trace=trace
             )
@@ -215,11 +217,11 @@ class Pipeline:
         return response.text
 
     def _evidence(
-        self, item: QAItem, mode: Mode, query_cuis: frozenset[str], trace: dict
+        self, item: QAItem, options: str, mode: Mode, query_cuis: frozenset[str], trace: dict
     ) -> str:
         reasons, fuses, enhances = _PLANS[mode]
         if reasons:
-            prompt = build_cot_prompt(item.question, item.options, self._cot_template)
+            prompt = fill_template(self._cot_template, question=item.question.strip(), options=options)
             cot = parse_cot(self._call("cot", prompt, trace))
             trace["cot"] = {
                 "segments": list(cot.segments),
@@ -271,7 +273,7 @@ class Pipeline:
 
         if enhances:
             enhance_prompt = build_enhancement_prompt(
-                final, cot, item.question, item.options, self.graph, self._enhance_template
+                final, cot, item.question, options, self.graph, self._enhance_template
             )
             summary = self._call("enhance", enhance_prompt, trace)
             trace["enhanced_summary"] = summary
@@ -279,11 +281,11 @@ class Pipeline:
         block = render_paths_block(paths, self.graph)
         return f"{block}\n\nOriginal chain of thought:\n{render_cot(cot)}" if reasons else block
 
-    def _infer(self, item: QAItem, evidence: str, trace: dict) -> str | None:
+    def _infer(self, item: QAItem, options: str, evidence: str, trace: dict) -> str | None:
         prompt = fill_template(
             self._infer_template,
             question=item.question.strip(),
-            options=format_options(item.options),
+            options=options,
             evidence=evidence if evidence.strip() else NO_EVIDENCE_MARKER,
         )
         answer_text = self._call("infer", prompt, trace)

@@ -6,18 +6,22 @@ entire segment's entity pair set yields nothing causal. Each ordered entity
 pair is tried forward, then (only if the forward direction is empty)
 backward with a reversed flag. Every listing has its own endpoint pair, so
 no path is listed twice, and the order is deterministic: identical inputs
-always produce identical output.
+always produce identical output. ``find_paths`` lists every path of at most
+``max_hops`` edges; ``retrieve_for_cot`` lists only those the detour pruning
+keeps, and counts the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from operator import itemgetter
 from typing import Iterable
 
 from .cot import ChainOfThought
 from .errors import NotFoundError, ValidationError
+from .graph import shortest_path_length
 
 TIER_CAUSAL = "causal"
 TIER_FALLBACK = "fallback"
@@ -88,10 +92,23 @@ def path_score(path: GraphPath) -> float:
 
 
 def _enumerate_simple_paths(
-    source, start: str, goal: str, max_hops: int, into_goal: dict[str, tuple[int, ...]]
-) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
-    """Every loop-free directed path start -> goal of at most ``max_hops``
-    edges, as ``(nodes, edges)``, sorted by edge tuple.
+    source,
+    start: str,
+    goal: str,
+    max_hops: int,
+    into_goal: dict[str, tuple[int, ...]],
+    distance_slack: int | None = None,
+) -> tuple[list[tuple[tuple[str, ...], tuple[int, ...]]], int]:
+    """The loop-free directed paths start -> goal of at most ``max_hops``
+    edges: those of at most ``limit`` edges as ``(nodes, edges)``, sorted by
+    edge tuple, and how many longer ones there are.
+
+    Without a ``distance_slack``, ``limit`` is ``max_hops``. With one, it is
+    the pair's shortest distance plus the slack when that is less: no longer
+    path survives ``prune_and_select``. A longer path is counted from its
+    hops' numbers of parallel edges and never built. The distance is looked
+    for only where it can cut the listing short: with ``max_hops`` 3 and
+    slack 1, that is one test for a direct edge.
 
     ``into_goal`` is ``source.edges_into(goal)``; ``source.successors`` maps
     each target to its parallel edges, which ``itertools.product`` expands.
@@ -105,23 +122,39 @@ def _enumerate_simple_paths(
     leaves no reference cycle holding ``source`` and no depth limit.
     """
     if start == goal:
-        return []
+        return [], 0
     if max_hops == 1:
-        return [((start, goal), (idx,)) for idx in into_goal.get(start, ())]
+        return [((start, goal), (idx,)) for idx in into_goal.get(start, ())], 0
+    first = source.successors(start)
+    limit = max_hops
+    if distance_slack is not None and distance_slack + 1 < max_hops:
+        if goal in first:
+            limit = 1 + distance_slack
+        elif distance_slack + 2 < max_hops:
+            shortest = shortest_path_length(source, start, goal, max_hops - 1 - distance_slack)
+            if shortest:
+                limit = shortest + distance_slack
     found: list[tuple[tuple[str, ...], tuple[int, ...]]] = []
+    beyond = 0
     into_keys = into_goal.keys()
-    pending = [((start,), (), source.successors(start), max_hops - 2)]
+    pending = [((start,), (), first, max_hops - 2)]
     while pending:
         path, hops, successors, walks = pending.pop()
         if goal in successors:
-            found.extend(((*path, goal), edges) for edges in product(*hops, successors[goal]))
+            if len(hops) < limit:
+                found.extend(((*path, goal), edges) for edges in product(*hops, successors[goal]))
+            else:
+                beyond += prod(map(len, hops)) * len(successors[goal])
         if walks == 0:
-            for target in successors.keys() & into_keys:
-                if target not in path and target != goal:
+            ends = [t for t in successors.keys() & into_keys if t not in path and t != goal]
+            if limit == max_hops:
+                for target in ends:
                     found.extend(
                         ((*path, target, goal), edges)
                         for edges in product(*hops, successors[target], into_goal[target])
                     )
+            elif ends:
+                beyond += prod(map(len, hops)) * sum(len(successors[t]) * len(into_goal[t]) for t in ends)
             continue
         for target, idxs in successors.items():
             if target != goal and target not in path:
@@ -129,7 +162,7 @@ def _enumerate_simple_paths(
                 if walks > 1 or goal in ahead or not into_keys.isdisjoint(ahead.keys()):
                     pending.append(((*path, target), (*hops, idxs), ahead, walks - 1))
     found.sort(key=itemgetter(1))
-    return found
+    return found, beyond
 
 
 def _collect_tier(
@@ -138,9 +171,16 @@ def _collect_tier(
     froms: list[str],
     tos: list[str],
     config: RetrievalConfig,
-) -> list[GraphPath]:
+    distance_slack: int | None,
+) -> tuple[list[GraphPath], int]:
+    count = 0
+
     def listing(start: str, goal: str, is_reversed: bool) -> list[GraphPath]:
-        found = _enumerate_simple_paths(source, start, goal, config.max_hops, source.edges_into(goal))
+        nonlocal count
+        found, beyond = _enumerate_simple_paths(
+            source, start, goal, config.max_hops, source.edges_into(goal), distance_slack
+        )
+        count += len(found) + beyond
         return [
             GraphPath(nodes, edges, tuple(map(source.effective_strength, edges)), tier, is_reversed)
             for nodes, edges in found
@@ -161,7 +201,32 @@ def _collect_tier(
     # paths, unless the flip is a forward pair, whose listing is already in.
     for a, b in needs_reverse:
         paths += listing(b, a, True)
-    return paths
+    return paths, count
+
+
+def _search(
+    causal_view,
+    base,
+    from_set: Iterable[str],
+    to_set: Iterable[str],
+    config: RetrievalConfig,
+    distance_slack: int | None,
+) -> tuple[list[GraphPath], int]:
+    """``find_paths`` with each listing bounded by ``distance_slack`` (see
+    ``_enumerate_simple_paths``), and how many paths it found in all."""
+    from_ids = sorted(set(from_set))
+    to_ids = sorted(set(to_set))
+    if not from_ids or not to_ids:
+        return [], 0
+    for node_id in from_ids + to_ids:
+        if not base.has_node(node_id):
+            raise NotFoundError(f"unknown node id {node_id!r}")
+
+    if causal_view is not None:
+        causal = _collect_tier(causal_view, TIER_CAUSAL, from_ids, to_ids, config, distance_slack)
+        if causal[0]:
+            return causal
+    return _collect_tier(base, TIER_FALLBACK, from_ids, to_ids, config, distance_slack)
 
 
 def find_paths(
@@ -184,21 +249,10 @@ def find_paths(
     Each pair's forward listing is complete, and a reversed listing is
     complete for the flipped pair. A pair is searched flipped only when its
     flip is not a forward pair, so no two listings share an endpoint pair
-    and no path is returned twice.
+    and no path is returned twice. ``retrieve_for_cot`` runs the same search
+    but lists only the paths the detour pruning keeps.
     """
-    from_ids = sorted(set(from_set))
-    to_ids = sorted(set(to_set))
-    if not from_ids or not to_ids:
-        return []
-    for node_id in from_ids + to_ids:
-        if not base.has_node(node_id):
-            raise NotFoundError(f"unknown node id {node_id!r}")
-
-    if causal_view is not None:
-        causal = _collect_tier(causal_view, TIER_CAUSAL, from_ids, to_ids, config)
-        if causal:
-            return causal
-    return _collect_tier(base, TIER_FALLBACK, from_ids, to_ids, config)
+    return _search(causal_view, base, from_set, to_set, config, None)[0]
 
 
 def prune_and_select(candidates: list[GraphPath], config: RetrievalConfig) -> list[GraphPath]:
@@ -206,9 +260,11 @@ def prune_and_select(candidates: list[GraphPath], config: RetrievalConfig) -> li
 
     A path is a detour when its length exceeds the shortest distance between
     its endpoints by more than ``distance_slack``. That distance is the
-    length of the shortest candidate with the same endpoints: ``find_paths``
-    lists every simple path of at most ``max_hops`` edges for each endpoint
-    pair it returns, and a shortest path is always simple.
+    length of the shortest candidate with the same endpoints. Any listing
+    that holds a pair's shortest path will do: ``find_paths`` lists every
+    simple path of at most ``max_hops`` edges for each endpoint pair it
+    returns, ``retrieve_for_cot`` only those of at most the shortest
+    distance plus ``distance_slack``, and a shortest path is always simple.
     """
     shortest: dict[tuple[str, str], int] = {}
     for path in candidates:
@@ -253,15 +309,21 @@ def retrieve_for_cot(
     nothing within ``max_hops`` in either tier, contribute empty entries with
     a reason code; the chain as a whole never fails here. ``causal_view=None``
     searches the base graph alone.
+
+    The search is ``find_paths``', but each endpoint pair lists only its paths
+    of at most its shortest distance plus ``distance_slack`` edges, the ones
+    ``prune_and_select`` keeps, and counts the longer ones. So an entry's
+    ``candidate_count`` still counts every path ``find_paths`` returns, and
+    its ``paths`` are ``prune_and_select`` of them.
     """
     linked = [tuple(sorted(linker.link(text))) for text in cot.segments] if len(cot.segments) > 1 else []
     results: dict[int, SegmentRetrieval] = {}
     for index, (from_ids, to_ids) in enumerate(zip(linked, linked[1:])):
-        tier, candidates, selected = None, [], []
+        tier, candidates, count, selected = None, [], 0, []
         if not (from_ids and to_ids):
             reason = REASON_NO_ENTITIES
         else:
-            candidates = find_paths(causal_view, base, from_ids, to_ids, config)
+            candidates, count = _search(causal_view, base, from_ids, to_ids, config, config.distance_slack)
             reason = None if candidates else REASON_NO_PATHS
         if candidates:
             tier = candidates[0].tier
@@ -270,7 +332,7 @@ def retrieve_for_cot(
             source_entities=from_ids,
             target_entities=to_ids,
             tier=tier,
-            candidate_count=len(candidates),
+            candidate_count=count,
             paths=tuple(selected),
             reason=reason,
         )

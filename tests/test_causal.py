@@ -506,6 +506,25 @@ def test_a_lineage_store_keeps_one_slot_per_node_and_no_view():
     assert len({id(slots) for lineage in (*stores, graph._lineage) for slots in lineage}) == 8
 
 
+def test_the_graph_holds_no_lineage_slot_after_reads():
+    # The graph is never revised, so a slot of its own could never be read.
+    rng = random.Random(2509)
+    triples = sorted({(f"N{rng.randrange(30)}", rng.choice(_PREDICATES), f"N{rng.randrange(30)}") for _ in range(200)})
+    graph = make_graph([(*triple, rng.choice(_GRID)) for triple in triples])
+    view = build_causal_view(graph, default_causality_table(), 0.5)
+    every_edge = set(range(graph.edge_count))
+    for _ in range(2):
+        for node_id in graph.node_ids():
+            assert (graph.successors(node_id), graph.edges_into(node_id)) == _recount_search_reads(
+                graph, every_edge, node_id
+            )
+            view.successors(node_id)
+            view.edges_into(node_id)
+    assert [len(slots) for slots in graph._lineage] == [0, 0]
+    assert [len(slots) for slots in view._lineage] == [graph.node_count] * 2
+    assert len(graph._successors) == len(graph._edges_into) == graph.node_count
+
+
 def test_view_never_contains_foreign_edges(chain_graph):
     view = build_causal_view(chain_graph, default_causality_table(), 0.3)
     assert all(0 <= idx < chain_graph.edge_count for idx in view.member_edges)

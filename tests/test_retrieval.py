@@ -8,22 +8,27 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
+from causalrag import retrieval
 from causalrag.causal import (
     CausalityTable,
     apply_strength_updates,
     build_causal_view,
     default_causality_table,
 )
+from causalrag.config import default_config
 from causalrag.cot import ChainOfThought
 from causalrag.errors import NotFoundError, ValidationError
 from causalrag.graph import ConceptNode, KgEdge
+from causalrag.harness import Mode, Pipeline, QAItem
 from causalrag.linker import build_index
+from causalrag.llm import EndpointConfig, LlmGateway, LlmResponse, ModelAssignment
 from causalrag.retrieval import (
     REASON_NO_ENTITIES,
     REASON_NO_PATHS,
     GraphPath,
     RetrievalConfig,
     _enumerate_simple_paths,
+    _search,
     find_paths,
     path_score,
     prune_and_select,
@@ -180,8 +185,8 @@ def test_finished_search_leaves_no_cycle_holding_the_view(chain_graph, max_hops)
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
     ids = [f"N{i}" for i in range(1500)]
     graph = make_graph([(a, "CAUSES", b, 0.9) for a, b in zip(ids, ids[1:])])
-    found = _enumerate_simple_paths(graph, ids[0], ids[-1], 1500, graph.edges_into(ids[-1]))
-    assert [nodes for nodes, _ in found] == [tuple(ids)]
+    found, longer = _enumerate_simple_paths(graph, ids[0], ids[-1], 1500, graph.edges_into(ids[-1]))
+    assert [nodes for nodes, _ in found] == [tuple(ids)] and longer == 0
 
 
 def test_find_paths_uses_view_override_strengths(chain_graph, chain_view):
@@ -631,7 +636,8 @@ def test_key_joined_search_equals_the_unpruned_dfs_as_ordered_lists():
         ]
         for name, source in (("graph", graph), ("view", view), ("revised", revised)):
             for start, goal in endpoints:
-                found = _enumerate_simple_paths(source, start, goal, max_hops, source.edges_into(goal))
+                found, longer = _enumerate_simple_paths(source, start, goal, max_hops, source.edges_into(goal))
+                assert longer == 0
                 assert found == list(enumerate_simple_paths_unpruned(source, start, goal, max_hops)), (
                     graph_no, name, start, goal,
                 )
@@ -652,7 +658,8 @@ def test_a_hub_two_hops_short_is_key_joined_not_walked():
     graph = make_graph(specs)
     recorder = _OutEdgeRecorder(graph)
 
-    found = _enumerate_simple_paths(recorder, "S", "G", 3, recorder.edges_into("G"))
+    found, longer = _enumerate_simple_paths(recorder, "S", "G", 3, recorder.edges_into("G"))
+    assert longer == 0
 
     assert found == list(enumerate_simple_paths_unpruned(graph, "S", "G", 3))
     assert [nodes for nodes, _ in found] == [("S", "H", "X017", "G"), ("S", "H", "X150", "G")]
@@ -665,3 +672,115 @@ def test_a_hub_two_hops_short_is_key_joined_not_walked():
     # One lookup in H's map and one in G's in-edges per three-hop path.
     three_hop = sum(len(edges) == 3 for _, edges in found)
     assert len(hub.looked_up) == len(recorder.into.looked_up) == three_hop == 2
+
+
+# -- the detour-bounded listing of retrieve_for_cot, against find_paths ----------------
+
+
+def _small_multigraph(rng: random.Random):
+    """4-8 nodes and 3-20 node pairs, each joined by 1-3 edges that differ by
+    predicate; a pair may be a self-loop."""
+    ids = [f"N{i}" for i in range(rng.randint(4, 8))]
+    triples: dict[tuple[str, str, str], None] = {}
+    for _ in range(rng.randint(3, 20)):
+        subject, object_ = rng.choice(ids), rng.choice(ids)
+        for predicate in rng.sample(_HUB_PREDICATES[:4], rng.choice((1, 1, 2, 3))):
+            triples.setdefault((subject, predicate, object_))
+    graph = make_graph([(*triple, rng.choice(_HUB_GRID)) for triple in triples])
+    table = CausalityTable(weights={p: rng.choice(_HUB_GRID) for p in _HUB_PREDICATES[:4]}, default_weight=0.5)
+    return graph, table
+
+
+class _SetLinker:
+    """Links a segment's text, a space-separated list of node ids, to those ids."""
+
+    def link(self, text):
+        return frozenset(text.split())
+
+
+def test_retrieve_for_cot_lists_only_what_prune_keeps_and_counts_every_path():
+    rng = random.Random(20261020)
+    seen = Counter()
+    for _ in range(300):
+        graph, table = _small_multigraph(rng)
+        edges = edges_of(graph)
+        seen["self-loop"] += any(e.subject == e.object for e in edges)
+        seen["parallel"] += len({(e.subject, e.object) for e in edges}) < len(edges)
+        view = build_causal_view(graph, table, rng.choice(_HUB_GRID))
+        node_ids = graph.node_ids()
+        from_set = rng.sample(node_ids, rng.randint(1, 2))
+        to_set = rng.sample(node_ids, rng.randint(1, 2))
+        cot = ChainOfThought(segments=(" ".join(from_set), " ".join(to_set)))
+        for max_hops in range(1, 5):
+            for slack in range(4):
+                config = RetrievalConfig(max_hops=max_hops, k=rng.randint(1, 6), distance_slack=slack)
+                for causal_view in (view, None):
+                    full = find_paths(causal_view, graph, from_set, to_set, config)
+                    entry = retrieve_for_cot(cot, _SetLinker(), causal_view, graph, config)[0]
+                    assert entry.candidate_count == len(full)
+                    assert entry.paths == tuple(prune_and_select(full, config))
+                    assert entry.tier == (full[0].tier if full else None)
+
+                    # The listing is exactly the paths the detour rule keeps, in find_paths' order.
+                    listed, count = _search(causal_view, graph, from_set, to_set, config, slack)
+                    shortest: dict[tuple[str, str], int] = {}
+                    for path in full:
+                        ends = (path.nodes[0], path.nodes[-1])
+                        shortest[ends] = min(len(path.edges), shortest.get(ends, max_hops))
+                    kept = [p for p in full if len(p.edges) <= shortest[p.nodes[0], p.nodes[-1]] + slack]
+                    assert listed == kept and count == len(full)
+                    seen[f"hops {max_hops} slack {slack} counted"] += len(full) > len(listed)
+                    seen["reversed"] += any(p.reversed for p in listed)
+    # Every config whose bound can fall below max_hops counts some path unlisted,
+    # max_hops 2 with slack 0 among them.
+    assert all(seen[f"hops {h} slack {s} counted"] for h in range(2, 5) for s in range(h - 1)), seen
+    assert not any(seen[f"hops {h} slack {s} counted"] for h in range(1, 5) for s in range(h - 1, 4)), seen
+    assert min(seen["self-loop"], seen["parallel"], seen["reversed"]) >= 10, seen
+
+
+def test_hub_detours_are_counted_in_the_trace_but_never_built(monkeypatch):
+    """hub -> goal directly, hub -> mid -> goal, and 36 three-hop detours
+    hub -> x -> y -> goal through parallel edges; default config, so the
+    detours are one hop past the shortest distance plus the slack."""
+    specs = [("hub", "CAUSES", "goal", 0.9), ("hub", "CAUSES", "mid", 0.9), ("mid", "CAUSES", "goal", 0.9)]
+    for i in range(4):
+        specs.append(("hub", "CAUSES", f"x{i}", 0.9))
+        if i % 2:
+            specs.append(("hub", "TREATS", f"x{i}", 0.7))
+        specs += [(f"x{i}", "CAUSES", f"y{j}", 0.9) for j in range(3)]
+    for j in range(3):
+        specs += [(f"y{j}", "CAUSES", "goal", 0.9), (f"y{j}", "PREVENTS", "goal", 0.8)]
+    graph = make_graph(specs)
+    config = replace(default_config(), assignment=ModelAssignment(cot="live", enhance="live", infer="live"))
+    view = build_causal_view(graph, config.causality, config.theta)
+
+    def transport(request, endpoint):
+        replies = {"cot": "the hub → reaches the goal → 80", "enhance": "Direct.", "infer": "Answer: A"}
+        return LlmResponse(text=replies[request.stage])
+
+    gateway = LlmGateway(endpoint=EndpointConfig(url="http://example/llm"), transport=transport)
+    pipeline = Pipeline(graph, view, build_index(graph), gateway, config)
+    full = find_paths(view, graph, {"hub"}, {"goal"}, config.retrieval)
+    assert len(full) == 1 + 1 + (1 + 2 + 1 + 2) * 3 * 2 == 38
+    built: list[int] = []
+
+    def graph_path(nodes, edges, *rest):
+        built.append(len(edges))
+        return GraphPath(nodes, edges, *rest)
+
+    monkeypatch.setattr(retrieval, "GraphPath", graph_path)
+    item = QAItem(id="hub", question="Where does the hub lead?", options={"A": "goal", "B": "y0"}, gold="A")
+    record = pipeline.answer(item, Mode.FULL)
+
+    assert record.trace["retrieval"] == [
+        {
+            "segment_index": 0,
+            "source_entities": ["hub"],
+            "target_entities": ["goal"],
+            "tier": "causal",
+            "candidates": len(full),
+            "kept": 2,
+            "reason": None,
+        }
+    ]
+    assert sorted(built) == [1, 2]
