@@ -22,7 +22,7 @@ from .causal import CausalGraphView
 from .config import PipelineConfig
 from .cot import ChainOfThought, format_options, normalize_options, parse_cot, render_cot
 from .enhancer import (
-    build_enhancement_prompt,
+    _fill_enhancement,
     fuse_paths,
     render_paths_block,
     score_paths,
@@ -272,7 +272,7 @@ class Pipeline:
         trace["final_path_count"] = len(paths)
 
         if enhances:
-            enhance_prompt = build_enhancement_prompt(
+            enhance_prompt = _fill_enhancement(
                 final, cot, item.question, options, self.graph, self._enhance_template
             )
             summary = self._call("enhance", enhance_prompt, trace)

@@ -7,8 +7,8 @@ pair is tried forward, then (only if the forward direction is empty)
 backward with a reversed flag. Every listing has its own endpoint pair, so
 no path is listed twice, and the order is deterministic: identical inputs
 always produce identical output. ``find_paths`` lists every path of at most
-``max_hops`` edges; ``retrieve_for_cot`` lists only those the detour pruning
-keeps, and counts the rest.
+``max_hops`` edges; ``retrieve_for_cot`` lists, between two endpoints joined
+by a direct edge, only those the detour pruning keeps, and counts the rest.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Iterable
 
 from .cot import ChainOfThought
 from .errors import NotFoundError, ValidationError
-from .graph import shortest_path_length
 
 TIER_CAUSAL = "causal"
 TIER_FALLBACK = "fallback"
@@ -103,12 +102,13 @@ def _enumerate_simple_paths(
     edges: those of at most ``limit`` edges as ``(nodes, edges)``, sorted by
     edge tuple, and how many longer ones there are.
 
-    Without a ``distance_slack``, ``limit`` is ``max_hops``. With one, it is
-    the pair's shortest distance plus the slack when that is less: no longer
-    path survives ``prune_and_select``. A longer path is counted from its
-    hops' numbers of parallel edges and never built. The distance is looked
-    for only where it can cut the listing short: with ``max_hops`` 3 and
-    slack 1, that is one test for a direct edge.
+    ``limit`` is ``max_hops``, except that with a ``distance_slack`` a pair
+    joined by a direct edge lists at most ``1 + distance_slack`` edges: its
+    shortest distance is 1, so no longer path survives ``prune_and_select``.
+    A longer path is counted from its hops' numbers of parallel edges and
+    never built. A pair with no direct edge lists up to ``max_hops``; with
+    ``max_hops`` at most ``distance_slack + 2``, as in the default config,
+    it has no detour to drop.
 
     ``into_goal`` is ``source.edges_into(goal)``; ``source.successors`` maps
     each target to its parallel edges, which ``itertools.product`` expands.
@@ -127,13 +127,8 @@ def _enumerate_simple_paths(
         return [((start, goal), (idx,)) for idx in into_goal.get(start, ())], 0
     first = source.successors(start)
     limit = max_hops
-    if distance_slack is not None and distance_slack + 1 < max_hops:
-        if goal in first:
-            limit = 1 + distance_slack
-        elif distance_slack + 2 < max_hops:
-            shortest = shortest_path_length(source, start, goal, max_hops - 1 - distance_slack)
-            if shortest:
-                limit = shortest + distance_slack
+    if distance_slack is not None and distance_slack + 1 < max_hops and goal in first:
+        limit = 1 + distance_slack
     found: list[tuple[tuple[str, ...], tuple[int, ...]]] = []
     beyond = 0
     into_keys = into_goal.keys()
@@ -250,7 +245,8 @@ def find_paths(
     complete for the flipped pair. A pair is searched flipped only when its
     flip is not a forward pair, so no two listings share an endpoint pair
     and no path is returned twice. ``retrieve_for_cot`` runs the same search
-    but lists only the paths the detour pruning keeps.
+    but counts, without listing them, the detours between endpoints joined
+    by a direct edge.
     """
     return _search(causal_view, base, from_set, to_set, config, None)[0]
 
@@ -263,8 +259,8 @@ def prune_and_select(candidates: list[GraphPath], config: RetrievalConfig) -> li
     length of the shortest candidate with the same endpoints. Any listing
     that holds a pair's shortest path will do: ``find_paths`` lists every
     simple path of at most ``max_hops`` edges for each endpoint pair it
-    returns, ``retrieve_for_cot`` only those of at most the shortest
-    distance plus ``distance_slack``, and a shortest path is always simple.
+    returns, and ``retrieve_for_cot`` drops only paths longer than
+    ``1 + distance_slack`` edges between endpoints joined by a direct edge.
     """
     shortest: dict[tuple[str, str], int] = {}
     for path in candidates:
@@ -310,11 +306,11 @@ def retrieve_for_cot(
     a reason code; the chain as a whole never fails here. ``causal_view=None``
     searches the base graph alone.
 
-    The search is ``find_paths``', but each endpoint pair lists only its paths
-    of at most its shortest distance plus ``distance_slack`` edges, the ones
-    ``prune_and_select`` keeps, and counts the longer ones. So an entry's
-    ``candidate_count`` still counts every path ``find_paths`` returns, and
-    its ``paths`` are ``prune_and_select`` of them.
+    The search is ``find_paths``', but an endpoint pair joined by a direct
+    edge lists only its paths of at most ``1 + distance_slack`` edges, the
+    ones ``prune_and_select`` keeps, and counts the longer ones. So an
+    entry's ``candidate_count`` still counts every path ``find_paths``
+    returns, and its ``paths`` are ``prune_and_select`` of them.
     """
     linked = [tuple(sorted(linker.link(text))) for text in cot.segments] if len(cot.segments) > 1 else []
     results: dict[int, SegmentRetrieval] = {}

@@ -320,7 +320,7 @@ def test_enhancement_prompt_lists_paths_in_score_order():
     scored = score_paths(fuse_paths(pools), {"C1", "C2"}, {"dsyn"}, graph, config)
     final = select_final(scored, 1.0)
     prompt = build_enhancement_prompt(
-        final, cot, "What follows hypertension?", "A. Stroke\nB. Nothing", graph, ENHANCE_TEMPLATE
+        final, cot, "What follows hypertension?", {"A": "Stroke", "B": "Nothing"}, graph, ENHANCE_TEMPLATE
     )
     first = prompt.find("Hypertension --[CAUSES (0.90)]--> Stroke")
     second = prompt.find("Aspirin --[TREATS (0.70)]--> Stroke")
@@ -334,9 +334,16 @@ def test_enhancement_prompt_no_evidence_marker():
     graph = _typed_graph()
     cot = ChainOfThought(segments=("step",))
     prompt = build_enhancement_prompt(
-        [], cot, "Question?", "A. x\nB. y", graph, ENHANCE_TEMPLATE
+        [], cot, "Question?", {"A": "x", "B": "y"}, graph, ENHANCE_TEMPLATE
     )
     assert NO_EVIDENCE_MARKER in prompt
+
+
+@pytest.mark.parametrize("options", [{"A": "only one"}, {"A": "x", "B": " "}, {"A": "x", "a": "y"}])
+def test_enhancement_prompt_validates_its_options(options):
+    cot = ChainOfThought(segments=("step",))
+    with pytest.raises(ValidationError):
+        build_enhancement_prompt([], cot, "Question?", options, _typed_graph(), ENHANCE_TEMPLATE)
 
 
 def test_path_rendering_two_decimal_strengths():

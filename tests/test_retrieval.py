@@ -721,14 +721,17 @@ def test_retrieve_for_cot_lists_only_what_prune_keeps_and_counts_every_path():
                     assert entry.paths == tuple(prune_and_select(full, config))
                     assert entry.tier == (full[0].tier if full else None)
 
-                    # The listing is exactly the paths the detour rule keeps, in find_paths' order.
+                    # Pruning the listing gives find_paths' selection, and the listing is
+                    # find_paths' paths, in order, cut at 1 + slack edges between
+                    # endpoints joined by a direct edge.
                     listed, count = _search(causal_view, graph, from_set, to_set, config, slack)
-                    shortest: dict[tuple[str, str], int] = {}
-                    for path in full:
-                        ends = (path.nodes[0], path.nodes[-1])
-                        shortest[ends] = min(len(path.edges), shortest.get(ends, max_hops))
-                    kept = [p for p in full if len(p.edges) <= shortest[p.nodes[0], p.nodes[-1]] + slack]
-                    assert listed == kept and count == len(full)
+                    assert prune_and_select(listed, config) == prune_and_select(full, config)
+                    assert count == len(full)
+                    direct = {(p.nodes[0], p.nodes[-1]) for p in full if len(p.edges) == 1}
+                    limit = 1 + slack if slack + 1 < max_hops else max_hops
+                    assert listed == [
+                        p for p in full if (p.nodes[0], p.nodes[-1]) not in direct or len(p.edges) <= limit
+                    ]
                     seen[f"hops {max_hops} slack {slack} counted"] += len(full) > len(listed)
                     seen["reversed"] += any(p.reversed for p in listed)
     # Every config whose bound can fall below max_hops counts some path unlisted,
