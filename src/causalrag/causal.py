@@ -18,7 +18,7 @@ from itertools import compress
 from typing import Iterable, Mapping
 
 from .errors import ValidationError, tsv_rows
-from .graph import KgEdge, KnowledgeGraph, SearchReads
+from .graph import KnowledgeGraph, SearchReads
 
 logger = logging.getLogger(__name__)
 
@@ -119,12 +119,6 @@ class CausalGraphView(SearchReads):
     _lineage: tuple[dict, dict] = field(default_factory=lambda: ({}, {}), repr=False, compare=False)
 
     # Traversal protocol shared with KnowledgeGraph -------------------------
-
-    def has_node(self, node_id: str) -> bool:
-        return self.base.has_node(node_id)
-
-    def edge(self, index: int) -> KgEdge:
-        return self.base.edge(index)
 
     def out_edges(self, node_id: str) -> tuple[int, ...]:
         mask = self.mask

@@ -1,4 +1,9 @@
-"""Chain-of-thought prompting and parsing.
+"""Questions, chain-of-thought prompting and parsing.
+
+A ``QAItem`` is one multiple-choice question. It validates its options and
+formats them once, at construction; every prompt of the item embeds that
+block, and ``build_cot_prompt`` is the one fill of the chain-of-thought
+template.
 
 The reasoning format is a sequence of short single-state steps separated by
 an arrow, with a trailing integer confidence in [0, 100]. Both the unicode
@@ -9,8 +14,8 @@ the unicode form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Mapping
 
 from .errors import CotParseError, ValidationError
 from .templates import fill_template
@@ -53,20 +58,42 @@ def normalize_options(options: Mapping[str, str]) -> list[tuple[str, str]]:
     return [(str(label), str(text)) for label, text in pairs]
 
 
-def format_options(pairs: Iterable[tuple[str, str]]) -> str:
-    """The options block of a prompt, one ``label. text`` line per pair.
+@dataclass(frozen=True)
+class QAItem:
+    """One multiple-choice question with its gold label.
 
-    The pairs must be valid: ``normalize_options``' result, or the
-    ``items()`` of options that passed it.
+    The options are validated here, once, and formatted into
+    ``options_block``: one ``label. text`` line per option, the block every
+    prompt of the item embeds.
     """
-    return "\n".join(f"{label}. {text}" for label, text in pairs)
+
+    id: str
+    question: str
+    options: dict[str, str]
+    gold: str
+    options_block: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.id:
+            raise ValidationError("item id must be non-empty")
+        if not self.question.strip():
+            raise ValidationError(f"item {self.id}: question must be non-empty")
+        try:
+            pairs = normalize_options(self.options)
+        except ValidationError as exc:
+            raise ValidationError(f"item {self.id}: {exc}") from None
+        if self.gold not in self.options:
+            raise ValidationError(f"item {self.id}: gold label {self.gold!r} not among options")
+        object.__setattr__(self, "options_block", "\n".join(f"{label}. {text}" for label, text in pairs))
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(self.options)
 
 
-def build_cot_prompt(question: str, options, template: str) -> str:
+def build_cot_prompt(item: QAItem, template: str) -> str:
     """Fill the chain-of-thought generation template for one question."""
-    if not question or not question.strip():
-        raise ValidationError("question must be non-empty")
-    return fill_template(template, question=question.strip(), options=format_options(normalize_options(options)))
+    return fill_template(template, question=item.question.strip(), options=item.options_block)
 
 
 def parse_cot(raw: str) -> ChainOfThought:

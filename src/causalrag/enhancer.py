@@ -12,9 +12,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .cot import ChainOfThought, format_options, normalize_options, render_cot
+from .cot import ChainOfThought, QAItem, render_cot
 from .errors import ValidationError
 from .graph import KnowledgeGraph
 from .retrieval import GraphPath, _selection_key
@@ -192,29 +192,15 @@ def render_paths_block(paths: Iterable[GraphPath], graph: KnowledgeGraph) -> str
 def build_enhancement_prompt(
     final: Sequence[ScoredPath],
     cot: ChainOfThought,
-    question: str,
-    options: Mapping[str, str],
+    item: QAItem,
     graph: KnowledgeGraph,
     template: str,
 ) -> str:
     """Fill the consistency-check template with CoT and rendered evidence paths."""
-    return _fill_enhancement(final, cot, question, format_options(normalize_options(options)), graph, template)
-
-
-def _fill_enhancement(
-    final: Sequence[ScoredPath],
-    cot: ChainOfThought,
-    question: str,
-    options_block: str,
-    graph: KnowledgeGraph,
-    template: str,
-) -> str:
-    """``build_enhancement_prompt`` for options already validated and
-    formatted by ``format_options``."""
     return fill_template(
         template,
-        question=question.strip(),
-        options=options_block,
+        question=item.question.strip(),
+        options=item.options_block,
         cot=render_cot(cot),
-        paths=render_paths_block([item.path for item in final], graph),
+        paths=render_paths_block([scored.path for scored in final], graph),
     )

@@ -395,12 +395,13 @@ def shortest_path_length(source, start: str, goal: str, max_hops: int) -> int | 
     """Directed BFS hop count from ``start`` to ``goal``, or None beyond ``max_hops``.
 
     ``source`` is the base graph or a causal view: anything exposing
-    ``has_node`` and ``successors``.
+    ``base`` and ``successors``. Ids are checked against ``source.base``,
+    which is the graph itself when ``source`` is one.
     """
     if max_hops < 1:
         raise ValidationError(f"max_hops must be >= 1, got {max_hops}")
     for node_id in (start, goal):
-        if not source.has_node(node_id):
+        if not source.base.has_node(node_id):
             raise NotFoundError(f"unknown node id {node_id!r}")
     if start == goal:
         return 0

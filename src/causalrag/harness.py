@@ -5,6 +5,11 @@ Four run modes share one orchestrator: the full three-stage pipeline
 variant that skips chain-of-thought entirely, and two ablations that drop
 the enhancement LLM pass or the whole enhancement stage. Per-item failures
 degrade to abstentions so long evaluations survive transient faults.
+
+Items are ``cot.QAItem``s, which validate and format their options once.
+Each prompt has one builder: ``cot.build_cot_prompt`` fills the
+chain-of-thought template, ``enhancer.build_enhancement_prompt`` the
+consistency check, and ``Pipeline._infer`` the answer prompt.
 """
 
 from __future__ import annotations
@@ -20,14 +25,8 @@ from typing import Iterable, Mapping
 
 from .causal import CausalGraphView
 from .config import PipelineConfig
-from .cot import ChainOfThought, format_options, normalize_options, parse_cot, render_cot
-from .enhancer import (
-    _fill_enhancement,
-    fuse_paths,
-    render_paths_block,
-    score_paths,
-    select_final,
-)
+from .cot import ChainOfThought, QAItem, build_cot_prompt, parse_cot, render_cot
+from .enhancer import build_enhancement_prompt, fuse_paths, render_paths_block, score_paths, select_final
 from .errors import STAGE_ERRORS, DatasetError, ValidationError, json_lines
 from .graph import KnowledgeGraph
 from .llm import LlmGateway, LlmRequest, extract_answer_label
@@ -68,32 +67,6 @@ _PLANS: dict[Mode, tuple[bool, bool, bool]] = {
     Mode.NO_ENHANCER: (True, False, False),
     Mode.KG_ONLY: (False, False, False),
 }
-
-
-@dataclass(frozen=True)
-class QAItem:
-    """One multiple-choice question with its gold label."""
-
-    id: str
-    question: str
-    options: dict[str, str]
-    gold: str
-
-    def __post_init__(self):
-        if not self.id:
-            raise ValidationError("item id must be non-empty")
-        if not self.question.strip():
-            raise ValidationError(f"item {self.id}: question must be non-empty")
-        try:
-            normalize_options(self.options)
-        except ValidationError as exc:
-            raise ValidationError(f"item {self.id}: {exc}") from None
-        if self.gold not in self.options:
-            raise ValidationError(f"item {self.id}: gold label {self.gold!r} not among options")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.options)
 
 
 @dataclass
@@ -176,11 +149,9 @@ class Pipeline:
                 item_id=item.id, gold=item.gold, predicted=None, unmapped=True, trace=trace
             )
 
-        # QAItem validated the options, so the three prompts share one block.
-        options = format_options(item.options.items())
         try:
-            evidence = self._evidence(item, options, mode, query_cuis, trace)
-            predicted = self._infer(item, options, evidence, trace)
+            evidence = self._evidence(item, mode, query_cuis, trace)
+            predicted = self._infer(item, evidence, trace)
             return PredictionRecord(
                 item_id=item.id, gold=item.gold, predicted=predicted, trace=trace
             )
@@ -216,13 +187,10 @@ class Pipeline:
         trace["llm_calls"].append(call_info)
         return response.text
 
-    def _evidence(
-        self, item: QAItem, options: str, mode: Mode, query_cuis: frozenset[str], trace: dict
-    ) -> str:
+    def _evidence(self, item: QAItem, mode: Mode, query_cuis: frozenset[str], trace: dict) -> str:
         reasons, fuses, enhances = _PLANS[mode]
         if reasons:
-            prompt = fill_template(self._cot_template, question=item.question.strip(), options=options)
-            cot = parse_cot(self._call("cot", prompt, trace))
+            cot = parse_cot(self._call("cot", build_cot_prompt(item, self._cot_template), trace))
             trace["cot"] = {
                 "segments": list(cot.segments),
                 "confidence": cot.confidence,
@@ -272,20 +240,18 @@ class Pipeline:
         trace["final_path_count"] = len(paths)
 
         if enhances:
-            enhance_prompt = _fill_enhancement(
-                final, cot, item.question, options, self.graph, self._enhance_template
-            )
+            enhance_prompt = build_enhancement_prompt(final, cot, item, self.graph, self._enhance_template)
             summary = self._call("enhance", enhance_prompt, trace)
             trace["enhanced_summary"] = summary
             return summary
         block = render_paths_block(paths, self.graph)
         return f"{block}\n\nOriginal chain of thought:\n{render_cot(cot)}" if reasons else block
 
-    def _infer(self, item: QAItem, options: str, evidence: str, trace: dict) -> str | None:
+    def _infer(self, item: QAItem, evidence: str, trace: dict) -> str | None:
         prompt = fill_template(
             self._infer_template,
             question=item.question.strip(),
-            options=options,
+            options=item.options_block,
             evidence=evidence if evidence.strip() else NO_EVIDENCE_MARKER,
         )
         answer_text = self._call("infer", prompt, trace)

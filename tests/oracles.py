@@ -226,7 +226,7 @@ def enumerate_simple_paths_unpruned(
 
     def walk(node: str) -> Iterator[tuple[tuple[str, ...], tuple[int, ...]]]:
         for idx in source.out_edges(node):
-            target = source.edge(idx).object
+            target = source.base.edge(idx).object
             if target in on_path:
                 continue
             node_stack.append(target)

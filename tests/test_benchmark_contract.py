@@ -2,7 +2,9 @@
 
 ``perfbench/instrument.py`` replaces them on install and restores them on
 uninstall; this test fails when a name it wraps is renamed or deleted,
-instead of only a ``--trace 1`` benchmark run crashing.
+instead of only a ``--trace 1`` benchmark run crashing. The pipeline must
+also call the wrapped prompt builders, or their spans go missing from a
+traced run without any error.
 """
 
 from __future__ import annotations
@@ -12,6 +14,14 @@ import sys
 from pathlib import Path
 
 import causalrag.cli  # noqa: F401  (loads every causalrag module)
+from causalrag import harness
+from causalrag.causal import build_causal_view
+from causalrag.config import load_config
+from causalrag.graph import load_triples
+from causalrag.linker import build_index
+from causalrag.llm import LlmGateway, MockTranscript
+
+from .conftest import FIXTURES
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -52,3 +62,41 @@ def test_benchmark_instrumentation_installs_and_restores(monkeypatch):
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_a_traced_full_run_spans_each_prompt_builder(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    instrument = importlib.import_module("instrument")
+    spans = importlib.import_module("spans")
+
+    config = load_config(FIXTURES / "config.yaml")
+    graph = load_triples(FIXTURES / "triples.tsv", config.causality.weight)
+    rec = spans.Recorder()
+    inst = instrument.Instrumentation()
+    inst.install(rec)
+    try:
+        pipeline = harness.Pipeline(
+            graph=graph,
+            causal_view=build_causal_view(graph, config.causality, config.theta),
+            linker=build_index(graph),
+            gateway=LlmGateway(transcript=MockTranscript.load(FIXTURES / "transcript_full.jsonl")),
+            config=config,
+        )
+        report = harness.run_evaluation(pipeline, harness.load_dataset(FIXTURES / "dataset.jsonl"), harness.Mode.FULL)
+    finally:
+        inst.uninstall()
+
+    mapped = {record["item_id"] for record in report["records"] if not record["unmapped"]}
+    assert len(mapped) == report["n_items"] == 10
+    children: dict = {}
+    for span in rec.spans:
+        children.setdefault(span.parent, []).append(span)
+    answers = [span for span in rec.spans if span.name == "harness.answer"]
+    assert sorted(span.item_id for span in answers) == sorted(mapped)
+    for answer in answers:
+        names = [span.name for span in children.get(answer.sid, [])]
+        assert names.count("cot.prompt") == 1, answer.item_id
+        # The enhancement fill is one render span; the chain and the paths block it renders nest inside.
+        (fill,) = [span for span in children[answer.sid] if span.name == "enhancer.render"]
+        nested = sorted(span.name for span in children.get(fill.sid, []))
+        assert nested == ["cot.render", "enhancer.render"], answer.item_id

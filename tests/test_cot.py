@@ -7,6 +7,7 @@ import pytest
 from causalrag.cot import (
     ARROW,
     ChainOfThought,
+    QAItem,
     build_cot_prompt,
     normalize_options,
     parse_cot,
@@ -23,7 +24,8 @@ COT_TEMPLATE = load_template("cot_generation.txt")
 
 def test_prompt_embeds_question_options_and_format_rules():
     options = {"A": "Stroke", "B": "Lung cancer", "C": "Retinopathy", "D": "Neuropathy"}
-    prompt = build_cot_prompt("Which complication follows hypertension?", options, COT_TEMPLATE)
+    item = QAItem(id="q", question="Which complication follows hypertension?", options=options, gold="A")
+    prompt = build_cot_prompt(item, COT_TEMPLATE)
     assert "Which complication follows hypertension?" in prompt
     for label, text in options.items():
         assert f"{label}. {text}" in prompt
@@ -33,9 +35,12 @@ def test_prompt_embeds_question_options_and_format_rules():
 
 def test_prompt_rejects_empty_question_and_few_options():
     with pytest.raises(ValidationError):
-        build_cot_prompt("   ", {"A": "x", "B": "y"}, COT_TEMPLATE)
+        build_cot_prompt(QAItem(id="q", question="   ", options={"A": "x", "B": "y"}, gold="A"), COT_TEMPLATE)
     with pytest.raises(ValidationError):
-        build_cot_prompt("q?", {"A": "only one"}, COT_TEMPLATE)
+        build_cot_prompt(QAItem(id="q", question="q?", options={"A": "only one"}, gold="A"), COT_TEMPLATE)
+    # The builder takes a validated item only; the old (question, options) call cannot reach a fill.
+    with pytest.raises(TypeError):
+        build_cot_prompt("q?", {"A": "x", "B": "y"}, COT_TEMPLATE)
 
 
 def test_option_labels_that_differ_only_in_case_are_rejected():
@@ -47,7 +52,8 @@ def test_option_labels_that_differ_only_in_case_are_rejected():
 
 def test_placeholders_inside_values_stay_literal():
     question = "Which of {options} fits the {evidence} and {unknown}?"
-    prompt = build_cot_prompt(question, {"A": "x", "B": "y"}, template="Q: {question}\nO: {options}")
+    item = QAItem(id="q", question=question, options={"A": "x", "B": "y"}, gold="A")
+    prompt = build_cot_prompt(item, template="Q: {question}\nO: {options}")
     assert prompt == f"Q: {question}\nO: A. x\nB. y"
 
     inference = fill_template(

@@ -6,7 +6,7 @@ from itertools import permutations
 
 import pytest
 
-from causalrag.cot import ChainOfThought
+from causalrag.cot import ChainOfThought, QAItem
 from causalrag.enhancer import (
     EnhancerConfig,
     ScoredPath,
@@ -319,9 +319,8 @@ def test_enhancement_prompt_lists_paths_in_score_order():
     ]
     scored = score_paths(fuse_paths(pools), {"C1", "C2"}, {"dsyn"}, graph, config)
     final = select_final(scored, 1.0)
-    prompt = build_enhancement_prompt(
-        final, cot, "What follows hypertension?", {"A": "Stroke", "B": "Nothing"}, graph, ENHANCE_TEMPLATE
-    )
+    item = QAItem(id="q", question="What follows hypertension?", options={"A": "Stroke", "B": "Nothing"}, gold="A")
+    prompt = build_enhancement_prompt(final, cot, item, graph, ENHANCE_TEMPLATE)
     first = prompt.find("Hypertension --[CAUSES (0.90)]--> Stroke")
     second = prompt.find("Aspirin --[TREATS (0.70)]--> Stroke")
     assert 0 < first < second
@@ -333,16 +332,21 @@ def test_enhancement_prompt_lists_paths_in_score_order():
 def test_enhancement_prompt_no_evidence_marker():
     graph = _typed_graph()
     cot = ChainOfThought(segments=("step",))
-    prompt = build_enhancement_prompt(
-        [], cot, "Question?", {"A": "x", "B": "y"}, graph, ENHANCE_TEMPLATE
-    )
+    item = QAItem(id="q", question="Question?", options={"A": "x", "B": "y"}, gold="A")
+    prompt = build_enhancement_prompt([], cot, item, graph, ENHANCE_TEMPLATE)
     assert NO_EVIDENCE_MARKER in prompt
 
 
 @pytest.mark.parametrize("options", [{"A": "only one"}, {"A": "x", "B": " "}, {"A": "x", "a": "y"}])
 def test_enhancement_prompt_validates_its_options(options):
+    # The prompt's options come only from a QAItem, which rejects bad ones when built,
+    # and the old (question, options) call no longer matches the signature.
     cot = ChainOfThought(segments=("step",))
     with pytest.raises(ValidationError):
+        build_enhancement_prompt(
+            [], cot, QAItem(id="q", question="Question?", options=options, gold="A"), _typed_graph(), ENHANCE_TEMPLATE
+        )
+    with pytest.raises(TypeError):
         build_enhancement_prompt([], cot, "Question?", options, _typed_graph(), ENHANCE_TEMPLATE)
 
 

@@ -293,7 +293,7 @@ def _bfs_oracle(graph, start, goal, max_hops):
         if depth == max_hops:
             continue
         for idx in graph.out_edges(node):
-            target = graph.edge(idx).object
+            target = graph.base.edge(idx).object
             if target == goal:
                 return depth + 1
             if target not in seen:

@@ -139,7 +139,7 @@ def test_dataset_takes_an_integer_id_as_its_text(tmp_path):
 
 
 def test_qa_item_validation():
-    with pytest.raises(Exception):
+    with pytest.raises(ValidationError, match="item x: need at least 2 options, got 1"):
         QAItem(id="x", question="q?", options={"A": "only"}, gold="A")
     with pytest.raises(Exception):
         QAItem(id="x", question="q?", options={"A": "x", "B": "y"}, gold="Z")
@@ -147,6 +147,12 @@ def test_qa_item_validation():
         QAItem(id="x", question="q?", options={"A": "x", "B": "  "}, gold="A")
     with pytest.raises(ValidationError, match="item x: option label must be non-empty"):
         QAItem(id="x", question="q?", options={"A": "x", "": "y"}, gold="A")
+    with pytest.raises(ValidationError, match="item x: option labels 'A' and 'a' differ only in case"):
+        QAItem(id="x", question="q?", options={"A": "x", "a": "y"}, gold="A")
+    item = QAItem(id="x", question="q?", options={"A": "x", "B": "y"}, gold="A")
+    assert item.options_block == "A. x\nB. y"
+    assert "options_block" not in repr(item)
+    assert item == QAItem(id="x", question="q?", options={"A": "x", "B": "y"}, gold="A")
 
 
 # -- per-mode stage wiring ---------------------------------------------------------
@@ -322,6 +328,37 @@ def test_kg_only_reports_no_paths_for_a_linked_pair_without_one():
             "reason": "no-paths",
         }
     ]
+
+
+def test_full_mode_fuses_parallel_edges_and_renders_the_lower_edge_index():
+    """Two parallel edges of equal strength give two equal paths; fusion keeps
+    the one with the lower edge index, which is the lower predicate int (first
+    appearance), not the predicate that sorts first by name."""
+    graph = make_graph([("Alpha", "PREVENTS", "Beta", 0.8), ("Alpha", "CAUSES", "Beta", 0.8)])
+    assert [graph.edge(idx).predicate for idx in range(graph.edge_count)] == ["PREVENTS", "CAUSES"]
+    config = load_config(FIXTURES / "config.yaml")
+    transcript = MockTranscript(
+        [("cot", 0, "alpha → beta → 80"), ("enhance", 0, "Alpha prevents beta."), ("infer", 0, "Answer: A")]
+    )
+    pipeline = Pipeline(
+        graph=graph,
+        causal_view=build_causal_view(graph, config.causality, config.theta),
+        linker=build_index(graph),
+        gateway=LlmGateway(transcript=transcript),
+        config=config,
+    )
+    item = QAItem(id="q", question="What does alpha do to beta?", options={"A": "beta", "B": "nothing"}, gold="A")
+    record = pipeline.answer(item, Mode.FULL, strict=True)
+    assert [(entry["tier"], entry["candidates"], entry["kept"]) for entry in record.trace["retrieval"]] == [
+        ("causal", 2, 2)
+    ]
+    assert record.trace["fused_count"] == 1
+    (final,) = record.trace["final_paths"]
+    assert (final["nodes"], final["merge_count"]) == (["Alpha", "Beta"], 2)
+    enhance_prompt = record.trace["prompts"]["enhance"]
+    assert "Alpha --[PREVENTS (0.80)]--> Beta" in enhance_prompt
+    assert "CAUSES" not in enhance_prompt
+    assert record.predicted == "A"
 
 
 def test_pipeline_refuses_a_causal_view_of_another_graph():

@@ -9,7 +9,9 @@ each stage's template is chosen in one place. Only ``graph.py`` defines the
 path search's reads, ``successors`` and ``edges_into`` (once each, for the
 graph and its views alike), and no other module imports the helper that
 groups their edges, so the shape of a search-memo entry is known in one
-module.
+module. Only ``cot.py`` names the option validator (``normalize_options``)
+or an options formatter, so ``QAItem`` is the one place that decides
+whether a question's options are valid and how a prompt shows them.
 """
 
 from __future__ import annotations
@@ -103,6 +105,22 @@ def test_only_graph_defines_the_search_reads(path):
         assert defined == ["edges_into", "successors"]
     else:
         assert defined == [], f"{path.name} defines {defined}: inherit them from graph.SearchReads"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(SRC)))
+def test_only_cot_validates_and_formats_options(path):
+    named = sorted(
+        {
+            name
+            for node in _nodes(path)
+            for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+            if name in ("normalize_options", "format_options")
+        }
+    )
+    if path.name == "cot.py":
+        assert named == ["normalize_options"]
+    else:
+        assert named == [], f"{path.name} names {named}: take the options block from the QAItem"
 
 
 def test_the_guard_recognises_reads_and_writes():
