@@ -157,8 +157,7 @@ def cmd_answer(args) -> int:
 
     pipeline = _build_pipeline(args, config)
     record = pipeline.answer(item, Mode.from_flag(args.mode), strict=True)
-    predicted = record.predicted if record.predicted is not None else "abstain"
-    print(f"predicted: {predicted}")
+    print(f"predicted: {record.to_dict()['predicted']}")
     if record.unmapped:
         print("note: question does not map into the causal subgraph")
     summary = record.trace.get("enhanced_summary")

@@ -98,6 +98,10 @@ def cui_overlap(query_cuis: Iterable[str], path: GraphPath) -> float:
     return len(query & set(path.nodes)) / len(query)
 
 
+def _semantic_types(node_ids: Iterable[str], graph: KnowledgeGraph) -> set[str]:
+    return set().union(*(graph.node(node_id).semantic_types for node_id in node_ids))
+
+
 def semantic_overlap(
     query_semtypes: Iterable[str], path: GraphPath, graph: KnowledgeGraph
 ) -> float:
@@ -110,10 +114,7 @@ def semantic_overlap(
     if not query:
         logger.warning("semantic overlap requested with empty query type set; returning 0")
         return 0.0
-    path_types: set[str] = set()
-    for node_id in path.nodes:
-        path_types |= graph.node(node_id).semantic_types
-    return len(query & path_types) / len(query)
+    return len(query & _semantic_types(path.nodes, graph)) / len(query)
 
 
 def length_score(path: GraphPath) -> float:
@@ -134,13 +135,13 @@ def total_score(
 def score_paths(
     fused: Iterable[FusedPath],
     query_cuis: Iterable[str],
-    query_semtypes: Iterable[str],
     graph: KnowledgeGraph,
     config: EnhancerConfig,
 ) -> list[ScoredPath]:
-    """Attach component and combined scores to every fused path."""
+    """Attach component and combined scores to every fused path. The query's
+    semantic types are its CUIs'; with none, every semantic score is 0."""
     cuis = set(query_cuis)
-    semtypes = set(query_semtypes)
+    semtypes = _semantic_types(cuis, graph)
     scored = []
     for item in fused:
         cui = cui_overlap(cuis, item.path)

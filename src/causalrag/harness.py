@@ -140,32 +140,23 @@ class Pipeline:
         """Answer one item. Failures degrade to an abstaining record unless
         ``strict``, in which case they propagate (single-question CLI use)."""
         trace: dict = {"mode": mode.value, "llm_calls": []}
+        record = PredictionRecord(item_id=item.id, gold=item.gold, predicted=None, trace=trace)
         query_cuis = self._query_entities(item)
         trace["query_entities"] = sorted(query_cuis)
 
         if not any(self.causal_view.touches(cui) for cui in query_cuis):
             trace["note"] = "no linked entity maps into the causal subgraph"
-            return PredictionRecord(
-                item_id=item.id, gold=item.gold, predicted=None, unmapped=True, trace=trace
-            )
+            record.unmapped = True
+            return record
 
         try:
-            evidence = self._evidence(item, mode, query_cuis, trace)
-            predicted = self._infer(item, evidence, trace)
-            return PredictionRecord(
-                item_id=item.id, gold=item.gold, predicted=predicted, trace=trace
-            )
+            record.predicted = self._infer(item, self._evidence(item, mode, query_cuis, trace), trace)
         except STAGE_ERRORS as exc:
             if strict:
                 raise
             logger.warning("item %s degraded to abstain: %s", item.id, exc)
-            return PredictionRecord(
-                item_id=item.id,
-                gold=item.gold,
-                predicted=None,
-                error=f"{type(exc).__name__}: {exc}",
-                trace=trace,
-            )
+            record.error = f"{type(exc).__name__}: {exc}"
+        return record
 
     # -- stage helpers ---------------------------------------------------------
 
@@ -220,10 +211,7 @@ class Pipeline:
         paths = [p for entry in retrievals.values() for p in entry.paths]
         if fuses:
             fused = fuse_paths([entry.paths for entry in retrievals.values()])
-            query_semtypes: set[str] = set()
-            for cui in query_cuis:
-                query_semtypes |= self.graph.node(cui).semantic_types
-            scored = score_paths(fused, query_cuis, query_semtypes, self.graph, self.config.enhancer)
+            scored = score_paths(fused, query_cuis, self.graph, self.config.enhancer)
             final = select_final(scored, self.config.enhancer.keep_ratio)
             paths = [item_.path for item_ in final]
             trace["fused_count"] = len(fused)

@@ -95,7 +95,6 @@ def _enumerate_simple_paths(
     start: str,
     goal: str,
     max_hops: int,
-    into_goal: dict[str, tuple[int, ...]],
     distance_slack: int | None = None,
 ) -> tuple[list[tuple[tuple[str, ...], tuple[int, ...]]], int]:
     """The loop-free directed paths start -> goal of at most ``max_hops``
@@ -110,8 +109,8 @@ def _enumerate_simple_paths(
     ``max_hops`` at most ``distance_slack + 2``, as in the default config,
     it has no detour to drop.
 
-    ``into_goal`` is ``source.edges_into(goal)``; ``source.successors`` maps
-    each target to its parallel edges, which ``itertools.product`` expands.
+    ``source.edges_into(goal)`` (``into_goal``) and ``source.successors``
+    map each node to its parallel edges, which ``itertools.product`` expands.
     A pending entry is a path, its hops' parallel edges, its last node's
     successors and how many more nodes may be walked. One with none left is
     never walked: one key join of its successors with ``into_goal`` and a
@@ -123,6 +122,7 @@ def _enumerate_simple_paths(
     """
     if start == goal:
         return [], 0
+    into_goal = source.edges_into(goal)
     if max_hops == 1:
         return [((start, goal), (idx,)) for idx in into_goal.get(start, ())], 0
     first = source.successors(start)
@@ -172,9 +172,7 @@ def _collect_tier(
 
     def listing(start: str, goal: str, is_reversed: bool) -> list[GraphPath]:
         nonlocal count
-        found, beyond = _enumerate_simple_paths(
-            source, start, goal, config.max_hops, source.edges_into(goal), distance_slack
-        )
+        found, beyond = _enumerate_simple_paths(source, start, goal, config.max_hops, distance_slack)
         count += len(found) + beyond
         return [
             GraphPath(nodes, edges, tuple(map(source.effective_strength, edges)), tier, is_reversed)
@@ -281,14 +279,26 @@ def _selection_key(path: GraphPath):
 
 @dataclass(frozen=True)
 class SegmentRetrieval:
-    """Outcome of retrieval for one consecutive segment pair."""
+    """Outcome of retrieval for one consecutive segment pair. ``tier`` and
+    ``reason`` are derived: one search's paths share a tier, and
+    ``prune_and_select`` keeps at least one path of a non-empty listing."""
 
     source_entities: tuple[str, ...]
     target_entities: tuple[str, ...]
-    tier: str | None
     candidate_count: int
     paths: tuple[GraphPath, ...]
-    reason: str | None = None
+
+    @property
+    def tier(self) -> str | None:
+        """The kept paths' tier, or None when none was kept."""
+        return self.paths[0].tier if self.paths else None
+
+    @property
+    def reason(self) -> str | None:
+        """Why no path was kept: a side linked nothing, or nothing connects."""
+        if self.paths:
+            return None
+        return REASON_NO_PATHS if self.source_entities and self.target_entities else REASON_NO_ENTITIES
 
 
 def retrieve_for_cot(
@@ -302,9 +312,9 @@ def retrieve_for_cot(
     keyed by the index of the pair's first segment.
 
     Pairs whose segments link to no entities, or whose entity sets connect to
-    nothing within ``max_hops`` in either tier, contribute empty entries with
-    a reason code; the chain as a whole never fails here. ``causal_view=None``
-    searches the base graph alone.
+    nothing within ``max_hops`` in either tier, contribute empty entries,
+    whose ``reason`` says which; the chain as a whole never fails here.
+    ``causal_view=None`` searches the base graph alone.
 
     The search is ``find_paths``', but an endpoint pair joined by a direct
     edge lists only its paths of at most ``1 + distance_slack`` edges, the
@@ -315,21 +325,7 @@ def retrieve_for_cot(
     linked = [tuple(sorted(linker.link(text))) for text in cot.segments] if len(cot.segments) > 1 else []
     results: dict[int, SegmentRetrieval] = {}
     for index, (from_ids, to_ids) in enumerate(zip(linked, linked[1:])):
-        tier, candidates, count, selected = None, [], 0, []
-        if not (from_ids and to_ids):
-            reason = REASON_NO_ENTITIES
-        else:
-            candidates, count = _search(causal_view, base, from_ids, to_ids, config, config.distance_slack)
-            reason = None if candidates else REASON_NO_PATHS
-        if candidates:
-            tier = candidates[0].tier
-            selected = prune_and_select(candidates, config)
-        results[index] = SegmentRetrieval(
-            source_entities=from_ids,
-            target_entities=to_ids,
-            tier=tier,
-            candidate_count=count,
-            paths=tuple(selected),
-            reason=reason,
-        )
+        candidates, count = _search(causal_view, base, from_ids, to_ids, config, config.distance_slack)
+        selected = prune_and_select(candidates, config) if candidates else []
+        results[index] = SegmentRetrieval(from_ids, to_ids, count, tuple(selected))
     return results

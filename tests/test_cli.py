@@ -75,6 +75,26 @@ def test_answer_replays_transcript(artifact, capsys):
     assert "enhanced summary:" in captured
 
 
+def test_answer_off_topic_question_prints_abstain_without_a_transcript(artifact, capsys, monkeypatch):
+    monkeypatch.delenv("LLM_ENDPOINT", raising=False)
+    code = main(
+        [
+            "answer",
+            "--graph", str(artifact),
+            "--question", "Which planet is largest?",
+            "--option", "A=Jupiter",
+            "--option", "B=Mars",
+            "--config", str(FIXTURES / "config.yaml"),
+        ]
+    )
+    captured = capsys.readouterr().out
+    assert code == 0
+    assert captured.splitlines() == [
+        "predicted: abstain",
+        "note: question does not map into the causal subgraph",
+    ]
+
+
 def test_answer_kg_only_mode_makes_no_cot_calls(artifact, capsys):
     code = main(
         [

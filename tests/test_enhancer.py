@@ -295,7 +295,7 @@ def test_scored_paths_satisfy_total_identity():
         [_path(["C1", "C2"], [0.9], [0]), _path(["C1", "C4", "C2"], [0.6, 0.9], [2, 4])],
         [_path(["C9", "C2"], [0.7], [3])],
     ]
-    scored = score_paths(fuse_paths(pools), {"C1", "C2"}, {"dsyn"}, graph, config)
+    scored = score_paths(fuse_paths(pools), {"C1", "C2"}, graph, config)
     assert scored
     for item in scored:
         expected = (
@@ -317,7 +317,7 @@ def test_enhancement_prompt_lists_paths_in_score_order():
         [_path(["C1", "C2"], [0.9], [0])],
         [_path(["C9", "C2"], [0.7], [3])],
     ]
-    scored = score_paths(fuse_paths(pools), {"C1", "C2"}, {"dsyn"}, graph, config)
+    scored = score_paths(fuse_paths(pools), {"C1", "C2"}, graph, config)
     final = select_final(scored, 1.0)
     item = QAItem(id="q", question="What follows hypertension?", options={"A": "Stroke", "B": "Nothing"}, gold="A")
     prompt = build_enhancement_prompt(final, cot, item, graph, ENHANCE_TEMPLATE)

@@ -422,7 +422,13 @@ def test_unmapped_item_short_circuits():
         gold="A",
     )
     record = pipeline.answer(item, Mode.FULL)
-    assert record.unmapped
+    assert {k: v for k, v in record.to_dict().items() if k != "trace"} == {
+        "item_id": "offtopic",
+        "gold": "A",
+        "predicted": "abstain",
+        "unmapped": True,
+        "error": None,
+    }
     assert record.predicted is None
     assert record.trace["llm_calls"] == []
 
@@ -433,7 +439,13 @@ def test_transcript_failure_degrades_to_abstain():
     items = load_dataset(FIXTURES / "dataset.jsonl")
     record = pipeline.answer(items[0], Mode.FULL)
     assert record.predicted is None
-    assert record.error and "TranscriptError" in record.error
+    assert {k: v for k, v in record.to_dict().items() if k != "trace"} == {
+        "item_id": items[0].id,
+        "gold": items[0].gold,
+        "predicted": "abstain",
+        "unmapped": False,
+        "error": "TranscriptError: transcript exhausted: no entry for stage 'cot' ordinal 0",
+    }
 
 
 def test_flaky_endpoint_warns_once_per_degraded_item(caplog):

@@ -11,7 +11,9 @@ graph and its views alike), and no other module imports the helper that
 groups their edges, so the shape of a search-memo entry is known in one
 module. Only ``cot.py`` names the option validator (``normalize_options``)
 or an options formatter, so ``QAItem`` is the one place that decides
-whether a question's options are valid and how a prompt shows them.
+whether a question's options are valid and how a prompt shows them. Only
+``graph.py`` and ``enhancer.py`` name ``semantic_types``, so the scorer is
+the one place that works out a query's or a path's types from its nodes.
 """
 
 from __future__ import annotations
@@ -121,6 +123,19 @@ def test_only_cot_validates_and_formats_options(path):
         assert named == ["normalize_options"]
     else:
         assert named == [], f"{path.name} names {named}: take the options block from the QAItem"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(SRC)))
+def test_only_graph_and_enhancer_name_semantic_types(path):
+    uses = [
+        node.lineno
+        for node in _nodes(path)
+        if "semantic_types" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "arg", None))
+    ]
+    if path.name in ("graph.py", "enhancer.py"):
+        assert uses, f"{path.name} no longer names semantic_types: update this guard"
+    else:
+        assert uses == [], f"{path.name} names semantic_types at lines {uses}: let score_paths derive the types"
 
 
 def test_the_guard_recognises_reads_and_writes():

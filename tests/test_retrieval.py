@@ -27,6 +27,7 @@ from causalrag.retrieval import (
     REASON_NO_PATHS,
     GraphPath,
     RetrievalConfig,
+    SegmentRetrieval,
     _enumerate_simple_paths,
     _search,
     find_paths,
@@ -185,7 +186,7 @@ def test_finished_search_leaves_no_cycle_holding_the_view(chain_graph, max_hops)
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
     ids = [f"N{i}" for i in range(1500)]
     graph = make_graph([(a, "CAUSES", b, 0.9) for a, b in zip(ids, ids[1:])])
-    found, longer = _enumerate_simple_paths(graph, ids[0], ids[-1], 1500, graph.edges_into(ids[-1]))
+    found, longer = _enumerate_simple_paths(graph, ids[0], ids[-1], 1500)
     assert [nodes for nodes, _ in found] == [tuple(ids)] and longer == 0
 
 
@@ -303,6 +304,21 @@ def test_retrieve_for_cot_records_missing_entities():
     assert results[0].reason == REASON_NO_ENTITIES
     assert results[0].paths == ()
     assert results[1].reason == REASON_NO_ENTITIES
+
+
+def test_segment_retrieval_derives_its_tier_and_reason():
+    for tier in ("causal", "fallback"):
+        entry = SegmentRetrieval(("A",), ("B",), 3, (_path(["A", "B"], [0.9], tier=tier),))
+        assert (entry.tier, entry.reason) == (tier, None)
+    entry = SegmentRetrieval(("A",), ("B",), 0, ())
+    assert (entry.tier, entry.reason) == (None, REASON_NO_PATHS)
+    for source, target in ((), ("B",)), (("A",), ()), ((), ()):
+        entry = SegmentRetrieval(source, target, 0, ())
+        assert (entry.tier, entry.reason) == (None, REASON_NO_ENTITIES)
+    # Neither fact can be stored beside the paths it is read from.
+    for field in ("tier", "reason"):
+        with pytest.raises(TypeError):
+            SegmentRetrieval(("A",), ("B",), 0, (), **{field: None})
 
 
 def test_retrieve_for_cot_links_each_segment_once():
@@ -636,7 +652,7 @@ def test_key_joined_search_equals_the_unpruned_dfs_as_ordered_lists():
         ]
         for name, source in (("graph", graph), ("view", view), ("revised", revised)):
             for start, goal in endpoints:
-                found, longer = _enumerate_simple_paths(source, start, goal, max_hops, source.edges_into(goal))
+                found, longer = _enumerate_simple_paths(source, start, goal, max_hops)
                 assert longer == 0
                 assert found == list(enumerate_simple_paths_unpruned(source, start, goal, max_hops)), (
                     graph_no, name, start, goal,
@@ -658,7 +674,7 @@ def test_a_hub_two_hops_short_is_key_joined_not_walked():
     graph = make_graph(specs)
     recorder = _OutEdgeRecorder(graph)
 
-    found, longer = _enumerate_simple_paths(recorder, "S", "G", 3, recorder.edges_into("G"))
+    found, longer = _enumerate_simple_paths(recorder, "S", "G", 3)
     assert longer == 0
 
     assert found == list(enumerate_simple_paths_unpruned(graph, "S", "G", 3))
@@ -720,6 +736,7 @@ def test_retrieve_for_cot_lists_only_what_prune_keeps_and_counts_every_path():
                     assert entry.candidate_count == len(full)
                     assert entry.paths == tuple(prune_and_select(full, config))
                     assert entry.tier == (full[0].tier if full else None)
+                    assert entry.reason == (None if full else REASON_NO_PATHS)
 
                     # Pruning the listing gives find_paths' selection, and the listing is
                     # find_paths' paths, in order, cut at 1 + slack edges between
