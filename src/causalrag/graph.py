@@ -23,9 +23,9 @@ import sys
 import threading
 import zlib
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress, islice, repeat
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ArtifactError, IngestionError, NotFoundError, ValidationError, open_text, tsv_rows
@@ -58,6 +58,19 @@ class ConceptNode:
     name: str
     semantic_types: frozenset[str] = frozenset()
     aliases: frozenset[str] = frozenset()
+
+
+def _concept_nodes(ids: Collection[str], *columns: Iterable) -> list[ConceptNode]:
+    """``ConceptNode(*row)`` for each row of ``ids`` and ``columns``, one column per field in order.
+
+    Each field's slot setter is mapped over its column: the stores the
+    generated frozen ``__init__`` makes, without a Python call per node. So
+    ``ConceptNode`` must not gain a ``__post_init__``, which this would skip.
+    """
+    nodes = list(map(object.__new__, repeat(ConceptNode, len(ids))))
+    for name, column in zip(ConceptNode.__slots__, (ids, *columns), strict=True):
+        deque(map(getattr(ConceptNode, name).__set__, nodes, column), maxlen=0)
+    return nodes
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,8 +184,8 @@ class KnowledgeGraph(SearchReads):
             raise ValidationError(f"duplicate predicate {duplicate!r}")
 
         n, columns = len(self._ids), (subjects, predicates, objects, strengths)
-        if defect := _edge_defect(self._ids, self.predicate_names, *columns):
-            raise ValidationError(defect)
+        if not _edges_clear(self._ids, self.predicate_names, *columns):
+            raise ValidationError(_first_edge_defect(self._ids, self.predicate_names, *columns))
         self._subjects, self._predicates, self._objects, self._strengths = subjects, predicates, objects, strengths
         self.columns = EdgeColumns(*(memoryview(c).toreadonly() for c in columns))
         self.mask = b"\x01" * len(strengths)
@@ -334,23 +347,32 @@ def _first_node_defect(nodes: Sequence[ConceptNode]) -> str:
     raise AssertionError("no node breaks an invariant")
 
 
-def _edge_defect(ids, names, subjects, predicates, objects, strengths) -> str | None:
-    """None if every node and predicate int is in range, every strength is in
-    [0, 1] (NaN is not) and the keys strictly ascend (so no triple repeats);
-    else how the first edge to break one does. Each invariant is tested over
-    a whole column; the edges are walked only to name the offending one.
-    With ints in range, ``(s, p, o)`` tuples order as their keys do.
+def _edges_clear(ids, names, subjects, predicates, objects, strengths) -> bool:
+    """Whether every node and predicate int is in range, every strength is in
+    [0, 1] (NaN is not) and the keys strictly ascend (so no triple repeats).
+
+    Each invariant is tested over a whole column. With ints in range,
+    ``(s, p, o)`` tuples order as their keys do; and tuples that ascend put
+    the subjects in order, so the subject column's two ends bound it. The
+    predicates are bounded by their few distinct values, the objects by
+    their min and max, which cost less than a set of them.
     """
-    bounds = ((subjects, len(ids)), (predicates, len(names)), (objects, len(ids)))
     later = islice(zip(subjects, predicates, objects), 1, None)
-    if not strengths or (
-        all(0 <= min(column) and max(column) < bound for column, bound in bounds)
+    return not strengths or (
+        all(map(operator.lt, zip(subjects, predicates, objects), later))
+        and 0 <= subjects[0]
+        and subjects[-1] < len(ids)
+        and all(0 <= p < len(names) for p in set(predicates))
+        and 0 <= min(objects)
+        and max(objects) < len(ids)
         and 0.0 <= min(strengths)
         and max(strengths) <= 1.0
         and not math.isnan(sum(strengths))
-        and all(map(operator.lt, zip(subjects, predicates, objects), later))
-    ):
-        return None
+    )
+
+
+def _first_edge_defect(ids, names, subjects, predicates, objects, strengths) -> str:
+    """How the first edge, in order, to break an invariant of ``_edges_clear`` does."""
     previous = (-1, -1, -1)
     for idx, (s, p, o, strength) in enumerate(zip(subjects, predicates, objects, strengths)):
         for role, value, bound in (("subject", s, ids), ("predicate", p, names), ("object", o, ids)):
@@ -533,15 +555,12 @@ def ingest_triples(
 
     share = functools.cache(lambda items: items)  # one frozenset object per distinct set
     parse = functools.cache(lambda field: frozenset(t.strip() for t in field.split(",") if t.strip()))
-    nodes = [
-        ConceptNode(
-            id=cui,
-            name=name,
-            semantic_types=share(frozenset().union(*map(parse, fields))),
-            aliases=share(frozenset(node_aliases.get(position, ()))),
-        )
-        for position, (cui, name, fields) in enumerate(zip(node_index, node_names, node_fields))
-    ]
+    nodes = _concept_nodes(
+        node_index,
+        node_names,
+        [share(frozenset().union(*map(parse, fields))) for fields in node_fields],
+        [share(frozenset(node_aliases.get(position, ()))) for position in range(len(node_names))],
+    )
     stats = IngestStats(rows_total, malformed, duplicates)
     return KnowledgeGraph(nodes, tuple(predicate_index), subjects, predicates, objects, strengths, stats)
 
@@ -684,8 +703,8 @@ def _decode(data: memoryview) -> KnowledgeGraph:
         raise ValidationError(f"node set {max(node_sets)} out of range [0, {n_sets})")
     member_ends = list(accumulate(set_sizes, initial=2 * n + n_predicates))
     sets = [frozenset(strings[start:end]) for start, end in zip(member_ends, member_ends[1:])]
-    types, aliases = [sets[i] for i in node_sets[:n]], [sets[i] for i in node_sets[n:]]
-    nodes = list(map(ConceptNode, strings[:n], strings[n : 2 * n], types, aliases))
+    types, aliases = map(sets.__getitem__, node_sets[:n]), map(sets.__getitem__, node_sets[n:])
+    nodes = _concept_nodes(strings[:n], strings[n : 2 * n], types, aliases)
     return KnowledgeGraph(
         nodes, strings[2 * n : 2 * n + n_predicates], subjects, predicates, objects, strengths, IngestStats(*stats)
     )

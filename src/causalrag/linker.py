@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import logging
 import re
-from typing import Iterable
+from itertools import compress
+from operator import attrgetter, itemgetter
+from typing import Collection, Iterable
 
 from .errors import open_text, tsv_rows
 from .graph import KnowledgeGraph
@@ -30,12 +32,12 @@ def _tokens(text: str) -> list[str]:
 
 
 class LinkerIndex:
-    """Normalized surface form -> ``graph``'s node id set, built once, read-only."""
+    """Normalized surface form -> ``graph``'s node ids, built once, read-only."""
 
-    def __init__(self, entries: dict[tuple[str, ...], set[str]], graph: KnowledgeGraph):
+    def __init__(self, entries: dict[tuple[str, ...], Collection[str]], graph: KnowledgeGraph):
         self.graph = graph
-        self._entries = {tokens: frozenset(ids) for tokens, ids in entries.items() if tokens and ids}
-        self._starts = frozenset(tokens[0] for tokens in self._entries)
+        self._entries = {tokens: ids for tokens, ids in entries.items() if tokens and ids}
+        self._starts = frozenset(map(itemgetter(0), self._entries))
         self._max_tokens = max(map(len, self._entries), default=0)
 
     def link(self, text: str) -> frozenset[str]:
@@ -49,7 +51,7 @@ class LinkerIndex:
                 for width in range(min(self._max_tokens, n - i), 0, -1):
                     ids = self._entries.get(tuple(tokens[i : i + width]))
                     if ids:
-                        found |= ids
+                        found.update(ids)
                         i += width - 1
                         break
             i += 1
@@ -66,23 +68,30 @@ def build_index(
     for all of them, so a shared alias file can cover more concepts than one
     graph contains.
     """
-    entries: dict[tuple[str, ...], set[str]] = {}
+    nodes = tuple(graph.nodes())
+    ids = graph.node_ids()
+    surfaces = list(map(tuple, map(_tokens, map(attrgetter("name"), nodes))))
+    # One surface per name, each with its one id; names that share a surface
+    # are grouped again, below, into one tuple of their ids.
+    entries = dict(zip(surfaces, zip(ids)))
 
-    def add(surface: str, node_id: str) -> None:
-        tokens = tuple(_tokens(surface))
-        if not tokens:
-            return
-        entries.setdefault(tokens, set()).add(node_id)
+    def add(surface: tuple[str, ...], node_id: str) -> None:
+        present = entries.get(surface, ())
+        if node_id not in present:
+            entries[surface] = (*present, node_id)
 
-    for node in graph.nodes():
-        add(node.name, node.id)
+    if len(entries) < len(surfaces):
+        entries.clear()
+        for surface, node_id in zip(surfaces, ids):
+            add(surface, node_id)
+    for node in compress(nodes, map(attrgetter("aliases"), nodes)):
         for alias in node.aliases:
-            add(alias, node.id)
+            add(tuple(_tokens(alias)), node.id)
 
     unknown = 0
     for cui, alias in extra_aliases:
         if graph.has_node(cui):
-            add(alias, cui)
+            add(tuple(_tokens(alias)), cui)
         else:
             unknown += 1
     if unknown:

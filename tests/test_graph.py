@@ -12,6 +12,7 @@ import tracemalloc
 import zlib
 from array import array
 from collections import deque
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -23,6 +24,9 @@ from causalrag.graph import (
     IngestStats,
     KgEdge,
     KnowledgeGraph,
+    _concept_nodes,
+    _edges_clear,
+    _first_edge_defect,
     ingest_triples,
     load_graph,
     load_triples,
@@ -247,6 +251,126 @@ def test_graph_checks_name_the_bad_node_or_edge(nodes, edges, message):
     with pytest.raises(ValidationError) as info:
         _from_int_edges(nodes, edges)
     assert str(info.value) == message
+
+
+def _valid_edge_columns(rng: random.Random, n: int, p_count: int, m: int) -> list[list]:
+    """``m`` distinct edges over ``n`` nodes and ``p_count`` predicates, in
+    ascending key order, with strengths in [0, 1], both ends and -0.0 included."""
+    rows = [divmod(divmod(key, n)[0], p_count) + (key % n,) for key in sorted(rng.sample(range(n * p_count * n), m))]
+    strengths = [rng.choice((0.0, -0.0, 1.0, rng.random())) for _ in rows]
+    return [[row[k] for row in rows] for k in range(3)] + [strengths]
+
+
+def _edge_defects(rng: random.Random, n: int, p_count: int, m: int):
+    """Valid columns with one planted defect each, at the first, a middle and the last edge."""
+    at_ends = sorted({0, m // 2, m - 1})
+    for at in at_ends:
+        for column, bound in ((0, n), (1, p_count), (2, n)):
+            for value in (-1, -rng.randint(2, 9), bound, bound + rng.randint(1, 9)):
+                columns = _valid_edge_columns(rng, n, p_count, m)
+                columns[column][at] = value
+                yield columns
+        for strength in (float("nan"), -0.1, 1.5):
+            columns = _valid_edge_columns(rng, n, p_count, m)
+            columns[3][at] = strength
+            yield columns
+        if at:
+            repeated, descending = _valid_edge_columns(rng, n, p_count, m), _valid_edge_columns(rng, n, p_count, m)
+            for column in range(3):
+                repeated[column][at] = repeated[column][at - 1]
+                descending[column][at - 1], descending[column][at] = descending[column][at], descending[column][at - 1]
+            yield repeated
+            yield descending
+
+
+def test_column_edge_checks_agree_with_the_per_edge_walk():
+    """The whole-column test clears every valid graph, and on each planted
+    defect the constructor raises the message the per-edge walk gives."""
+    rng = random.Random(2911)
+    planted = 0
+    for _ in range(40):
+        n, p_count = rng.randint(1, 6), rng.randint(1, 3)
+        m = rng.randint(1, min(25, n * p_count * n))
+        ids, names = tuple(f"N{i}" for i in range(n)), tuple(f"P{i}" for i in range(p_count))
+        nodes = [ConceptNode(node_id, f"node {node_id}") for node_id in ids]
+        valid = _valid_edge_columns(rng, n, p_count, m)
+        arrays = [array(code, column) for code, column in zip("iiid", valid)]
+        assert _edges_clear(ids, names, *arrays)
+        assert KnowledgeGraph(nodes, names, *arrays, IngestStats()).edge_count == m
+        for columns in _edge_defects(rng, n, p_count, m):
+            arrays = [array(code, column) for code, column in zip("iiid", columns)]
+            walk = _first_edge_defect(ids, names, *arrays)
+            with pytest.raises(ValidationError) as info:
+                KnowledgeGraph(nodes, names, *arrays, IngestStats())
+            assert str(info.value) == walk
+            planted += 1
+    assert planted > 1000
+
+
+def _node_columns(rng: random.Random, count: int) -> list[list]:
+    """Seeded id, name, type-set and alias-set columns: sets shared between
+    nodes, empty sets and non-ASCII names."""
+    shared = [frozenset(), frozenset({"dsyn"}), frozenset({"dsyn", "patf"}), frozenset({"Größe", "心"})]
+    words = ["alpha", "Ωmega", "naïve café", "心筋梗塞", "ǅemal", "x"]
+    ids = [f"C{i:05d}" for i in range(count)]
+    names = [f"{rng.choice(words)} {i}" for i in range(count)]
+    types = [rng.choice(shared) for _ in range(count)]
+    aliases = [rng.choice([*shared, frozenset({rng.choice(words)})]) for _ in range(count)]
+    return [ids, names, types, aliases]
+
+
+def test_column_built_nodes_are_the_nodes_the_constructor_builds():
+    columns = _node_columns(random.Random(29), 300)
+    built = _concept_nodes(*columns)
+    expected = [ConceptNode(*row) for row in zip(*columns)]
+    assert [type(node) for node in built] == [ConceptNode] * len(expected)
+    assert built == expected
+    assert list(map(hash, built)) == list(map(hash, expected))
+    assert list(map(repr, built)) == list(map(repr, expected))
+    # the set objects are the columns' own, so equal sets stay shared
+    assert all(
+        node.semantic_types is types and node.aliases is aliases for node, types, aliases in zip(built, *columns[2:])
+    )
+    for node in built[:5]:
+        for name in ConceptNode.__slots__:
+            with pytest.raises(FrozenInstanceError):
+                setattr(node, name, "changed")
+            with pytest.raises(FrozenInstanceError):
+                delattr(node, name)
+    assert built[:5] == expected[:5]
+    # A name that is no field is refused as on a constructed node (a
+    # TypeError from the slotted dataclass's ``__setattr__`` on Python 3.11).
+    refusals = []
+    for node in (built[0], expected[0]):
+        with pytest.raises(Exception) as info:
+            node.extra = "changed"
+        refusals.append(type(info.value))
+    assert refusals[0] is refusals[1]
+    assert _concept_nodes([], [], [], []) == []
+
+
+def test_concept_node_keeps_what_the_column_builder_relies_on():
+    """``_concept_nodes`` sets each slot and skips ``__init__``: a
+    ``__post_init__`` would never run, and a slot missed would stay unset."""
+    assert not hasattr(ConceptNode, "__post_init__")
+    assert ConceptNode.__slots__ == tuple(field.name for field in fields(ConceptNode))
+
+
+def test_load_and_ingest_make_no_concept_node_init_call(tmp_path, fixtures_dir, monkeypatch):
+    calls = []
+    init = ConceptNode.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConceptNode, "__init__", counting_init)
+    assert ConceptNode("A", "Alpha") == _ALPHA and len(calls) == 1
+    graph = load_triples(fixtures_dir / "triples.tsv")
+    save_graph(graph, tmp_path / "graph.crag")
+    loaded = load_graph(tmp_path / "graph.crag")
+    assert graph.node_count > 0 and list(loaded.nodes()) == list(graph.nodes())
+    assert len(calls) == 1
 
 
 def test_adjacency_unknown_node():

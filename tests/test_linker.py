@@ -126,8 +126,10 @@ def _naive_scan_oracle(surfaces: dict[str, set[str]], text: str) -> set[str]:
     """Token-by-token longest-match reimplementation over raw surface keys,
     tokenizing by the old rule so that it shares no code with the linker."""
     tokens = _old_rule_tokens(text)
-    keys = {tuple(_old_rule_tokens(s)): ids for s, ids in surfaces.items()}
-    keys = {k: v for k, v in keys.items() if k}
+    keys: dict[tuple[str, ...], set[str]] = {}
+    for surface, ids in surfaces.items():  # surfaces that normalize alike pool their ids
+        keys.setdefault(tuple(_old_rule_tokens(surface)), set()).update(ids)
+    keys.pop((), None)
     found: set[str] = set()
     i = 0
     while i < len(tokens):
@@ -194,6 +196,56 @@ def test_link_matches_naive_oracle_when_surfaces_share_a_first_token():
     ]
     for _ in range(1500):
         text = " ".join(rng.choice(vocabulary) for _ in range(rng.randint(1, 10)))
+        assert index.link(text) == _naive_scan_oracle(surfaces, text), text
+
+
+def test_link_matches_naive_oracle_on_long_nested_and_ambiguous_surfaces(caplog):
+    long = "Heart failure with preserved ejection fraction in older adults after acute infection"
+    nodes = [
+        ("C1", "Heart", ()),
+        ("C2", "Heart Failure", ("HF", "heart-failure")),  # an alias that is its own name
+        ("C3", long, ("HFpEF",)),
+        ("C4", "preserved ejection fraction in older adults after acute infection of the lung", ()),
+        ("C5", "Ejection Fraction", ()),
+        ("C6", "acute", ()),
+        ("C7", "Acute infection", ()),
+        ("C8", "Cold", ()),  # two CUIs with one name
+        ("C9", "cold.", ("common cold",)),
+        ("C10", "Myocardial Infarction", ("MI", "heart attack")),
+        ("C11", "MI", ()),  # a name that is another node's alias
+        ("C12", "___", ("--",)),  # a name and an alias with no tokens
+        ("C13", "Older adults", ("older",)),
+    ]
+    extra = [
+        ("C1", "cardiac"), ("C8", "Common Cold"), ("C11", "heart attack"), ("C10", "MI"), ("C5", "EF"), ("C99", "ghost")
+    ]
+    surfaces: dict[str, set[str]] = {}
+    for nid, name, aliases in nodes:
+        for surface in (name, *aliases):
+            surfaces.setdefault(surface, set()).add(nid)
+    for nid, alias in extra[:-1]:
+        surfaces.setdefault(alias, set()).add(nid)
+    with caplog.at_level("WARNING", logger="causalrag"):
+        index = build_index(_graph(nodes), extra)
+    assert caplog.messages == ["skipped 1 alias rows naming an unknown CUI"]
+
+    expected: dict[tuple[str, ...], set[str]] = {}
+    for surface, ids in surfaces.items():
+        if tokens := tuple(_old_rule_tokens(surface)):
+            expected.setdefault(tokens, set()).update(ids)
+    # each surface holds exactly its ids, each once
+    assert {tokens: set(ids) for tokens, ids in index._entries.items()} == expected
+    assert all(len(ids) == len(set(ids)) for ids in index._entries.values())
+    assert expected[("cold",)] == {"C8", "C9"} and expected[("mi",)] == {"C10", "C11"}
+    assert index._max_tokens == max(map(len, expected)) == 12 and index.link(long) == {"C3"}
+
+    fragments = [*surfaces, "the", "and", "patient", "Heart,", "failure_with", "in"]
+    for surface in surfaces:  # cut surfaces, so a long match can fail late
+        words = surface.split()
+        fragments.extend(" ".join(words[:cut]) for cut in range(1, len(words)))
+    rng = random.Random(2921)
+    for _ in range(2000):
+        text = rng.choice((" ", ", ", "; ")).join(rng.choice(fragments) for _ in range(rng.randint(1, 6)))
         assert index.link(text) == _naive_scan_oracle(surfaces, text), text
 
 
