@@ -8,6 +8,7 @@ config or I/O error, 3 a failed LLM stage (transport, transcript or CoT parse).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import logging
 import sys
@@ -15,7 +16,7 @@ import sys
 from .causal import apply_strength_updates, build_causal_view, parse_strength_updates
 from .config import PipelineConfig, load_config
 from .errors import STAGE_ERRORS, CausalRagError, ValidationError, open_text
-from .graph import load_graph, load_triples, save_graph
+from .graph import load_graph, load_triples, open_replacing, save_graph
 from .harness import Mode, Pipeline, QAItem, load_dataset, run_evaluation, summarize_report, write_report
 from .linker import build_index, load_alias_file
 from .llm import STAGES, EndpointConfig, LlmGateway, MockTranscript
@@ -174,7 +175,7 @@ def cmd_evaluate(args) -> int:
     pipeline = _build_pipeline(args, config)
     report = run_evaluation(pipeline, items, Mode.from_flag(args.mode))
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+        with open_replacing(args.report) as raw, io.TextIOWrapper(raw, encoding="utf-8") as fh:
             write_report(report, fh)
         print(f"wrote {args.report}")
     print(summarize_report(report))

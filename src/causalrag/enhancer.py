@@ -12,7 +12,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cot import ChainOfThought, QAItem, render_cot
 from .errors import ValidationError
@@ -83,23 +84,46 @@ def fuse_paths(pools: Iterable[Sequence[GraphPath]]) -> list[FusedPath]:
     for pool in pools:
         for path in pool:
             groups.setdefault(_merge_key(path), []).append(path)
-    fused = []
-    for members in groups.values():
-        representative = min(members, key=_selection_key)
-        fused.append(FusedPath(path=representative, merge_count=len(members)))
-    return fused
+    # Nearly every group has one member, which needs no ranking key.
+    return [
+        FusedPath(path=members[0] if len(members) == 1 else min(members, key=_selection_key), merge_count=len(members))
+        for members in groups.values()
+    ]
+
+
+def _share(query: set[str], found: Iterable[str]) -> float:
+    """Fraction of the non-empty ``query`` that is among ``found``."""
+    return len(query.intersection(found)) / len(query)
+
+
+def _query_set(query_cuis: Iterable[str]) -> set[str]:
+    query = set(query_cuis)
+    if not query:
+        raise ValidationError("query CUI set must be non-empty")
+    return query
+
+
+def _semantic_types(node_ids: Iterable[str], types_of: Callable[[str], frozenset[str]]) -> Iterator[str]:
+    """Each type code of each of ``node_ids``, repeats included."""
+    return chain.from_iterable(map(types_of, node_ids))
+
+
+class _NodeTypes(dict):
+    """Node id -> its semantic types, read from ``graph`` on the id's first
+    lookup: cheaper to make per call than ``functools.cache``."""
+
+    def __init__(self, graph: KnowledgeGraph):
+        super().__init__()
+        self.graph = graph
+
+    def __missing__(self, node_id: str) -> frozenset[str]:
+        types = self[node_id] = self.graph.node(node_id).semantic_types
+        return types
 
 
 def cui_overlap(query_cuis: Iterable[str], path: GraphPath) -> float:
     """Fraction of query CUIs that appear among the path's nodes."""
-    query = set(query_cuis)
-    if not query:
-        raise ValidationError("query CUI set must be non-empty")
-    return len(query & set(path.nodes)) / len(query)
-
-
-def _semantic_types(node_ids: Iterable[str], graph: KnowledgeGraph) -> set[str]:
-    return set().union(*(graph.node(node_id).semantic_types for node_id in node_ids))
+    return _share(_query_set(query_cuis), path.nodes)
 
 
 def semantic_overlap(
@@ -114,7 +138,7 @@ def semantic_overlap(
     if not query:
         logger.warning("semantic overlap requested with empty query type set; returning 0")
         return 0.0
-    return len(query & _semantic_types(path.nodes, graph)) / len(query)
+    return _share(query, _semantic_types(path.nodes, _NodeTypes(graph).__getitem__))
 
 
 def length_score(path: GraphPath) -> float:
@@ -126,9 +150,10 @@ def total_score(
     cui: float, semantic: float, length: float, config: EnhancerConfig
 ) -> float:
     """Weighted combination of the three component scores."""
-    for name, value in (("cui", cui), ("semantic", semantic), ("length", length)):
-        if not 0.0 <= value <= 1.0:
-            raise ValidationError(f"{name} component {value} outside [0, 1]")
+    if not (0.0 <= cui <= 1.0 and 0.0 <= semantic <= 1.0 and 0.0 <= length <= 1.0):
+        for name, value in (("cui", cui), ("semantic", semantic), ("length", length)):
+            if not 0.0 <= value <= 1.0:
+                raise ValidationError(f"{name} component {value} outside [0, 1]")
     return config.alpha * cui + config.beta * semantic + config.gamma * length
 
 
@@ -139,17 +164,23 @@ def score_paths(
     config: EnhancerConfig,
 ) -> list[ScoredPath]:
     """Attach component and combined scores to every fused path. The query's
-    semantic types are its CUIs'; with none, every semantic score is 0."""
-    cuis = set(query_cuis)
-    semtypes = _semantic_types(cuis, graph)
+    semantic types are its CUIs'; with none, every semantic score is 0.
+
+    The query's sets are built once, and each distinct node's types are read
+    once, for all the paths.
+    """
+    cuis = _query_set(query_cuis)
+    types_of = _NodeTypes(graph).__getitem__
+    semtypes = set(_semantic_types(cuis, types_of))
     scored = []
     for item in fused:
-        cui = cui_overlap(cuis, item.path)
-        semantic = semantic_overlap(semtypes, item.path, graph) if semtypes else 0.0
-        length = length_score(item.path)
+        path = item.path
+        cui = _share(cuis, path.nodes)
+        semantic = _share(semtypes, _semantic_types(path.nodes, types_of)) if semtypes else 0.0
+        length = length_score(path)
         scored.append(
             ScoredPath(
-                path=item.path,
+                path=path,
                 cui_overlap=cui,
                 semantic_overlap=semantic,
                 length_score=length,
@@ -176,12 +207,15 @@ def select_final(scored: Sequence[ScoredPath], keep_ratio: float) -> list[Scored
 
 
 def render_path(path: GraphPath, graph: KnowledgeGraph) -> str:
-    """One-line rendering: NAME --[PREDICATE (strength)]--> NAME ..."""
-    parts = [graph.node(path.nodes[0]).name]
-    for edge_idx, strength in zip(path.edges, path.strengths):
-        edge = graph.edge(edge_idx)
-        parts.append(f" --[{edge.predicate} ({strength:.2f})]--> ")
-        parts.append(graph.node(edge.object).name)
+    """One-line rendering: NAME --[PREDICATE (strength)]--> NAME ...
+
+    Each hop's predicate is read from the graph's predicate column, and the
+    node it reaches is the path's next node.
+    """
+    predicates, predicate_names, node = graph.columns.predicates, graph.predicate_names, graph.node
+    parts = [node(path.nodes[0]).name]
+    for edge_idx, strength, target in zip(path.edges, path.strengths, path.nodes[1:]):
+        parts.append(f" --[{predicate_names[predicates[edge_idx]]} ({strength:.2f})]--> {node(target).name}")
     return "".join(parts)
 
 

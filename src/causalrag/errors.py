@@ -86,11 +86,13 @@ def tsv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
 
 def _without_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object's dict, refusing a key that repeats (``json`` keeps the last)."""
-    record: dict = {}
-    for key, value in pairs:
-        if key in record:
-            raise ValueError(f"duplicate key {key!r}")
-        record[key] = value
+    record = dict(pairs)
+    if len(record) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
     return record
 
 
@@ -110,7 +112,10 @@ def json_lines(path, read: Callable, error: Callable[[str], CausalRagError]) -> 
             if not line:
                 continue
             try:
-                value = read(_DECODER.decode(line))
+                value, end = _DECODER.raw_decode(line)
+                if end < len(line):
+                    _DECODER.decode(line)  # raises json's "Extra data" error
+                value = read(value)
             # ValueError covers bad JSON and over-long integers; RecursionError, deep nesting.
             except (ValueError, RecursionError, KeyError, TypeError, AttributeError, ValidationError) as exc:
                 raise error(f"{path}: line {line_no}: {exc}") from None

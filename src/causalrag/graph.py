@@ -26,7 +26,7 @@ from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import accumulate, compress, islice, repeat
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ArtifactError, IngestionError, NotFoundError, ValidationError, open_text, tsv_rows
 
@@ -576,10 +576,9 @@ def load_triples(path, strength_for_predicate: Callable[[str], float] | None = N
 def save_graph(graph: KnowledgeGraph, path) -> None:
     """Write the graph as a format-3 artifact (laid out in ``load_graph``).
 
-    The bytes go to a temporary file beside the file ``path`` names (after
-    symlinks) that then replaces it, so an interrupted save leaves any
-    earlier artifact whole. A device or pipe (say ``/dev/null``) is written
-    through instead.
+    The bytes go through ``open_replacing``, so an interrupted save leaves
+    any earlier artifact whole; a device or pipe (say ``/dev/null``) is
+    written through.
     """
     nodes = tuple(graph.nodes())
     sets: dict[frozenset[str], int] = {}
@@ -608,17 +607,30 @@ def save_graph(graph: KnowledgeGraph, path) -> None:
         stats.rows_total, stats.malformed_rows, stats.duplicate_triples, zlib.crc32(body),
     )
     head = _ARTIFACT_MAGIC + _VERSION.pack(_ARTIFACT_VERSION) + header
+    with open_replacing(path) as fh:
+        fh.write(head)
+        fh.write(body)
+
+
+@contextlib.contextmanager
+def open_replacing(path) -> Iterator[BinaryIO]:
+    """A binary file whose bytes replace the file ``path`` names (after
+    symlinks) once the ``with`` block ends without an error.
+
+    The bytes go to a temporary file beside the target that then replaces
+    it, so a write that fails or is interrupted leaves any earlier file
+    whole and no temporary file behind. A device or pipe (say
+    ``/dev/stdout``) is written through instead.
+    """
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         with open(target, "wb") as fh:
-            fh.write(head)
-            fh.write(body)
+            yield fh
         return
     partial = f"{target}.{os.getpid()}-{threading.get_ident()}.partial"
     try:
         with open(partial, "wb") as fh:
-            fh.write(head)
-            fh.write(body)
+            yield fh
         os.replace(partial, target)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -7,6 +7,7 @@ by (stage, ordinal). All network activity in the package happens here.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import re
@@ -245,25 +246,36 @@ def extract_answer_label(text: str, valid_labels: Sequence[str]) -> str | None:
     """
     if not valid_labels:
         raise ValidationError("valid_labels must be non-empty")
-    canonical = {label.lower(): label for label in valid_labels}
-    alternation = "|".join(re.escape(label) for label in valid_labels)
+    canonical, answer_re, inline_re, lone_re = _label_patterns(tuple(valid_labels))
 
-    answer_re = re.compile(rf"^\s*answer\s*[:\-]\s*\(?({alternation})\)?\b", re.IGNORECASE)
     for line in text.splitlines():
         match = answer_re.match(line)
         if match:
             return canonical[match.group(1).lower()]
 
-    inline_re = re.compile(rf"\(({alternation})\)|\boption\s+({alternation})\b", re.IGNORECASE)
     match = inline_re.search(text)
     if match:
         label = match.group(1) or match.group(2)
         return canonical[label.lower()]
 
-    lone_re = re.compile(rf"^\s*({alternation})\s*[.)]?\s*$", re.IGNORECASE)
     for line in text.splitlines():
         match = lone_re.match(line)
         if match:
             return canonical[match.group(1).lower()]
 
     return None
+
+
+@functools.lru_cache(maxsize=64)
+def _label_patterns(labels: tuple[str, ...]) -> tuple[dict[str, str], re.Pattern, re.Pattern, re.Pattern]:
+    """The canonical label of each lower-cased label (callers must not change
+    the map), and the rule chain's three patterns, built once per label set:
+    a dataset has few."""
+    canonical = {label.lower(): label for label in labels}
+    alternation = "|".join(re.escape(label) for label in labels)
+    return (
+        canonical,
+        re.compile(rf"^\s*answer\s*[:\-]\s*\(?({alternation})\)?\b", re.IGNORECASE),
+        re.compile(rf"\(({alternation})\)|\boption\s+({alternation})\b", re.IGNORECASE),
+        re.compile(rf"^\s*({alternation})\s*[.)]?\s*$", re.IGNORECASE),
+    )

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import threading
 
 import pytest
 
@@ -208,6 +210,52 @@ def test_evaluate_writes_report(artifact, tmp_path, capsys):
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["metrics"]["accuracy"] == 1.0
     assert "macro precision=100.00%" in captured
+
+
+def _evaluate_full(artifact, report) -> int:
+    return main(
+        [
+            "evaluate",
+            "--graph", str(artifact),
+            "--dataset", str(FIXTURES / "dataset.jsonl"),
+            "--config", str(FIXTURES / "config.yaml"),
+            "--mode", "full",
+            "--mock-transcript", str(FIXTURES / "transcript_full.jsonl"),
+            "--report", str(report),
+        ]
+    )
+
+
+def test_a_failed_report_write_leaves_the_earlier_report_whole(artifact, tmp_path, monkeypatch, capsys):
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    report_path = reports / "report.json"
+    report_path.write_bytes(b'{"an": "earlier report"}\n')
+    before = report_path.read_bytes()
+
+    def failing_write(report, fh):
+        fh.write(json.dumps(report)[:100])
+        fh.flush()
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("causalrag.cli.write_report", failing_write)
+    assert _evaluate_full(artifact, report_path) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert report_path.read_bytes() == before
+    assert [p.name for p in reports.iterdir()] == ["report.json"]
+
+
+def test_evaluate_writes_its_report_through_a_pipe(artifact, tmp_path):
+    # A pipe or device (say /dev/stdout) is written straight through: no file is made beside it.
+    pipe = tmp_path / "report.pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    assert _evaluate_full(artifact, pipe) == 0
+    reader.join(timeout=10)
+    assert received == [(FIXTURES / "reports" / "full.json").read_bytes()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.pipe", "toy.crag"]
 
 
 def test_evaluate_mode_flag_values(artifact):
