@@ -108,19 +108,6 @@ def _semantic_types(node_ids: Iterable[str], types_of: Callable[[str], frozenset
     return chain.from_iterable(map(types_of, node_ids))
 
 
-class _NodeTypes(dict):
-    """Node id -> its semantic types, read from ``graph`` on the id's first
-    lookup: cheaper to make per call than ``functools.cache``."""
-
-    def __init__(self, graph: KnowledgeGraph):
-        super().__init__()
-        self.graph = graph
-
-    def __missing__(self, node_id: str) -> frozenset[str]:
-        types = self[node_id] = self.graph.node(node_id).semantic_types
-        return types
-
-
 def cui_overlap(query_cuis: Iterable[str], path: GraphPath) -> float:
     """Fraction of query CUIs that appear among the path's nodes."""
     return _share(_query_set(query_cuis), path.nodes)
@@ -138,7 +125,7 @@ def semantic_overlap(
     if not query:
         logger.warning("semantic overlap requested with empty query type set; returning 0")
         return 0.0
-    return _share(query, _semantic_types(path.nodes, _NodeTypes(graph).__getitem__))
+    return _share(query, _semantic_types(path.nodes, lambda node_id: graph.node(node_id).semantic_types))
 
 
 def length_score(path: GraphPath) -> float:
@@ -150,10 +137,9 @@ def total_score(
     cui: float, semantic: float, length: float, config: EnhancerConfig
 ) -> float:
     """Weighted combination of the three component scores."""
-    if not (0.0 <= cui <= 1.0 and 0.0 <= semantic <= 1.0 and 0.0 <= length <= 1.0):
-        for name, value in (("cui", cui), ("semantic", semantic), ("length", length)):
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{name} component {value} outside [0, 1]")
+    for name, value in (("cui", cui), ("semantic", semantic), ("length", length)):
+        if not 0.0 <= value <= 1.0:
+            raise ValidationError(f"{name} component {value} outside [0, 1]")
     return config.alpha * cui + config.beta * semantic + config.gamma * length
 
 
@@ -170,7 +156,9 @@ def score_paths(
     once, for all the paths.
     """
     cuis = _query_set(query_cuis)
-    types_of = _NodeTypes(graph).__getitem__
+    fused = list(fused)
+    nodes = cuis.union(*(item.path.nodes for item in fused))
+    types_of = {node_id: graph.node(node_id).semantic_types for node_id in nodes}.__getitem__
     semtypes = set(_semantic_types(cuis, types_of))
     scored = []
     for item in fused:

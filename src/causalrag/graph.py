@@ -619,14 +619,22 @@ def open_replacing(path) -> Iterator[BinaryIO]:
 
     The bytes go to a temporary file beside the target that then replaces
     it, so a write that fails or is interrupted leaves any earlier file
-    whole and no temporary file behind. A device or pipe (say
-    ``/dev/stdout``) is written through instead.
+    whole and no temporary file behind. A device, pipe or socket (say
+    ``/dev/null``) is written through instead, and a path that names an
+    open descriptor (``/dev/stdout``, ``/dev/fd/N``, ``/proc/self/fd/N``)
+    is written through a copy of that descriptor, after what the process
+    wrote there before, whatever file it is.
     """
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        with open(target, "wb") as fh:
+    descriptor = _descriptor(path)
+    if descriptor is not None:
+        with open(os.dup(descriptor), "wb") as fh:
             yield fh
         return
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
     partial = f"{target}.{os.getpid()}-{threading.get_ident()}.partial"
     try:
         with open(partial, "wb") as fh:
@@ -636,6 +644,21 @@ def open_replacing(path) -> Iterator[BinaryIO]:
         with contextlib.suppress(OSError):
             os.unlink(partial)
         raise
+
+
+def _descriptor(path) -> int | None:
+    """The descriptor that ``path`` names as ``/dev/fd/N`` or
+    ``/proc/self/fd/N``, through any symlinks (``/dev/stdout`` is one), or
+    None."""
+    link = os.path.abspath(path)
+    for _ in range(40):  # as many links as the kernel follows
+        folder, name = os.path.split(link)
+        if folder in ("/dev/fd", "/proc/self/fd") and name.isdigit():
+            return int(name)
+        if not os.path.islink(link):
+            return None
+        link = os.path.normpath(os.path.join(folder, os.readlink(link)))
+    return None
 
 
 def load_graph(path) -> KnowledgeGraph:

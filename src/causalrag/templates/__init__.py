@@ -39,16 +39,4 @@ def fill_template(template: str, **values: str) -> str:
     ``{options}`` stays literal; unknown placeholders and stray braces stay
     untouched.
     """
-    pieces = _pieces(template)
-    filled = list(pieces)
-    for at in range(1, len(pieces), 2):
-        name = pieces[at]
-        filled[at] = values.get(name, f"{{{name}}}")
-    return "".join(filled)
-
-
-@functools.lru_cache(maxsize=32)
-def _pieces(template: str) -> tuple[str, ...]:
-    """The template's text and placeholder names, alternating, split once per
-    template: a pipeline fills the same three for every item."""
-    return tuple(_PLACEHOLDER_RE.split(template))
+    return _PLACEHOLDER_RE.sub(lambda m: values.get(m.group(1), m.group(0)), template)

@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import json
 import os
+import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import causalrag
 from causalrag.causal import default_causality_table
 from causalrag.cli import main
 from causalrag.graph import load_triples
@@ -256,6 +261,42 @@ def test_evaluate_writes_its_report_through_a_pipe(artifact, tmp_path):
     reader.join(timeout=10)
     assert received == [(FIXTURES / "reports" / "full.json").read_bytes()]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.pipe", "toy.crag"]
+
+
+def _evaluate_to_stdout(artifact, stdout) -> int:
+    """Run ``evaluate --report /dev/stdout`` in a child process whose stdout is ``stdout``."""
+    code = "import sys; from causalrag.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(causalrag.__file__).parents[1])}
+    argv = ["evaluate", "--graph", str(artifact), "--dataset", str(FIXTURES / "dataset.jsonl"),
+            "--config", str(FIXTURES / "config.yaml"), "--mode", "full",
+            "--mock-transcript", str(FIXTURES / "transcript_full.jsonl"), "--report", "/dev/stdout"]
+    return subprocess.run([sys.executable, "-c", code, *argv], stdout=stdout, env=env, timeout=60).returncode
+
+
+@pytest.mark.parametrize("stream", ["pipe", "socket", "regular file"])
+def test_evaluate_writes_a_dev_stdout_report_into_the_stream(artifact, tmp_path, stream):
+    # The report goes where stdout goes, ahead of the lines printed after it.
+    if stream == "pipe":
+        read, write = os.pipe()
+        with open(read, "rb") as reader, open(write, "wb") as writer:
+            code = _evaluate_to_stdout(artifact, writer)
+            writer.close()
+            out = reader.read()
+    elif stream == "socket":
+        reader, writer = socket.socketpair()
+        with reader, writer:
+            code = _evaluate_to_stdout(artifact, writer.fileno())
+            writer.close()
+            out = b"".join(iter(lambda: reader.recv(65536), b""))
+    else:
+        with open(tmp_path / "stdout.txt", "wb") as writer:
+            code = _evaluate_to_stdout(artifact, writer)
+        out = (tmp_path / "stdout.txt").read_bytes()
+    golden = (FIXTURES / "reports" / "full.json").read_bytes()
+    assert code == 0
+    assert out[: len(golden)] == golden
+    assert out[len(golden):].startswith(b"wrote /dev/stdout\nmode=full ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["toy.crag"] + ["stdout.txt"] * (stream == "regular file"))
 
 
 def test_evaluate_mode_flag_values(artifact):

@@ -1,10 +1,9 @@
 """The evidence stage against its formulas, applied one path at a time.
 
-``score_paths``, ``render_path``/``render_paths_block``, ``fuse_paths``,
-``fill_template`` and ``extract_answer_label`` each do their per-item work
-once (the query's sets, each node's types, the split of a template, the
-answer patterns of a label set). These seeded tests
-check them against slow references that redo that work for every path or
+``score_paths``, ``render_path``/``render_paths_block``, ``fuse_paths`` and
+``extract_answer_label`` each do their per-item work once (the query's
+sets, each node's types, the answer patterns of a label set). These seeded
+tests check them against slow references that redo that work for every path or
 call, comparing every float with ``==``, and count the work they do.
 """
 
@@ -34,7 +33,7 @@ from causalrag.graph import ConceptNode, KgEdge, KnowledgeGraph
 from causalrag.harness import Mode, load_dataset, render_report, run_evaluation
 from causalrag.llm import extract_answer_label
 from causalrag.retrieval import TIER_CAUSAL, TIER_FALLBACK, GraphPath, _selection_key
-from causalrag.templates import NO_EVIDENCE_MARKER, fill_template
+from causalrag.templates import NO_EVIDENCE_MARKER
 
 from .conftest import FIXTURES
 from .oracles import graph_from_edges
@@ -219,22 +218,6 @@ def test_fuse_paths_takes_each_groups_best_member():
                 assert item.path is members[0]
             sizes["several" if len({*members}) > 1 else "one"] += 1
     assert sizes["several"] >= 20 and sizes["one"] >= 20, sizes
-
-
-# -- fill_template -----------------------------------------------------------------
-
-
-def test_fill_template_matches_one_substitution_pass():
-    rng = random.Random(515)
-    pieces = ["{question}", "{options}", "{cot}", "{paths}", "{unknown_1}", "{", "}", "{}", "{{cot}}", "{ cot}",
-              "text ", "é→", "\n", "{évidence}"]
-    names = ["question", "options", "cot", "paths", "évidence"]
-    for _ in range(2000):
-        # More distinct templates than the split cache keeps, drawn in turn.
-        template = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 8))) + str(rng.randint(0, 60))
-        values = {name: "".join(rng.choice(pieces) for _ in range(rng.randint(0, 3))) for name in rng.sample(names, 3)}
-        expected = re.sub(r"\{(\w+)\}", lambda m: values.get(m.group(1), m.group(0)), template)
-        assert fill_template(template, **values) == expected, (template, values)
 
 
 # -- extract_answer_label ------------------------------------------------------------
