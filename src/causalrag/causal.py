@@ -97,26 +97,23 @@ class CausalGraphView(SearchReads):
     edge, so a revised view equals a fresh count of the rule.
 
     The path search reads ``successors`` and ``edges_into``, inherited
-    from ``SearchReads``: each view memoises them per node on first read,
-    built straight from the base graph's columns through the mask, so
-    reading a view fills no memo of the base graph. A revised view starts
-    with an empty memo but shares its parent's lineage store, so a miss
-    reuses the entry of a node the revisions left alone, or patches the
-    edges they flipped. ``build_causal_view`` starts a new store; a store
-    holds entries and bytes, never views, and dies with its last view.
+    from ``SearchReads``: each view memoises them per node on first read
+    in its lineage store, built straight from the base graph's columns
+    through the mask, so reading a view fills no store of the base graph.
+    A revised view shares its parent's store, so its first read of a node
+    reuses the entry the revisions left alone, or patches the edges they
+    flipped, and stamps the slot with the view's own token; its later reads
+    of that node return the entry. ``build_causal_view`` starts a new
+    store; a store holds tokens, entries and bytes, never views, and dies
+    with its last view.
     """
 
     base: KnowledgeGraph
     theta: float
     mask: bytes = field(repr=False)
     strengths: tuple[array, ...] = field(repr=False)
-    _successors: dict[str, dict[str, tuple[int, ...]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _edges_into: dict[str, dict[str, tuple[int, ...]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     _lineage: tuple[dict, dict] = field(default_factory=lambda: ({}, {}), repr=False, compare=False)
+    _token: object = field(default_factory=object, init=False, repr=False, compare=False)
 
     # Traversal protocol shared with KnowledgeGraph -------------------------
 

@@ -112,39 +112,38 @@ class SearchReads:
     each edge to those edges, ascending index; so the search can join a
     node's successors with a goal's in-edges on their keys. A graph is the
     view that keeps every edge: its own ``base``, with every byte 1. Each
-    entry is memoised in ``self._successors`` or ``self._edges_into`` on the
-    node's first read; callers must not change it. A miss goes through the
-    direction's lineage store in ``self._lineage``, shared by a view and its
-    revisions (see ``_lineage_entry``). The graph's mask never changes, so
-    nothing could reuse a slot of its own: its stores keep none. An entry is a
-    pure function of its node's mask bytes, so any view of a lineage may use
-    any slot, and two threads racing on one each get their own view's.
+    entry is memoised on the node's first read in the direction's lineage
+    store in ``self._lineage``, the only search memo: the graph keeps a store
+    of its own, and a view shares one with its revisions. A node's slot
+    carries the ``self._token`` of the container that last read it, which
+    no other container shares. A read of a slot with this container's token
+    returns its entry; any other read goes through ``_lineage_entry``.
+    Callers must not change an entry. An entry is a pure function of its
+    node's mask bytes, so any view of a lineage may use any slot, and two
+    threads racing on one each get their own view's.
     """
 
     def successors(self, node_id: str) -> dict[str, tuple[int, ...]]:
         """Each object of a member out-edge of ``node_id`` -> those edges."""
-        try:
-            return self._successors[node_id]
-        except KeyError:
-            pass
+        store = self._lineage[0]
+        slot = store.get(node_id)
+        if slot is not None and slot[0] is self._token:
+            return slot[2]
         base = self.base
         out = base.out_edges(node_id)
         flags = self.mask[out.start : out.stop]
-        entry = _lineage_entry(self._lineage[0], node_id, out, flags, base.node_ids(), base.columns.objects)
-        self._successors[node_id] = entry
-        return entry
+        return _lineage_entry(store, slot, self._token, node_id, out, flags, base.node_ids(), base.columns.objects)
 
     def edges_into(self, goal: str) -> dict[str, tuple[int, ...]]:
         """Each node with a member edge into ``goal`` -> those edges."""
-        try:
-            return self._edges_into[goal]
-        except KeyError:
-            pass
-        into = self.base.in_edges(goal)
+        store = self._lineage[1]
+        slot = store.get(goal)
+        if slot is not None and slot[0] is self._token:
+            return slot[2]
+        base = self.base
+        into = base.in_edges(goal)
         flags = bytes(map(self.mask.__getitem__, into))
-        entry = _lineage_entry(self._lineage[1], goal, into, flags, self.base.node_ids(), self.base.columns.subjects)
-        self._edges_into[goal] = entry
-        return entry
+        return _lineage_entry(store, slot, self._token, goal, into, flags, base.node_ids(), base.columns.subjects)
 
 
 class KnowledgeGraph(SearchReads):
@@ -193,12 +192,11 @@ class KnowledgeGraph(SearchReads):
         self._in_offsets, self._in = _csr(objects, n)
 
         self.stats = stats
-        # Filled on first read, like the search memos below (see ``edge_indices``).
+        # Filled on first read, like the search stores below (see ``edge_indices``).
         self._by_key: dict[int, int] | None = None
-        # Search memos, filled per node on first read (see ``SearchReads``).
-        self._successors: dict[str, dict[str, tuple[int, ...]]] = {}
-        self._edges_into: dict[str, dict[str, tuple[int, ...]]] = {}
-        self._lineage: tuple[dict, dict] = (_NoSlots(), _NoSlots())
+        # Search stores, filled per node on first read (see ``SearchReads``).
+        self._lineage: tuple[dict, dict] = ({}, {})
+        self._token = object()
 
     @property
     def base(self) -> KnowledgeGraph:
@@ -285,28 +283,21 @@ class KnowledgeGraph(SearchReads):
         return tuple(self._in[self._in_offsets[i] : self._in_offsets[i + 1]])
 
 
-class _NoSlots(dict):
-    """A lineage store that keeps no slot, for a container that is never revised."""
-
-    __slots__ = ()
-
-    def __setitem__(self, node_id, slot) -> None:
-        pass
-
-
-def _lineage_entry(store: dict, node_id: str, edges, flags: bytes, ids, ends) -> dict[str, tuple[int, ...]]:
+def _lineage_entry(
+    store: dict, slot, token, node_id: str, edges, flags: bytes, ids, ends
+) -> dict[str, tuple[int, ...]]:
     """``_group_edges`` of the ``edges`` of ``node_id`` whose mask byte in ``flags`` is 1,
-    through the node's slot ``(flags, entry)`` in the lineage ``store``: the stored entry
-    for equal flags, a copy with only the flipped edges moved for other flags, a fresh
-    grouping with no slot. The result replaces the slot; no stored entry is changed."""
-    slot = store.get(node_id)
+    through ``slot``, the node's ``(token, flags, entry)`` in the lineage ``store`` or
+    None: the stored entry for equal flags, a copy with only the flipped edges moved for
+    other flags, a fresh grouping with no slot. The result replaces the slot, stamped
+    with the reading container's ``token``; no stored entry is changed."""
     if slot is None:
         entry = _group_edges(ids, ends, compress(edges, flags))
-    elif slot[0] == flags:
-        return slot[1]
+    elif slot[1] == flags:
+        entry = slot[2]
     else:
-        entry = dict(slot[1])
-        for at in compress(range(len(flags)), map(operator.ne, slot[0], flags)):
+        entry = dict(slot[2])
+        for at in compress(range(len(flags)), map(operator.ne, slot[1], flags)):
             idx = edges[at]
             end = ids[ends[idx]]
             group = entry.get(end, ())
@@ -316,7 +307,7 @@ def _lineage_entry(store: dict, node_id: str, edges, flags: bytes, ids, ends) ->
                 entry[end] = tuple(i for i in group if i != idx)
             else:
                 del entry[end]
-    store[node_id] = (flags, entry)
+    store[node_id] = (token, flags, entry)
     return entry
 
 

@@ -308,13 +308,13 @@ def _check_search_memo(container, graph, members, rng, share=1.0):
     rng.shuffle(node_ids)
     for node_id in node_ids[: round(share * len(node_ids))]:
         successors, into = _recount_search_reads(graph, members, node_id)
-        base_memos = (dict(graph._successors), dict(graph._edges_into))
+        base_stores = tuple(map(dict, graph._lineage))
         for _ in range(2):
             assert container.successors(node_id) == successors
             assert container.edges_into(node_id) == into
         if container is not graph:
-            # A view builds its entries from the base graph's columns, not from its memos.
-            assert (graph._successors, graph._edges_into) == base_memos
+            # A view builds its entries from the base graph's columns, not from its store.
+            assert graph._lineage == base_stores
     for read in (container.successors, container.edges_into):
         with pytest.raises(NotFoundError):
             read("missing")
@@ -376,7 +376,7 @@ def test_search_memo_fills_race_benignly_across_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
-    assert len(view._successors) == len(view._edges_into) == len(node_ids)
+    assert len(view._lineage[0]) == len(view._lineage[1]) == len(node_ids)
 
 
 def _flags(view, edges):
@@ -428,10 +428,54 @@ def test_a_flipped_in_edge_of_a_hub_is_patched_without_regrouping(monkeypatch):
             assert all(list(edges) == sorted(edges) for edges in entry.values())
         assert len(revised.edges_into("HUB").get("S07", ())) == s07
     assert fills == []
-    assert view._lineage[1]["HUB"][0] == _flags(demoted, graph.in_edges("HUB"))
-    # The patches copied the stored entries; the parent's stay as they were.
-    assert view.edges_into("HUB") is into and into == _recount_search_reads(graph, view.member_edges, "HUB")[1]
-    assert view.successors("S07") is out and len(out["HUB"]) == 2
+    assert view._lineage[1]["HUB"][1] == _flags(demoted, graph.in_edges("HUB"))
+    # The patches copied the stored entries; the parent's stay as they were,
+    # and the parent, whose slots the revisions took, patches its own back.
+    assert into == _recount_search_reads(graph, view.member_edges, "HUB")[1] == view.edges_into("HUB")
+    assert len(out["HUB"]) == 2 and view.successors("S07") == out
+
+
+def test_a_stamped_slot_is_read_without_adjacency_and_alternating_siblings_keep_their_own(monkeypatch):
+    weights = (("CAUSES", 0.9), ("ASSOCIATED_WITH", 0.2), ("TREATS", 0.8))
+    graph = make_graph([(f"S{i:02d}", p, "HUB", s) for i in range(40) for p, s in weights])
+    adjacency_reads = []
+
+    def counted(read):
+        def wrapper(self, node_id):
+            adjacency_reads.append(node_id)
+            return read(self, node_id)
+
+        return wrapper
+
+    for name in ("out_edges", "in_edges"):
+        monkeypatch.setattr(graph_module.KnowledgeGraph, name, counted(getattr(graph_module.KnowledgeGraph, name)))
+    view = build_causal_view(graph, default_causality_table(), 0.5)
+    revised = apply_strength_updates(view, {("S07", "ASSOCIATED_WITH", "HUB"): 0.9})
+    reads = (("successors", "S03"), ("edges_into", "S03"), ("successors", "S07"), ("edges_into", "HUB"))
+    first_reads = {}
+    for name, container in (("graph", graph), ("view", view), ("revised", revised)):
+        for read, node_id in reads:
+            first_reads[name, read, node_id] = entry = getattr(container, read)(node_id)
+            adjacency_reads.clear()
+            assert getattr(container, read)(node_id) is entry
+            assert adjacency_reads == []
+    # The batch left S03 alone, so the revision's first reads took the parent's entries.
+    for read in ("successors", "edges_into"):
+        assert first_reads["revised", read, "S03"] is first_reads["view", read, "S03"]
+    assert first_reads["revised", "edges_into", "HUB"] != first_reads["view", "edges_into", "HUB"]
+
+    # Two siblings disagree on one hub edge, so each read takes the slot from the other.
+    siblings = [
+        apply_strength_updates(view, {("S07", "ASSOCIATED_WITH", "HUB"): 0.9}),
+        apply_strength_updates(view, {("S07", "CAUSES", "HUB"): 0.1}),
+    ]
+    wants = [_recount_search_reads(graph, sibling.member_edges, "HUB")[1] for sibling in siblings]
+    successor_wants = [_recount_search_reads(graph, sibling.member_edges, "S07")[0] for sibling in siblings]
+    assert wants[0] != wants[1] and successor_wants[0] != successor_wants[1]
+    for _ in range(3):
+        for sibling, want, successor_want in zip(siblings, wants, successor_wants):
+            assert sibling.edges_into("HUB") == want
+            assert sibling.successors("S07") == successor_want
 
 
 def test_lineage_reads_race_benignly_across_sibling_revisions_and_thetas():
@@ -497,32 +541,34 @@ def test_a_lineage_store_keeps_one_slot_per_node_and_no_view():
     assert [ref() for ref in dropped] == [None] * len(dropped)
     for slots, edges_of_node, direction in ((store[0], graph.out_edges, 0), (store[1], graph.in_edges, 1)):
         assert len(slots) <= graph.node_count and set(slots) <= set(node_ids)
-        for node_id, (flags, entry) in slots.items():
-            # Each slot holds bytes and an entry, and the entry is its flags' grouping.
-            assert type(flags) is bytes and type(entry) is dict
+        for node_id, slot in slots.items():
+            # Each slot holds a bare token, bytes and an entry, and the entry is its flags' grouping.
+            token, flags, entry = slot
+            assert type(slot) is tuple and type(token) is object and type(flags) is bytes and type(entry) is dict
             members = {i for i, flag in zip(edges_of_node(node_id), flags) if flag}
             assert entry == _recount_search_reads(graph, members, node_id)[direction]
     stores = (store, build_causal_view(graph, table, 0.3)._lineage, build_causal_view(graph, table, 0.5)._lineage)
     assert len({id(slots) for lineage in (*stores, graph._lineage) for slots in lineage}) == 8
 
 
-def test_the_graph_holds_no_lineage_slot_after_reads():
-    # The graph is never revised, so a slot of its own could never be read.
+def test_the_graph_store_keeps_one_slot_per_node_read_and_none_for_a_view():
     rng = random.Random(2509)
     triples = sorted({(f"N{rng.randrange(30)}", rng.choice(_PREDICATES), f"N{rng.randrange(30)}") for _ in range(200)})
     graph = make_graph([(*triple, rng.choice(_GRID)) for triple in triples])
     view = build_causal_view(graph, default_causality_table(), 0.5)
     every_edge = set(range(graph.edge_count))
+    read = rng.sample(graph.node_ids(), graph.node_count // 2)
     for _ in range(2):
-        for node_id in graph.node_ids():
+        for node_id in read:
             assert (graph.successors(node_id), graph.edges_into(node_id)) == _recount_search_reads(
                 graph, every_edge, node_id
             )
+        for node_id in graph.node_ids():
             view.successors(node_id)
             view.edges_into(node_id)
-    assert [len(slots) for slots in graph._lineage] == [0, 0]
+    assert [set(slots) for slots in graph._lineage] == [set(read)] * 2
+    assert all(slot[0] is graph._token for slots in graph._lineage for slot in slots.values())
     assert [len(slots) for slots in view._lineage] == [graph.node_count] * 2
-    assert len(graph._successors) == len(graph._edges_into) == graph.node_count
 
 
 def test_view_never_contains_foreign_edges(chain_graph):

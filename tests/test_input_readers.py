@@ -103,6 +103,14 @@ def test_only_graph_defines_the_search_reads(path):
         or isinstance(node, ast.Attribute) and node.attr.endswith("group_edges")
     ]
     assert grouping == [], f"{path.name} imports the edge-grouping helper at lines {grouping}"
+    # The lineage store is the only search memo: no second one per container.
+    memos = [
+        node.lineno
+        for node in nodes
+        for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "arg", None))
+        if name in ("_successors", "_edges_into")
+    ]
+    assert memos == [], f"{path.name} names a per-container search memo at lines {memos}"
     if path.name == "graph.py":
         assert defined == ["edges_into", "successors"]
     else:
