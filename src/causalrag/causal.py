@@ -13,7 +13,6 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress
 from typing import Iterable, Mapping
 
@@ -84,8 +83,9 @@ class CausalGraphView(SearchReads):
 
     Membership is one byte per base edge: ``mask[i]`` is 1 when edge ``i``
     is a member. ``member_edges`` is the same set as a frozenset, derived
-    from the mask on first read and cached; a revision copies the mask
-    instead of rebuilding a hash set. ``strengths`` holds every edge's
+    in one pass over the mask on each read and never kept, since every
+    collection of its generation would walk a kept set; a revision copies
+    the mask, not a hash set. ``strengths`` holds every edge's
     effective strength: block ``i >> _SHIFT`` holds edge ``i`` at
     ``i & _LOW``, the base strength until an update sets it.
 
@@ -126,7 +126,7 @@ class CausalGraphView(SearchReads):
 
     # Introspection ----------------------------------------------------------
 
-    @cached_property
+    @property
     def member_edges(self) -> frozenset[int]:
         return frozenset(compress(range(len(self.mask)), self.mask))
 

@@ -11,6 +11,7 @@ import argparse
 import io
 import json
 import logging
+import operator
 import sys
 
 from .causal import apply_strength_updates, build_causal_view, parse_strength_updates
@@ -199,17 +200,16 @@ def cmd_update_strengths(args) -> int:
     view = build_causal_view(graph, config.causality, config.theta)
     updates = _read_updates(args.updates)
 
-    before = view.member_edges
     updated = apply_strength_updates(view, updates)
-    added = len(updated.member_edges - before)
-    demoted = len(before - updated.member_edges)
-    updated_edges = set(graph.edge_indices(updates))
-    revised = len(updated_edges & before & updated.member_edges)
+    before, after = view.mask, updated.mask
+    added = sum(map(operator.gt, after, before))
+    demoted = sum(map(operator.lt, after, before))
+    revised = sum(before[i] & after[i] for i in graph.edge_indices(updates))
     print(
         f"applied {len(updates)} updates at theta={view.theta}: "
         f"added={added} revised={revised} demoted={demoted}"
     )
-    print(f"view edges: {len(before)} -> {len(updated.member_edges)}")
+    print(f"view edges: {view.edge_count} -> {updated.edge_count}")
     return 0
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -286,6 +287,16 @@ def test_touches_agrees_with_member_node_ids_across_updates():
         with pytest.raises(NotFoundError):
             view.touches("missing")
     assert touched and untouched
+
+
+def test_reads_keep_nothing_on_the_view(chain_view):
+    """A kept member set would be walked by every collection of its generation."""
+    revised = apply_strength_updates(chain_view, {("A", "ASSOCIATED_WITH", "C"): 0.9})
+    fields = {field.name for field in dataclasses.fields(chain_view)}
+    for view in (chain_view, revised):
+        view.edge_count, view.touches("A"), view.member_node_ids()
+        assert view.member_edges == view.member_edges
+        assert vars(view).keys() == fields
 
 
 def _recount_search_reads(graph, members, node_id):

@@ -406,6 +406,8 @@ def test_update_strengths_at_another_theta_matches_a_recount(artifact, tmp_path,
         ("C006", "ASSOCIATED_WITH", "C001"): 0.8,
         ("C001", "CAUSES", "C002"): 0.2,
         ("C007", "CAUSES", "C008"): 0.95,
+        ("C002", "ASSOCIATED_WITH", "C004"): 0.5,  # a non-member stays out
+        ("C003", "CAUSES", "C004"): 0.9,  # a member keeps its own strength
     }
     updates = tmp_path / "updates.tsv"
     updates.write_text(
