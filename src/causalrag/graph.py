@@ -142,7 +142,9 @@ class SearchReads:
             return slot[2]
         base = self.base
         into = base.in_edges(goal)
-        flags = bytes(map(self.mask.__getitem__, into))
+        mask = self.mask
+        # One gather call; ``itemgetter`` returns a bare int for one index and refuses none.
+        flags = bytes(operator.itemgetter(*into)(mask)) if len(into) > 1 else bytes(map(mask.__getitem__, into))
         return _lineage_entry(store, slot, self._token, goal, into, flags, base.node_ids(), base.columns.subjects)
 
 

@@ -109,16 +109,20 @@ def _enumerate_simple_paths(
     ``max_hops`` at most ``distance_slack + 2``, as in the default config,
     it has no detour to drop.
 
-    ``source.edges_into(goal)`` (``into_goal``) and ``source.successors``
-    map each node to its parallel edges, which ``itertools.product`` expands.
-    A pending entry is a path, its hops' parallel edges, its last node's
-    successors and how many more nodes may be walked. One with none left is
-    never walked: one key join of its successors with ``into_goal`` and a
-    ``goal in m`` test finish its last two hops, and it is pushed only if one
-    can succeed. Entries run in any order: the sort by edge tuple is the order
-    a walk of out-edges by ascending index yields, as no path's edges are a
-    prefix of another's. A plain work list, not a closure or recursion,
-    leaves no reference cycle holding ``source`` and no depth limit.
+    ``source.successors`` and ``source.edges_into`` map each node to its
+    parallel edges, which ``itertools.product`` expands. The walk starts at
+    the end whose map has fewer keys, ``start``'s successors (``first``) or
+    ``goal``'s in-edges (``into_goal``); a tie walks forward. Backward, it
+    steps through ``edges_into`` and its last two hops join with ``first``.
+    A pending entry is a path, its hops' parallel edges, its last node's map
+    and how many more nodes may be walked. One with none left is never
+    walked: one key join of its map with the far end's and one test for an
+    edge to the far end finish its last two hops, and it is pushed only if
+    one can succeed. Neither the direction nor the order entries run in
+    shows: backward rows are reversed, then all are sorted by edge tuple, the
+    order a walk of out-edges by ascending index yields, as no path's edges
+    are a prefix of another's. A plain work list, not a closure or
+    recursion, leaves no reference cycle holding ``source`` and no depth limit.
     """
     if start == goal:
         return [], 0
@@ -129,33 +133,40 @@ def _enumerate_simple_paths(
     limit = max_hops
     if distance_slack is not None and distance_slack + 1 < max_hops and goal in first:
         limit = 1 + distance_slack
+    backward = len(into_goal) < len(first)
+    origin, end, step, near, far = (
+        (goal, start, source.edges_into, into_goal, first)
+        if backward
+        else (start, goal, source.successors, first, into_goal)
+    )
     found: list[tuple[tuple[str, ...], tuple[int, ...]]] = []
     beyond = 0
-    into_keys = into_goal.keys()
-    pending = [((start,), (), first, max_hops - 2)]
+    far_keys = far.keys()
+    pending = [((origin,), (), near, max_hops - 2)]
     while pending:
-        path, hops, successors, walks = pending.pop()
-        if goal in successors:
+        path, hops, adjacent, walks = pending.pop()
+        if end in adjacent:
             if len(hops) < limit:
-                found.extend(((*path, goal), edges) for edges in product(*hops, successors[goal]))
+                found.extend(((*path, end), edges) for edges in product(*hops, adjacent[end]))
             else:
-                beyond += prod(map(len, hops)) * len(successors[goal])
+                beyond += prod(map(len, hops)) * len(adjacent[end])
         if walks == 0:
-            ends = [t for t in successors.keys() & into_keys if t not in path and t != goal]
+            joins = [t for t in adjacent.keys() & far_keys if t not in path and t != end]
             if limit == max_hops:
-                for target in ends:
+                for target in joins:
                     found.extend(
-                        ((*path, target, goal), edges)
-                        for edges in product(*hops, successors[target], into_goal[target])
+                        ((*path, target, end), edges) for edges in product(*hops, adjacent[target], far[target])
                     )
-            elif ends:
-                beyond += prod(map(len, hops)) * sum(len(successors[t]) * len(into_goal[t]) for t in ends)
+            elif joins:
+                beyond += prod(map(len, hops)) * sum(len(adjacent[t]) * len(far[t]) for t in joins)
             continue
-        for target, idxs in successors.items():
-            if target != goal and target not in path:
-                ahead = source.successors(target)
-                if walks > 1 or goal in ahead or not into_keys.isdisjoint(ahead.keys()):
+        for target, idxs in adjacent.items():
+            if target != end and target not in path:
+                ahead = step(target)
+                if walks > 1 or end in ahead or not far_keys.isdisjoint(ahead.keys()):
                     pending.append(((*path, target), (*hops, idxs), ahead, walks - 1))
+    if backward:
+        found = [(nodes[::-1], edges[::-1]) for nodes, edges in found]
     found.sort(key=itemgetter(1))
     return found, beyond
 

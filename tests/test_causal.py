@@ -446,6 +446,24 @@ def test_a_flipped_in_edge_of_a_hub_is_patched_without_regrouping(monkeypatch):
     assert len(out["HUB"]) == 2 and view.successors("S07") == out
 
 
+def test_in_edge_flags_gathered_in_one_call_equal_a_byte_by_byte_gather():
+    # HUB has 120 in-edges, S00 one (from HUB) and S01 none; the revision
+    # promotes one in-edge of HUB and demotes the one of S00.
+    weights = (("CAUSES", 0.9), ("ASSOCIATED_WITH", 0.2), ("TREATS", 0.8))
+    specs = [(f"S{i:02d}", p, "HUB", s) for i in range(40) for p, s in weights]
+    graph = make_graph([*specs, ("HUB", "CAUSES", "S00", 0.9)])
+    view = build_causal_view(graph, default_causality_table(), 0.5)
+    revised = apply_strength_updates(view, {("S07", "ASSOCIATED_WITH", "HUB"): 0.9, ("HUB", "CAUSES", "S00"): 0.1})
+    for container in (view, revised):
+        for node_id, count in (("S01", 0), ("S00", 1), ("HUB", 120)):
+            in_edges = graph.in_edges(node_id)
+            assert len(in_edges) == count
+            entry = container.edges_into(node_id)
+            assert container._lineage[1][node_id][1] == _flags(container, in_edges)
+            assert entry == _recount_search_reads(graph, container.member_edges, node_id)[1]
+    assert revised.edges_into("S00") == {} and len(revised.edges_into("HUB")["S07"]) == 3
+
+
 def test_a_stamped_slot_is_read_without_adjacency_and_alternating_siblings_keep_their_own(monkeypatch):
     weights = (("CAUSES", 0.9), ("ASSOCIATED_WITH", 0.2), ("TREATS", 0.8))
     graph = make_graph([(f"S{i:02d}", p, "HUB", s) for i in range(40) for p, s in weights])

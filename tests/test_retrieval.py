@@ -166,16 +166,27 @@ def test_causal_first_guarantee_and_score_floor():
 
 
 @pytest.mark.parametrize("max_hops", [1, 2, 3, 4])
-def test_finished_search_leaves_no_cycle_holding_the_view(chain_graph, max_hops):
+def test_finished_search_leaves_no_cycle_holding_the_view(max_hops):
     # With the cycle collector off, only reference counting can free the view:
     # a search that left a reference cycle through its frames would pin it.
-    view = build_causal_view(chain_graph, default_causality_table(), 0.5)
+    # The chain graph plus A -> D: C is the thinner end of (A, C), so that
+    # search walks into C.
+    graph = make_graph(
+        [
+            ("A", "CAUSES", "B", 0.9),
+            ("B", "CAUSES", "C", 0.8),
+            ("A", "ASSOCIATED_WITH", "C", 0.1),
+            ("A", "CAUSES", "D", 0.9),
+        ]
+    )
+    view = build_causal_view(graph, default_causality_table(), 0.5)
+    assert len(view.edges_into("C")) < len(view.successors("A"))
     config = RetrievalConfig(max_hops=max_hops)
     gc.collect()
     gc.disable()
     try:
         for from_set, to_set in (({"A"}, {"C"}), ({"C"}, {"A"}), ({"A", "B"}, {"A", "B", "C"})):
-            assert find_paths(view, chain_graph, from_set, to_set, config)
+            assert find_paths(view, graph, from_set, to_set, config)
         freed = weakref.ref(view)
         del view
         assert freed() is None
@@ -393,26 +404,55 @@ def _paths_as_dict(paths):
     }
 
 
-def test_find_paths_matches_bruteforce_oracle_sample():
+def _mirror(graph):
+    """``graph`` with every edge reversed. Searched with its endpoints swapped,
+    it has the same paths reversed, and each end's map swaps sides: a listing
+    that walks out of its start in one walks into its goal in the other."""
+    return make_graph([(e.object, e.predicate, e.subject, e.strength) for e in edges_of(graph)])
+
+
+@pytest.fixture
+def walk_ends(monkeypatch):
+    """Counts each listing of ``retrieval._enumerate_simple_paths`` under
+    ``(max_hops, end)``, where ``end`` is ``"goal"`` when the goal's in-edge map
+    is the smaller, ``"start"`` when the start's successor map is, and ``"tie"``
+    (walked from the start) when they are the same size. A one-hop listing
+    walks from neither end; its count says which end is the thinner."""
+    ends = Counter()
+    enumerate_paths = retrieval._enumerate_simple_paths
+
+    def counting(source, start, goal, max_hops, distance_slack=None):
+        if start != goal:
+            into, out = len(source.edges_into(goal)), len(source.successors(start))
+            ends[max_hops, "goal" if into < out else "start" if out < into else "tie"] += 1
+        return enumerate_paths(source, start, goal, max_hops, distance_slack)
+
+    monkeypatch.setattr(retrieval, "_enumerate_simple_paths", counting)
+    return ends
+
+
+def test_find_paths_matches_bruteforce_oracle_sample(walk_ends):
     rng = random.Random(424242)
     for _ in range(25):
         graph, table = _random_graph(rng)
         theta = rng.choice([0.0, 0.3, 0.5, 0.8])
-        view = build_causal_view(graph, table, theta)
         max_hops = rng.randint(1, 4)
         config = RetrievalConfig(max_hops=max_hops)
         node_ids = list(graph.node_ids())
         from_set = set(rng.sample(node_ids, k=min(len(node_ids), rng.randint(1, 2))))
         to_set = set(rng.sample(node_ids, k=min(len(node_ids), rng.randint(1, 2))))
 
-        actual = _paths_as_dict(find_paths(view, graph, from_set, to_set, config))
-        expected = brute_force_find_paths(graph, view, from_set, to_set, max_hops)
-        assert actual.keys() == expected.keys()
-        for key, (tier, is_reversed, score) in expected.items():
-            got_tier, got_reversed, got_score = actual[key]
-            assert got_tier == tier
-            assert got_reversed == is_reversed
-            assert got_score == pytest.approx(score, abs=1e-12)
+        for source, froms, tos in ((graph, from_set, to_set), (_mirror(graph), to_set, from_set)):
+            view = build_causal_view(source, table, theta)
+            actual = _paths_as_dict(find_paths(view, source, froms, tos, config))
+            expected = brute_force_find_paths(source, view, froms, tos, max_hops)
+            assert actual.keys() == expected.keys()
+            for key, (tier, is_reversed, score) in expected.items():
+                got_tier, got_reversed, got_score = actual[key]
+                assert got_tier == tier
+                assert got_reversed == is_reversed
+                assert got_score == pytest.approx(score, abs=1e-12)
+    assert all(walk_ends[h, end] for h in range(2, 5) for end in ("start", "goal", "tie")), walk_ends
 
 
 def test_prune_matches_bfs_detour_reference_on_random_searches():
@@ -464,7 +504,7 @@ def _flip_repeats_a_listing(source, from_set, to_set, max_hops):
     )
 
 
-def test_find_paths_equals_the_unpruned_reference_in_order():
+def test_find_paths_equals_the_unpruned_reference_in_order(walk_ends):
     rng = random.Random(20251018)
     seen = {
         "causal": 0, "fallback": 0, "no-view": 0, "reversed": 0, "self-loop": 0, "parallel": 0,
@@ -482,34 +522,39 @@ def test_find_paths_equals_the_unpruned_reference_in_order():
         from_set = set(rng.sample(node_ids, k=min(len(node_ids), rng.randint(1, 3))))
         to_set = set(rng.sample(node_ids, k=min(len(node_ids), rng.randint(1, 3))))
         rng.randint(0, 3)  # the old segment-index draw, kept so the seeded graphs stay the same
-        for causal_view in (view, None):
-            actual = _as_rows(find_paths(causal_view, graph, from_set, to_set, config))
-            expected = reference_find_paths(causal_view, graph, from_set, to_set, max_hops)
-            assert actual == expected
-            if actual:
-                tier = actual[0][3]
-                seen["no-view" if causal_view is None else tier] += 1
-                seen["reversed"] += any(row[4] for row in actual)
-                source = view if tier == "causal" else graph
-                seen["flip-is-forward"] += _flip_repeats_a_listing(source, from_set, to_set, max_hops)
-                paths_by_hops[max_hops] += len(actual)
+        mirror = _mirror(graph)
+        mirror_view = build_causal_view(mirror, table, view.theta)
+        for base, built, froms, tos in ((graph, view, from_set, to_set), (mirror, mirror_view, to_set, from_set)):
+            for causal_view in (built, None):
+                actual = _as_rows(find_paths(causal_view, base, froms, tos, config))
+                expected = reference_find_paths(causal_view, base, froms, tos, max_hops)
+                assert actual == expected
+                if actual:
+                    tier = actual[0][3]
+                    seen["no-view" if causal_view is None else tier] += 1
+                    seen["reversed"] += any(row[4] for row in actual)
+                    source = built if tier == "causal" else base
+                    seen["flip-is-forward"] += _flip_repeats_a_listing(source, froms, tos, max_hops)
+                    paths_by_hops[max_hops] += len(actual)
     assert all(seen.values()), seen
     assert all(paths_by_hops.values()), paths_by_hops
+    assert all(walk_ends[h, end] for h in range(1, 6) for end in ("start", "goal", "tie")), walk_ends
 
 
-class _OutEdgeRecorder:
+class _ReadRecorder:
     """A container that records every node whose out-edges are read, through
-    ``successors`` (the search) or ``out_edges`` (the unpruned reference), and
-    every node that takes its last hop from a goal's ``edges_into``. The maps
-    it hands out, each node's in ``maps`` and the last goal's in ``into``,
-    record how they are read."""
+    ``successors`` (the search) or ``out_edges`` (the unpruned reference), in
+    ``out_calls``, and every node whose in-edges are read, through
+    ``edges_into``, in ``into_calls``. The maps it hands out, each node's in
+    ``maps`` (successors) and ``into_maps`` (in-edges), record how they are
+    read."""
 
     def __init__(self, graph):
         self.graph = graph
         self.out_calls: list[str] = []
-        self.entered: list[str] = []
+        self.into_calls: list[str] = []
         self.maps: dict[str, _RecordingMap] = {}
-        self.into: _RecordingMap | None = None
+        self.into_maps: dict[str, _RecordingMap] = {}
 
     def __getattr__(self, name):
         return getattr(self.graph, name)
@@ -523,9 +568,10 @@ class _OutEdgeRecorder:
         self.maps[node_id] = _RecordingMap(self.graph.successors(node_id))
         return self.maps[node_id]
 
-    def edges_into(self, goal):
-        self.into = _RecordingMap(self.graph.edges_into(goal), self.entered)
-        return self.into
+    def edges_into(self, node_id):
+        self.into_calls.append(node_id)
+        self.into_maps[node_id] = _RecordingMap(self.graph.edges_into(node_id))
+        return self.into_maps[node_id]
 
 
 class _RecordingMap(dict):
@@ -533,9 +579,9 @@ class _RecordingMap(dict):
     it is iterated. A key join or an ``in`` test reads the dict itself, past
     these methods: of those, only the ``keys`` call shows."""
 
-    def __init__(self, mapping, looked_up: list | None = None):
+    def __init__(self, mapping):
         super().__init__(mapping)
-        self.looked_up = [] if looked_up is None else looked_up
+        self.looked_up: list[str] = []
         self.reads: Counter[str] = Counter()
 
     def get(self, key, default=None):
@@ -588,24 +634,69 @@ def _fan(max_hops: int):
     return make_graph(specs), depth, into_goal
 
 
+def _within(read, origin, end, hops):
+    """The nodes at most ``hops`` steps from ``origin`` through ``read``'s keys, never through ``end``."""
+    seen = frontier = {origin}
+    for _ in range(hops):
+        frontier = {node for at in frontier for node in read(at) if node != end} - seen
+        seen = seen | frontier
+    return sorted(seen)
+
+
 @pytest.mark.parametrize("max_hops", [1, 2, 3, 4, 5])
 def test_goal_directed_search_reads_no_out_edges_one_hop_short(max_hops):
-    graph, depth, into_goal = _fan(max_hops)
-    recorder = _OutEdgeRecorder(graph)
-    config = RetrievalConfig(max_hops=max_hops)
+    """The search walks from the end with fewer neighbours and reads only the
+    nodes it walks: ``_fan`` from S to G, and its mirror from G to S, walk
+    the same tree, one out of S and the other into S."""
+    fan, depth, into_goal = _fan(max_hops)
+    backward = []
+    for graph, start, goal in ((fan, "S", "G"), (_mirror(fan), "G", "S")):
+        recorder = _ReadRecorder(graph)
+        paths = find_paths(None, recorder, {start}, {goal}, RetrievalConfig(max_hops=max_hops))
 
-    paths = find_paths(None, recorder, {"S"}, {"G"}, config)
+        assert _as_rows(paths) == reference_find_paths(None, graph, {start}, {goal}, max_hops)
+        assert len(paths) == 2 * len(into_goal) + max_hops - 1
+        if max_hops == 1:
+            # One hop is read off the goal's in-edges alone.
+            assert (recorder.out_calls, recorder.into_calls) == ([], [goal])
+            assert recorder.into_maps[goal].looked_up == [start]
+            continue
+        backward.append(len(graph.edges_into(goal)) < len(graph.successors(start)))
+        if backward[-1]:
+            # The start is the thicker end: read its successors once, and the
+            # in-edges of each node within max_hops - 2 hops of the goal.
+            assert recorder.out_calls == [start]
+            assert sorted(recorder.into_calls) == _within(graph.edges_into, goal, start, max_hops - 2)
+            far = recorder.maps[start]
+        else:
+            assert sorted(recorder.out_calls) == _within(graph.successors, start, goal, max_hops - 2)
+            assert recorder.into_calls == [goal]
+            far = recorder.into_maps[goal]
+        # The level before the last enters the far end's map only at the nodes
+        # next to G, through the key join; no node one hop short is walked.
+        assert sorted(far.looked_up) == sorted(into_goal)
+    if max_hops > 1:
+        # The mirror swaps the two ends' map sizes, so each end is walked once;
+        # either way, the nodes walked are the tree's down to max_hops - 2.
+        assert sorted(backward) == [False, True]
+        tree = sorted(node for node, level in depth.items() if level <= max_hops - 2)
+        assert _within(fan.successors, "S", "G", max_hops - 2) == tree
 
-    assert _as_rows(paths) == reference_find_paths(None, graph, {"S"}, {"G"}, max_hops)
-    assert len(paths) == 2 * len(into_goal) + max_hops - 1
-    assert all(depth[node] <= max_hops - 2 for node in recorder.out_calls)
-    assert sorted(recorder.out_calls) == sorted(n for n, d in depth.items() if d <= max_hops - 2)
-    # The level before the last enters only the nodes with an edge into G.
-    assert sorted(recorder.entered) == sorted(into_goal)
-
-    unpruned = _OutEdgeRecorder(graph)
+    unpruned = _ReadRecorder(fan)
     list(enumerate_simple_paths_unpruned(unpruned, "S", "G", max_hops))
     assert sorted(unpruned.out_calls) == sorted(depth)
+
+
+def test_a_tie_walks_out_of_the_start():
+    """S and G have two neighbours each, so the search walks out of S, as a
+    search that always walks forward does."""
+    pairs = (("S", "A"), ("S", "B"), ("A", "C"), ("B", "C"), ("C", "G"), ("D", "G"))
+    graph = make_graph([(s, "CAUSES", o, 0.9) for s, o in pairs])
+    recorder = _ReadRecorder(graph)
+    found, longer = _enumerate_simple_paths(recorder, "S", "G", 3)
+    assert (found, longer) == (list(enumerate_simple_paths_unpruned(graph, "S", "G", 3)), 0)
+    assert [nodes for nodes, _ in found] == [("S", "A", "C", "G"), ("S", "B", "C", "G")]
+    assert sorted(recorder.out_calls) == ["A", "B", "S"] and recorder.into_calls == ["G"]
 
 
 # -- key join two hops short, against the unpruned DFS ----------------------------------
@@ -634,7 +725,9 @@ def _hub_multigraph(rng: random.Random):
     return graph, table, hub
 
 
-def test_key_joined_search_equals_the_unpruned_dfs_as_ordered_lists():
+def test_key_joined_search_equals_the_unpruned_dfs_as_ordered_lists(walk_ends):
+    """Every listing, with each ``distance_slack``, is the unpruned DFS's cut at
+    its edge limit, with the cut-off paths counted; on the graph and its mirror."""
     rng = random.Random(20261019)
     seen = Counter()
     for graph_no in range(300):
@@ -642,25 +735,37 @@ def test_key_joined_search_equals_the_unpruned_dfs_as_ordered_lists():
         edges = edges_of(graph)
         seen["self-loop"] += any(e.subject == e.object for e in edges)
         seen["parallel"] += len({(e.subject, e.object) for e in edges}) < len(edges)
-        view = build_causal_view(graph, table, rng.choice(_HUB_GRID))
+        theta = rng.choice(_HUB_GRID)
         batch = {(e.subject, e.predicate, e.object): rng.choice(_HUB_GRID) for e in rng.sample(edges, 10)}
-        revised = apply_strength_updates(view, batch)
         max_hops = 1 + graph_no % 4
         node_ids = graph.node_ids()
         endpoints = [
             (hub, rng.choice(node_ids)), (rng.choice(node_ids), hub), (rng.choice(node_ids), rng.choice(node_ids))
         ]
-        for name, source in (("graph", graph), ("view", view), ("revised", revised)):
-            for start, goal in endpoints:
-                found, longer = _enumerate_simple_paths(source, start, goal, max_hops)
-                assert longer == 0
-                assert found == list(enumerate_simple_paths_unpruned(source, start, goal, max_hops)), (
-                    graph_no, name, start, goal,
-                )
-                seen[name] += bool(found)
-                seen[f"{max_hops} hops"] += bool(found)
-                seen["parallel path"] += any(p[0] == q[0] for p, q in zip(found, found[1:]))
+        flipped = {(o, p, s): strength for (s, p, o), strength in batch.items()}
+        swapped = [(goal, start) for start, goal in endpoints]
+        for base, updates, pairs in ((graph, batch, endpoints), (_mirror(graph), flipped, swapped)):
+            view = build_causal_view(base, table, theta)
+            revised = apply_strength_updates(view, updates)
+            for name, source in (("graph", base), ("view", view), ("revised", revised)):
+                for start, goal in pairs:
+                    unpruned = list(enumerate_simple_paths_unpruned(source, start, goal, max_hops))
+                    direct = any(len(edges) == 1 for _, edges in unpruned)
+                    for slack in (None, 0, 1, 2):
+                        limit = 1 + slack if slack is not None and slack + 1 < max_hops and direct else max_hops
+                        listed = [row for row in unpruned if len(row[1]) <= limit]
+                        found, longer = retrieval._enumerate_simple_paths(source, start, goal, max_hops, slack)
+                        assert (found, longer) == (listed, len(unpruned) - len(listed)), (
+                            graph_no, name, start, goal, slack,
+                        )
+                        if longer:
+                            seen[f"slack {slack} counted"] += 1
+                    seen[name] += bool(unpruned)
+                    seen[f"{max_hops} hops"] += bool(unpruned)
+                    seen["parallel path"] += any(p[0] == q[0] for p, q in zip(unpruned, unpruned[1:]))
     assert min(seen.values()) >= 10, seen
+    assert seen.keys() >= {"slack 0 counted", "slack 1 counted", "slack 2 counted"}, seen
+    assert min(walk_ends[h, end] for h in range(1, 5) for end in ("start", "goal", "tie")) >= 10, walk_ends
 
 
 def test_a_hub_two_hops_short_is_key_joined_not_walked():
@@ -672,7 +777,7 @@ def test_a_hub_two_hops_short_is_key_joined_not_walked():
     specs += [(x, "CAUSES", f"{x}.end", 0.9) for x in fan]
     specs += [("X017", "CAUSES", "G", 0.9), ("X150", "TREATS", "G", 0.7)]
     graph = make_graph(specs)
-    recorder = _OutEdgeRecorder(graph)
+    recorder = _ReadRecorder(graph)
 
     found, longer = _enumerate_simple_paths(recorder, "S", "G", 3)
     assert longer == 0
@@ -687,7 +792,8 @@ def test_a_hub_two_hops_short_is_key_joined_not_walked():
     assert hub.reads["keys"] >= 1 and hub.reads["iter"] == hub.reads["items"] == hub.reads["values"] == 0
     # One lookup in H's map and one in G's in-edges per three-hop path.
     three_hop = sum(len(edges) == 3 for _, edges in found)
-    assert len(hub.looked_up) == len(recorder.into.looked_up) == three_hop == 2
+    assert recorder.into_calls == ["G"]
+    assert len(hub.looked_up) == len(recorder.into_maps["G"].looked_up) == three_hop == 2
 
 
 # -- the detour-bounded listing of retrieve_for_cot, against find_paths ----------------
