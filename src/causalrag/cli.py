@@ -8,6 +8,7 @@ config or I/O error, 3 a failed LLM stage (transport, transcript or CoT parse).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import logging
@@ -158,7 +159,8 @@ def cmd_answer(args) -> int:
     item = QAItem(id="cli", question=args.question, options=options, gold=next(iter(options)))
 
     pipeline = _build_pipeline(args, config)
-    record = pipeline.answer(item, Mode.from_flag(args.mode), strict=True)
+    with contextlib.closing(pipeline.gateway):
+        record = pipeline.answer(item, Mode.from_flag(args.mode), strict=True)
     print(f"predicted: {record.to_dict()['predicted']}")
     if record.unmapped:
         print("note: question does not map into the causal subgraph")
@@ -174,7 +176,8 @@ def cmd_evaluate(args) -> int:
     config = _resolve_config(args)
     items = load_dataset(args.dataset)
     pipeline = _build_pipeline(args, config)
-    report = run_evaluation(pipeline, items, Mode.from_flag(args.mode))
+    with contextlib.closing(pipeline.gateway):
+        report = run_evaluation(pipeline, items, Mode.from_flag(args.mode))
     if args.report:
         with open_replacing(args.report) as raw, io.TextIOWrapper(raw, encoding="utf-8") as fh:
             write_report(report, fh)

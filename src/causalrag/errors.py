@@ -79,8 +79,9 @@ def tsv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
     """``(line number, fields)`` for each line that is neither blank nor a
     ``#`` comment; fields are split on tabs and trimmed."""
     for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
+        # ``lstrip`` returns the line itself when it has no leading whitespace.
+        stripped = line.lstrip()
+        if stripped and stripped[0] != "#":
             yield line_no, list(map(str.strip, line.split("\t")))
 
 

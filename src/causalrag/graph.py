@@ -398,12 +398,12 @@ def _csr(keys: array, size: int) -> tuple[array, array]:
     ascending edge index.
     """
     offsets = _offsets(keys, size)
-    edges = [0] * len(keys)
+    edges = array("i", [0]) * len(keys)
     free = offsets.tolist()
     for idx, key in enumerate(keys):
         edges[free[key]] = idx
         free[key] += 1
-    return offsets, array("i", edges)
+    return offsets, edges
 
 
 def shortest_path_length(source, start: str, goal: str, max_hops: int) -> int | None:
@@ -453,20 +453,28 @@ def ingest_triples(
     fields are counted as malformed and dropped; duplicated triples collapse
     to one edge keeping the maximum strength. Rows without an explicit
     strength fall back to ``strength_for_predicate`` (the default causality
-    table when not supplied).
+    table when not supplied), called once per distinct predicate that has
+    such a row.
     """
     if strength_for_predicate is None:
         from .causal import default_causality_table
 
         strength_for_predicate = default_causality_table().weight
+    # The reader's tables are all freed when it returns, before the graph is built.
+    return KnowledgeGraph(*_read_triples(lines, functools.cache(strength_for_predicate)))
 
+
+def _read_triples(lines: Iterable[str], strength_for_predicate: Callable[[str], float]) -> tuple:
+    """``ingest_triples``'s rows as ``KnowledgeGraph``'s arguments."""
     # Nodes and predicates are interned to ints as rows arrive. Per node int:
-    # its name, each distinct semantic-types field and its aliases; fields
-    # are parsed once per node at the end, not once per row.
+    # its first name and first semantic-types field, so a later row that
+    # agrees costs two compares; only a node whose rows disagree gets a set
+    # of its aliases and of its other fields.
     node_index: dict[str, int] = {}
     node_names: list[str] = []
-    node_fields: list[set[str]] = []
+    node_fields: list[str] = []
     node_aliases: dict[int, set[str]] = {}
+    other_fields: dict[int, set[str]] = {}
     predicate_index: dict[str, int] = {}
     # Every well-formed row takes a slot; repeated triples collapse below.
     subjects, predicates, objects = array("i"), array("i"), array("i")
@@ -477,11 +485,12 @@ def ingest_triples(
         if position is None:
             position = node_index[cui] = len(node_names)
             node_names.append(name or cui)
-            node_fields.append({semtypes})
+            node_fields.append(semtypes)
             return position
-        if name and name != node_names[position]:
+        if name != node_names[position] and name:
             node_aliases.setdefault(position, set()).add(name)
-        node_fields[position].add(semtypes)
+        if semtypes != node_fields[position]:
+            other_fields.setdefault(position, set()).add(semtypes)
         return position
 
     rows = tsv_rows(lines)
@@ -524,9 +533,21 @@ def ingest_triples(
     if not strengths:
         raise IngestionError(f"all {rows_total} data rows were malformed")
 
+    n, p_count = len(node_names), len(predicate_index)
+    share = functools.cache(lambda items: items)  # one frozenset object per distinct set
+    parse = functools.cache(lambda field: frozenset(t.strip() for t in field.split(",") if t.strip()))
+    types = list(map(share, map(parse, node_fields)))
+    for position, fields in other_fields.items():
+        types[position] = share(types[position].union(*map(parse, fields)))
+    aliases = [frozenset()] * n
+    for position, names in node_aliases.items():
+        aliases[position] = share(frozenset(names))
+    nodes = _concept_nodes(node_index, node_names, types, aliases)
+    # The interning tables go before the sort, whose tables are the peak of an ingest.
+    del node_index, node_names, node_fields, node_aliases, other_fields, types, aliases
+
     # The core's edge order: ascending key, each repeated triple collapsed
     # to its row with the maximum strength.
-    n, p_count = len(node_names), len(predicate_index)
     keys = [(s * p_count + p) * n + o for s, p, o in zip(subjects, predicates, objects)]
     kept: list[int] = []
     for slot in sorted(range(len(keys)), key=keys.__getitem__):
@@ -536,8 +557,11 @@ def ingest_triples(
             kept[-1] = slot
     duplicates = len(keys) - len(kept)
     del keys
+    # One gather call per column; ``itemgetter`` returns a bare value for one index, so one row is a slice.
+    gather = operator.itemgetter(*kept) if len(kept) > 1 else operator.itemgetter(slice(kept[0], kept[0] + 1))
+    del kept
     subjects, predicates, objects, strengths = (
-        array(column.typecode, map(column.__getitem__, kept)) for column in (subjects, predicates, objects, strengths)
+        array(column.typecode, gather(column)) for column in (subjects, predicates, objects, strengths)
     )
     if malformed:
         logger.warning("skipped %d malformed triple rows", malformed)
@@ -545,17 +569,8 @@ def ingest_triples(
         logger.warning(
             "collapsed %d duplicate triple rows, keeping each triple's max strength", duplicates
         )
-
-    share = functools.cache(lambda items: items)  # one frozenset object per distinct set
-    parse = functools.cache(lambda field: frozenset(t.strip() for t in field.split(",") if t.strip()))
-    nodes = _concept_nodes(
-        node_index,
-        node_names,
-        [share(frozenset().union(*map(parse, fields))) for fields in node_fields],
-        [share(frozenset(node_aliases.get(position, ()))) for position in range(len(node_names))],
-    )
     stats = IngestStats(rows_total, malformed, duplicates)
-    return KnowledgeGraph(nodes, tuple(predicate_index), subjects, predicates, objects, strengths, stats)
+    return nodes, tuple(predicate_index), subjects, predicates, objects, strengths, stats
 
 
 def load_triples(path, strength_for_predicate: Callable[[str], float] | None = None) -> KnowledgeGraph:

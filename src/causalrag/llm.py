@@ -133,9 +133,10 @@ def _read_entry(record) -> tuple[str, int, str]:
     return stage, ordinal, text
 
 
-def _http_transport(request: LlmRequest, endpoint: EndpointConfig) -> LlmResponse:
-    """Single chat-completion round trip. Raises TransportError on failure,
-    with ``transient`` set on the retryable ones."""
+def _http_transport(session, request: LlmRequest, endpoint: EndpointConfig) -> LlmResponse:
+    """Single chat-completion round trip through the ``requests.Session``
+    ``session``. Raises TransportError on failure, with ``transient`` set on
+    the retryable ones."""
     import requests
 
     headers = {"Content-Type": "application/json"}
@@ -149,7 +150,7 @@ def _http_transport(request: LlmRequest, endpoint: EndpointConfig) -> LlmRespons
     }
     started = time.perf_counter()
     try:
-        response = requests.post(endpoint.url, json=body, headers=headers, timeout=TIMEOUT_SECONDS)
+        response = session.post(endpoint.url, json=body, headers=headers, timeout=TIMEOUT_SECONDS)
     except requests.RequestException as exc:
         raise TransportError(f"request failed: {exc}", transient=True) from exc
     if response.status_code == 429 or response.status_code >= 500:
@@ -179,7 +180,11 @@ class LlmGateway:
     """Stage-tagged completion client with retries and mock replay.
 
     Each calling thread makes one call at a time, so the number of live calls
-    in flight is bounded by the caller's worker count.
+    in flight is bounded by the caller's worker count. Without a ``transport``,
+    live calls go over HTTP through one ``requests.Session``, made on the first
+    live call and shared by every calling thread: its connection pool gives
+    each call in flight a connection of its own and keeps up to ten per host
+    open for the next calls. ``close`` closes it.
     """
 
     def __init__(
@@ -191,8 +196,26 @@ class LlmGateway:
     ):
         self.endpoint = endpoint
         self.transcript = transcript
-        self._transport = transport or _http_transport
+        self._transport = transport or self._http
         self.backoff_seconds = backoff_seconds
+        self._session = None
+        self._session_lock = threading.Lock()
+
+    def _http(self, request: LlmRequest, endpoint: EndpointConfig) -> LlmResponse:
+        with self._session_lock:
+            if self._session is None:
+                import requests
+
+                self._session = requests.Session()
+            session = self._session
+        return _http_transport(session, request, endpoint)
+
+    def close(self) -> None:
+        """Close the HTTP session and its connections, if a live call opened one."""
+        with self._session_lock:
+            session, self._session = self._session, None
+        if session is not None:
+            session.close()
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         if request.model == MOCK_MODEL:

@@ -109,6 +109,45 @@ def _ingest_outcome(ingest, lines, weight, caplog):
     return outcome, [record.getMessage() for record in caplog.records]
 
 
+def _triples(*rows: str) -> list[str]:
+    """A triple TSV with a strength column; each row's fields are separated by ``|``."""
+    header = "subject_cui|subject_name|subject_semtypes|predicate|object_cui|object_name|object_semtypes|strength"
+    return [line.replace("|", "\t") for line in (header, *rows)]
+
+
+# A node's later rows that agree or disagree with its first row, and repeated
+# triples whose later row is stronger or weaker.
+_REPEATED_ROWS = [
+    _triples(  # a first row with an empty name, then the same, the CUI, another name
+        "C1||dsyn|CAUSES|C2|Beta|neop|",
+        "C1||dsyn|TREATS|C2|Beta|neop|",
+        "C1|C1|dsyn|AFFECTS|C2|Beta|neop|",
+        "C1|Alpha|dsyn|ISA|C2|Beta|neop|",
+    ),
+    _triples(  # a named first row, then the same name, another name and an empty one
+        "C1|Alpha|dsyn|CAUSES|C2|Beta|neop|",
+        "C1|Alpha|dsyn|TREATS|C3|Gamma|neop|",
+        "C3|Gamma|neop|CAUSES|C1|Heart Attack|dsyn|",
+        "C1||dsyn|AFFECTS|C2|Beta|neop|",
+        "C1|Heart Attack|dsyn|ISA|C3||neop|",
+    ),
+    _triples(  # types fields: the same, another, and the same types in another spacing and order
+        "C1|Alpha|dsyn,neop|CAUSES|C2|Beta||",
+        "C1|Alpha|dsyn,neop|TREATS|C2|Beta||",
+        "C2|Beta|fndg|CAUSES|C1|Alpha|neop, dsyn|",
+        "C1|Alpha| neop ,dsyn|AFFECTS|C3|Gamma|patf|",
+        "C3|Gamma|patf,patf|CAUSES|C2|Beta|sosy|",
+    ),
+    _triples(  # a repeated triple whose later row is stronger, one whose later row is weaker
+        "C1|Alpha|dsyn|CAUSES|C2|Beta|neop|0.3",
+        "C3|Gamma|patf|TREATS|C4|Delta|sosy|0.9",
+        "C1|Alpha|dsyn|CAUSES|C2|Beta|neop|0.8",
+        "C3|Gamma|patf|TREATS|C4|Delta|sosy|0.2",
+        "C3|Gamma|patf|TREATS|C4|Delta|sosy|",
+    ),
+]
+
+
 def test_ingest_matches_the_reference_on_the_fixture_and_the_fuzz_corpus(caplog):
     """Node order and fields, edge order and each duplicate's winning
     strength, the stats, both warnings and every error message agree."""
@@ -117,6 +156,7 @@ def test_ingest_matches_the_reference_on_the_fixture_and_the_fuzz_corpus(caplog)
     rng = random.Random(8101)
     corpus = [lines] + [_mutate(rng, lines) for _ in range(CASES)]
     corpus += [lines + lines[-3:], [lines[0]] + [line + "\t0.3" for line in lines[1:]] + lines[1:]]
+    corpus += _REPEATED_ROWS
     errors = 0
     with caplog.at_level(logging.WARNING):
         for case in corpus:

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+import http.server
 import json
 import logging
 import re
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -242,7 +246,7 @@ def test_malformed_endpoint_reply_is_one_non_transient_transport_error(monkeypat
     import requests
 
     posts = []
-    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: posts.append(args) or _Reply(payload))
+    monkeypatch.setattr(requests.Session, "post", lambda self, *args, **kwargs: posts.append(args) or _Reply(payload))
     gateway = LlmGateway(endpoint=EndpointConfig(url="http://example/llm"), backoff_seconds=0.0)
     with pytest.raises(TransportError, match="^malformed endpoint response: ") as info:
         gateway.complete(_request(model="gpt-model"))
@@ -254,7 +258,7 @@ def test_well_formed_endpoint_reply_carries_text_and_tokens(monkeypatch):
     import requests
 
     reply = _Reply(_chat_reply(usage={"prompt_tokens": 7, "completion_tokens": 3}))
-    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: reply)
+    monkeypatch.setattr(requests.Session, "post", lambda self, *args, **kwargs: reply)
     response = LlmGateway(endpoint=EndpointConfig(url="http://example/llm")).complete(_request(model="gpt-model"))
     assert (response.text, response.prompt_tokens, response.completion_tokens) == ("Answer: A", 7, 3)
 
@@ -264,7 +268,7 @@ def test_a_missing_token_count_reads_as_zero(monkeypatch, usage):
     import requests
 
     reply = _Reply(_chat_reply(usage=usage))
-    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: reply)
+    monkeypatch.setattr(requests.Session, "post", lambda self, *args, **kwargs: reply)
     response = LlmGateway(endpoint=EndpointConfig(url="http://example/llm")).complete(_request(model="gpt-model"))
     assert (response.prompt_tokens, response.completion_tokens) == (0, 0)
 
@@ -274,7 +278,9 @@ def test_the_http_request_carries_the_body_headers_and_timeout(monkeypatch, api_
     import requests
 
     posts = []
-    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: posts.append((args, kwargs)) or _Reply(_chat_reply()))
+    monkeypatch.setattr(
+        requests.Session, "post", lambda self, *args, **kwargs: posts.append((args, kwargs)) or _Reply(_chat_reply())
+    )
     request = LlmRequest(
         model="gpt-model", messages=(("system", "be brief"), ("user", "hello")), stage="infer", temperature=0.3
     )
@@ -293,6 +299,84 @@ def test_the_http_request_carries_the_body_headers_and_timeout(monkeypatch, api_
     assert kwargs["headers"] == expected_headers
     assert kwargs["timeout"] == 60
     assert set(kwargs) == {"json", "headers", "timeout"}
+
+
+class _ChatHandler(http.server.BaseHTTPRequestHandler):
+    """Answers every POST with one chat reply and records the client's address."""
+
+    protocol_version = "HTTP/1.1"  # keeps each connection open for the next request
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.clients.append(self.client_address)
+        body = json.dumps(_chat_reply()).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def _live_gateway(monkeypatch):
+    """A gateway on a local chat server, and the server; the gateway is
+    closed before the server, whose handlers then see their connections end."""
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
+    server.clients = []
+    serving = threading.Thread(target=server.serve_forever)
+    serving.start()
+    gateway = LlmGateway(endpoint=EndpointConfig(url=f"http://127.0.0.1:{server.server_port}/llm"))
+    try:
+        yield gateway, server
+    finally:
+        gateway.close()
+        server.shutdown()
+        server.server_close()
+        serving.join()
+
+
+def test_sequential_live_calls_share_one_connection(monkeypatch):
+    with _live_gateway(monkeypatch) as (gateway, server):
+        texts = [gateway.complete(_request(model="gpt-model")).text for _ in range(3)]
+    assert texts == ["Answer: A"] * 3
+    assert len(server.clients) == 3
+    assert len(set(server.clients)) == 1
+
+
+def test_live_calls_from_more_threads_than_cores_share_one_session(monkeypatch):
+    import requests
+
+    sessions = []
+
+    class CountedSession(requests.Session):
+        def __init__(self):
+            super().__init__()
+            sessions.append(self)
+
+    monkeypatch.setattr(requests, "Session", CountedSession)
+    texts = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _live_gateway(monkeypatch) as (gateway, server):
+            callers = [
+                threading.Thread(target=lambda: texts.append(gateway.complete(_request(model="gpt-model")).text))
+                for _ in range(4)
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert texts == ["Answer: A"] * 4
+    assert len(server.clients) == 4
+    assert len(sessions) == 1
 
 
 def test_live_without_endpoint_is_transport_error():
