@@ -7,15 +7,15 @@ pair is tried forward, then (only if the forward direction is empty)
 backward with a reversed flag. Every listing has its own endpoint pair, so
 no path is listed twice, and the order is deterministic: identical inputs
 always produce identical output. ``find_paths`` lists every path of at most
-``max_hops`` edges; ``retrieve_for_cot`` lists, between two endpoints joined
-by a direct edge, only those the detour pruning keeps, and counts the rest.
+``max_hops`` edges; ``retrieve_for_cot`` walks, between two endpoints joined
+by a direct edge, only as far as the detour pruning keeps, and its trace
+counts the paths it lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import prod
 from operator import itemgetter
 from typing import Iterable
 
@@ -96,18 +96,16 @@ def _enumerate_simple_paths(
     goal: str,
     max_hops: int,
     distance_slack: int | None = None,
-) -> tuple[list[tuple[tuple[str, ...], tuple[int, ...]]], int]:
+) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
     """The loop-free directed paths start -> goal of at most ``max_hops``
-    edges: those of at most ``limit`` edges as ``(nodes, edges)``, sorted by
-    edge tuple, and how many longer ones there are.
+    edges, as ``(nodes, edges)`` sorted by edge tuple.
 
-    ``limit`` is ``max_hops``, except that with a ``distance_slack`` a pair
-    joined by a direct edge lists at most ``1 + distance_slack`` edges: its
-    shortest distance is 1, so no longer path survives ``prune_and_select``.
-    A longer path is counted from its hops' numbers of parallel edges and
-    never built. A pair with no direct edge lists up to ``max_hops``; with
-    ``max_hops`` at most ``distance_slack + 2``, as in the default config,
-    it has no detour to drop.
+    With a ``distance_slack``, a pair joined by a direct edge is walked to
+    at most ``1 + distance_slack`` edges: its shortest distance is 1, so no
+    longer path survives ``prune_and_select``, and none is walked. With
+    slack 0 that is the direct edges alone, read off the goal's in-edges. A pair with no direct edge lists up to ``max_hops``;
+    with ``max_hops`` at most ``distance_slack + 2``, as in the default
+    config, it has no detour to drop.
 
     ``source.successors`` and ``source.edges_into`` map each node to its
     parallel edges, which ``itertools.product`` expands. The walk starts at
@@ -125,14 +123,13 @@ def _enumerate_simple_paths(
     recursion, leaves no reference cycle holding ``source`` and no depth limit.
     """
     if start == goal:
-        return [], 0
+        return []
     into_goal = source.edges_into(goal)
+    if distance_slack is not None and start in into_goal:
+        max_hops = min(max_hops, 1 + distance_slack)
     if max_hops == 1:
-        return [((start, goal), (idx,)) for idx in into_goal.get(start, ())], 0
+        return [((start, goal), (idx,)) for idx in into_goal.get(start, ())]
     first = source.successors(start)
-    limit = max_hops
-    if distance_slack is not None and distance_slack + 1 < max_hops and goal in first:
-        limit = 1 + distance_slack
     backward = len(into_goal) < len(first)
     origin, end, step, near, far = (
         (goal, start, source.edges_into, into_goal, first)
@@ -140,25 +137,18 @@ def _enumerate_simple_paths(
         else (start, goal, source.successors, first, into_goal)
     )
     found: list[tuple[tuple[str, ...], tuple[int, ...]]] = []
-    beyond = 0
     far_keys = far.keys()
     pending = [((origin,), (), near, max_hops - 2)]
     while pending:
         path, hops, adjacent, walks = pending.pop()
         if end in adjacent:
-            if len(hops) < limit:
-                found.extend(((*path, end), edges) for edges in product(*hops, adjacent[end]))
-            else:
-                beyond += prod(map(len, hops)) * len(adjacent[end])
+            found.extend(((*path, end), edges) for edges in product(*hops, adjacent[end]))
         if walks == 0:
-            joins = [t for t in adjacent.keys() & far_keys if t not in path and t != end]
-            if limit == max_hops:
-                for target in joins:
+            for target in adjacent.keys() & far_keys:
+                if target not in path and target != end:
                     found.extend(
                         ((*path, target, end), edges) for edges in product(*hops, adjacent[target], far[target])
                     )
-            elif joins:
-                beyond += prod(map(len, hops)) * sum(len(adjacent[t]) * len(far[t]) for t in joins)
             continue
         for target, idxs in adjacent.items():
             if target != end and target not in path:
@@ -168,7 +158,7 @@ def _enumerate_simple_paths(
     if backward:
         found = [(nodes[::-1], edges[::-1]) for nodes, edges in found]
     found.sort(key=itemgetter(1))
-    return found, beyond
+    return found
 
 
 def _collect_tier(
@@ -178,16 +168,11 @@ def _collect_tier(
     tos: list[str],
     config: RetrievalConfig,
     distance_slack: int | None,
-) -> tuple[list[GraphPath], int]:
-    count = 0
-
+) -> list[GraphPath]:
     def listing(start: str, goal: str, is_reversed: bool) -> list[GraphPath]:
-        nonlocal count
-        found, beyond = _enumerate_simple_paths(source, start, goal, config.max_hops, distance_slack)
-        count += len(found) + beyond
         return [
             GraphPath(nodes, edges, tuple(map(source.effective_strength, edges)), tier, is_reversed)
-            for nodes, edges in found
+            for nodes, edges in _enumerate_simple_paths(source, start, goal, config.max_hops, distance_slack)
         ]
 
     paths: list[GraphPath] = []
@@ -205,7 +190,7 @@ def _collect_tier(
     # paths, unless the flip is a forward pair, whose listing is already in.
     for a, b in needs_reverse:
         paths += listing(b, a, True)
-    return paths, count
+    return paths
 
 
 def _search(
@@ -215,20 +200,20 @@ def _search(
     to_set: Iterable[str],
     config: RetrievalConfig,
     distance_slack: int | None,
-) -> tuple[list[GraphPath], int]:
+) -> list[GraphPath]:
     """``find_paths`` with each listing bounded by ``distance_slack`` (see
-    ``_enumerate_simple_paths``), and how many paths it found in all."""
+    ``_enumerate_simple_paths``)."""
     from_ids = sorted(set(from_set))
     to_ids = sorted(set(to_set))
     if not from_ids or not to_ids:
-        return [], 0
+        return []
     for node_id in from_ids + to_ids:
         if not base.has_node(node_id):
             raise NotFoundError(f"unknown node id {node_id!r}")
 
     if causal_view is not None:
         causal = _collect_tier(causal_view, TIER_CAUSAL, from_ids, to_ids, config, distance_slack)
-        if causal[0]:
+        if causal:
             return causal
     return _collect_tier(base, TIER_FALLBACK, from_ids, to_ids, config, distance_slack)
 
@@ -254,10 +239,10 @@ def find_paths(
     complete for the flipped pair. A pair is searched flipped only when its
     flip is not a forward pair, so no two listings share an endpoint pair
     and no path is returned twice. ``retrieve_for_cot`` runs the same search
-    but counts, without listing them, the detours between endpoints joined
-    by a direct edge.
+    but never walks past ``1 + distance_slack`` edges between endpoints
+    joined by a direct edge.
     """
-    return _search(causal_view, base, from_set, to_set, config, None)[0]
+    return _search(causal_view, base, from_set, to_set, config, None)
 
 
 def prune_and_select(candidates: list[GraphPath], config: RetrievalConfig) -> list[GraphPath]:
@@ -268,8 +253,9 @@ def prune_and_select(candidates: list[GraphPath], config: RetrievalConfig) -> li
     length of the shortest candidate with the same endpoints. Any listing
     that holds a pair's shortest path will do: ``find_paths`` lists every
     simple path of at most ``max_hops`` edges for each endpoint pair it
-    returns, and ``retrieve_for_cot`` drops only paths longer than
-    ``1 + distance_slack`` edges between endpoints joined by a direct edge.
+    returns, and ``retrieve_for_cot`` leaves out only paths longer than
+    ``1 + distance_slack`` edges between endpoints joined by a direct edge,
+    which this drops anyway.
     """
     shortest: dict[tuple[str, str], int] = {}
     for path in candidates:
@@ -328,15 +314,16 @@ def retrieve_for_cot(
     ``causal_view=None`` searches the base graph alone.
 
     The search is ``find_paths``', but an endpoint pair joined by a direct
-    edge lists only its paths of at most ``1 + distance_slack`` edges, the
-    ones ``prune_and_select`` keeps, and counts the longer ones. So an
-    entry's ``candidate_count`` still counts every path ``find_paths``
-    returns, and its ``paths`` are ``prune_and_select`` of them.
+    edge is walked only to ``1 + distance_slack`` edges, so it lists only
+    the paths ``prune_and_select`` can keep. An entry's ``candidate_count``
+    is the number of paths listed, the candidates ``prune_and_select``
+    sees, and its ``paths`` are ``prune_and_select`` of them, which equals
+    ``prune_and_select`` of ``find_paths``' paths.
     """
     linked = [tuple(sorted(linker.link(text))) for text in cot.segments] if len(cot.segments) > 1 else []
     results: dict[int, SegmentRetrieval] = {}
     for index, (from_ids, to_ids) in enumerate(zip(linked, linked[1:])):
-        candidates, count = _search(causal_view, base, from_ids, to_ids, config, config.distance_slack)
+        candidates = _search(causal_view, base, from_ids, to_ids, config, config.distance_slack)
         selected = prune_and_select(candidates, config) if candidates else []
-        results[index] = SegmentRetrieval(from_ids, to_ids, count, tuple(selected))
+        results[index] = SegmentRetrieval(from_ids, to_ids, len(candidates), tuple(selected))
     return results

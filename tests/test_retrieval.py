@@ -197,8 +197,8 @@ def test_finished_search_leaves_no_cycle_holding_the_view(max_hops):
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
     ids = [f"N{i}" for i in range(1500)]
     graph = make_graph([(a, "CAUSES", b, 0.9) for a, b in zip(ids, ids[1:])])
-    found, longer = _enumerate_simple_paths(graph, ids[0], ids[-1], 1500)
-    assert [nodes for nodes, _ in found] == [tuple(ids)] and longer == 0
+    found = _enumerate_simple_paths(graph, ids[0], ids[-1], 1500)
+    assert [nodes for nodes, _ in found] == [tuple(ids)]
 
 
 def test_find_paths_uses_view_override_strengths(chain_graph, chain_view):
@@ -693,8 +693,8 @@ def test_a_tie_walks_out_of_the_start():
     pairs = (("S", "A"), ("S", "B"), ("A", "C"), ("B", "C"), ("C", "G"), ("D", "G"))
     graph = make_graph([(s, "CAUSES", o, 0.9) for s, o in pairs])
     recorder = _ReadRecorder(graph)
-    found, longer = _enumerate_simple_paths(recorder, "S", "G", 3)
-    assert (found, longer) == (list(enumerate_simple_paths_unpruned(graph, "S", "G", 3)), 0)
+    found = _enumerate_simple_paths(recorder, "S", "G", 3)
+    assert found == list(enumerate_simple_paths_unpruned(graph, "S", "G", 3))
     assert [nodes for nodes, _ in found] == [("S", "A", "C", "G"), ("S", "B", "C", "G")]
     assert sorted(recorder.out_calls) == ["A", "B", "S"] and recorder.into_calls == ["G"]
 
@@ -727,7 +727,7 @@ def _hub_multigraph(rng: random.Random):
 
 def test_key_joined_search_equals_the_unpruned_dfs_as_ordered_lists(walk_ends):
     """Every listing, with each ``distance_slack``, is the unpruned DFS's cut at
-    its edge limit, with the cut-off paths counted; on the graph and its mirror."""
+    its edge limit; on the graph and its mirror."""
     rng = random.Random(20261019)
     seen = Counter()
     for graph_no in range(300):
@@ -751,20 +751,19 @@ def test_key_joined_search_equals_the_unpruned_dfs_as_ordered_lists(walk_ends):
                 for start, goal in pairs:
                     unpruned = list(enumerate_simple_paths_unpruned(source, start, goal, max_hops))
                     direct = any(len(edges) == 1 for _, edges in unpruned)
-                    for slack in (None, 0, 1, 2):
-                        limit = 1 + slack if slack is not None and slack + 1 < max_hops and direct else max_hops
+                    for slack in (None, 0, 1, 2, 3):
+                        limit = min(max_hops, 1 + slack) if slack is not None and direct else max_hops
                         listed = [row for row in unpruned if len(row[1]) <= limit]
-                        found, longer = retrieval._enumerate_simple_paths(source, start, goal, max_hops, slack)
-                        assert (found, longer) == (listed, len(unpruned) - len(listed)), (
-                            graph_no, name, start, goal, slack,
-                        )
-                        if longer:
-                            seen[f"slack {slack} counted"] += 1
+                        found = retrieval._enumerate_simple_paths(source, start, goal, max_hops, slack)
+                        assert found == listed, (graph_no, name, start, goal, slack)
+                        if len(listed) < len(unpruned):
+                            seen[f"slack {slack} cut"] += 1
                     seen[name] += bool(unpruned)
                     seen[f"{max_hops} hops"] += bool(unpruned)
                     seen["parallel path"] += any(p[0] == q[0] for p, q in zip(unpruned, unpruned[1:]))
     assert min(seen.values()) >= 10, seen
-    assert seen.keys() >= {"slack 0 counted", "slack 1 counted", "slack 2 counted"}, seen
+    assert seen.keys() >= {"slack 0 cut", "slack 1 cut", "slack 2 cut"}, seen
+    assert "slack 3 cut" not in seen, seen
     assert min(walk_ends[h, end] for h in range(1, 5) for end in ("start", "goal", "tie")) >= 10, walk_ends
 
 
@@ -779,9 +778,7 @@ def test_a_hub_two_hops_short_is_key_joined_not_walked():
     graph = make_graph(specs)
     recorder = _ReadRecorder(graph)
 
-    found, longer = _enumerate_simple_paths(recorder, "S", "G", 3)
-    assert longer == 0
-
+    found = _enumerate_simple_paths(recorder, "S", "G", 3)
     assert found == list(enumerate_simple_paths_unpruned(graph, "S", "G", 3))
     assert [nodes for nodes, _ in found] == [("S", "H", "X017", "G"), ("S", "H", "X150", "G")]
     assert len(graph.successors("H")) == 200 and len(graph.edges_into("G")) == 2
@@ -820,7 +817,7 @@ class _SetLinker:
         return frozenset(text.split())
 
 
-def test_retrieve_for_cot_lists_only_what_prune_keeps_and_counts_every_path():
+def test_retrieve_for_cot_lists_and_counts_only_what_prune_can_keep():
     rng = random.Random(20261020)
     seen = Counter()
     for _ in range(300):
@@ -838,8 +835,9 @@ def test_retrieve_for_cot_lists_only_what_prune_keeps_and_counts_every_path():
                 config = RetrievalConfig(max_hops=max_hops, k=rng.randint(1, 6), distance_slack=slack)
                 for causal_view in (view, None):
                     full = find_paths(causal_view, graph, from_set, to_set, config)
+                    listed = _search(causal_view, graph, from_set, to_set, config, slack)
                     entry = retrieve_for_cot(cot, _SetLinker(), causal_view, graph, config)[0]
-                    assert entry.candidate_count == len(full)
+                    assert entry.candidate_count == len(listed)
                     assert entry.paths == tuple(prune_and_select(full, config))
                     assert entry.tier == (full[0].tier if full else None)
                     assert entry.reason == (None if full else REASON_NO_PATHS)
@@ -847,27 +845,25 @@ def test_retrieve_for_cot_lists_only_what_prune_keeps_and_counts_every_path():
                     # Pruning the listing gives find_paths' selection, and the listing is
                     # find_paths' paths, in order, cut at 1 + slack edges between
                     # endpoints joined by a direct edge.
-                    listed, count = _search(causal_view, graph, from_set, to_set, config, slack)
                     assert prune_and_select(listed, config) == prune_and_select(full, config)
-                    assert count == len(full)
                     direct = {(p.nodes[0], p.nodes[-1]) for p in full if len(p.edges) == 1}
-                    limit = 1 + slack if slack + 1 < max_hops else max_hops
+                    limit = min(max_hops, 1 + slack)
                     assert listed == [
                         p for p in full if (p.nodes[0], p.nodes[-1]) not in direct or len(p.edges) <= limit
                     ]
-                    seen[f"hops {max_hops} slack {slack} counted"] += len(full) > len(listed)
+                    seen[f"hops {max_hops} slack {slack} cut"] += len(full) > len(listed)
                     seen["reversed"] += any(p.reversed for p in listed)
-    # Every config whose bound can fall below max_hops counts some path unlisted,
-    # max_hops 2 with slack 0 among them.
-    assert all(seen[f"hops {h} slack {s} counted"] for h in range(2, 5) for s in range(h - 1)), seen
-    assert not any(seen[f"hops {h} slack {s} counted"] for h in range(1, 5) for s in range(h - 1, 4)), seen
+    # Every config whose bound can fall below max_hops lists fewer paths than
+    # find_paths, max_hops 2 with slack 0 among them.
+    assert all(seen[f"hops {h} slack {s} cut"] for h in range(2, 5) for s in range(h - 1)), seen
+    assert not any(seen[f"hops {h} slack {s} cut"] for h in range(1, 5) for s in range(h - 1, 4)), seen
     assert min(seen["self-loop"], seen["parallel"], seen["reversed"]) >= 10, seen
 
 
-def test_hub_detours_are_counted_in_the_trace_but_never_built(monkeypatch):
+def _hub_detours():
     """hub -> goal directly, hub -> mid -> goal, and 36 three-hop detours
-    hub -> x -> y -> goal through parallel edges; default config, so the
-    detours are one hop past the shortest distance plus the slack."""
+    hub -> x -> y -> goal through parallel edges: with the default config
+    the detours are one hop past the shortest distance plus the slack."""
     specs = [("hub", "CAUSES", "goal", 0.9), ("hub", "CAUSES", "mid", 0.9), ("mid", "CAUSES", "goal", 0.9)]
     for i in range(4):
         specs.append(("hub", "CAUSES", f"x{i}", 0.9))
@@ -876,7 +872,11 @@ def test_hub_detours_are_counted_in_the_trace_but_never_built(monkeypatch):
         specs += [(f"x{i}", "CAUSES", f"y{j}", 0.9) for j in range(3)]
     for j in range(3):
         specs += [(f"y{j}", "CAUSES", "goal", 0.9), (f"y{j}", "PREVENTS", "goal", 0.8)]
-    graph = make_graph(specs)
+    return make_graph(specs)
+
+
+def test_hub_detours_are_neither_counted_in_the_trace_nor_built(monkeypatch):
+    graph = _hub_detours()
     config = replace(default_config(), assignment=ModelAssignment(cot="live", enhance="live", infer="live"))
     view = build_causal_view(graph, config.causality, config.theta)
 
@@ -904,9 +904,32 @@ def test_hub_detours_are_counted_in_the_trace_but_never_built(monkeypatch):
             "source_entities": ["hub"],
             "target_entities": ["goal"],
             "tier": "causal",
-            "candidates": len(full),
+            "candidates": 2,
             "kept": 2,
             "reason": None,
         }
     ]
     assert sorted(built) == [1, 2]
+
+
+def test_a_direct_edge_bounds_the_walk_and_what_it_reads():
+    """Between endpoints joined by a direct edge, the default config walks two
+    hops and reads no map of a detour node; slack 0 reads the goal's in-edges
+    alone. The mirror walks the other way, out of its start."""
+    config = default_config().retrieval
+    graph = _hub_detours()
+    for source, start, goal in ((graph, "hub", "goal"), (_mirror(graph), "goal", "hub")):
+        unpruned = list(enumerate_simple_paths_unpruned(source, start, goal, config.max_hops))
+        assert len(unpruned) == 38
+
+        recorder = _ReadRecorder(source)
+        found = _enumerate_simple_paths(recorder, start, goal, config.max_hops, config.distance_slack)
+        assert found == [row for row in unpruned if len(row[1]) <= 1 + config.distance_slack]
+        assert len(found) == 2
+        # Only the endpoints' maps are read: none of a detour's x or y nodes.
+        assert sorted(recorder.out_calls + recorder.into_calls) == ["goal", "hub"]
+
+        recorder = _ReadRecorder(source)
+        found = _enumerate_simple_paths(recorder, start, goal, config.max_hops, 0)
+        assert found == [row for row in unpruned if len(row[1]) == 1] and len(found) == 1
+        assert (recorder.out_calls, recorder.into_calls) == ([], [goal])

@@ -87,9 +87,9 @@ def count_work(directory: Path) -> dict:
 
     def listing(*args):
         counts["listings"] += 1
-        found, _ = enumerate_paths(*args)
+        found = enumerate_paths(*args)
         counts["listed paths"] += len(found)
-        return found, _
+        return found
 
     lineage_entry = kg._lineage_entry
 
