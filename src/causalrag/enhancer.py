@@ -125,7 +125,7 @@ def semantic_overlap(
     if not query:
         logger.warning("semantic overlap requested with empty query type set; returning 0")
         return 0.0
-    return _share(query, _semantic_types(path.nodes, lambda node_id: graph.node(node_id).semantic_types))
+    return _share(query, _semantic_types(path.nodes, graph.semantic_types))
 
 
 def length_score(path: GraphPath) -> float:
@@ -158,7 +158,7 @@ def score_paths(
     cuis = _query_set(query_cuis)
     fused = list(fused)
     nodes = cuis.union(*(item.path.nodes for item in fused))
-    types_of = {node_id: graph.node(node_id).semantic_types for node_id in nodes}.__getitem__
+    types_of = {node_id: graph.semantic_types(node_id) for node_id in nodes}.__getitem__
     semtypes = set(_semantic_types(cuis, types_of))
     scored = []
     for item in fused:
@@ -200,10 +200,10 @@ def render_path(path: GraphPath, graph: KnowledgeGraph) -> str:
     Each hop's predicate is read from the graph's predicate column, and the
     node it reaches is the path's next node.
     """
-    predicates, predicate_names, node = graph.columns.predicates, graph.predicate_names, graph.node
-    parts = [node(path.nodes[0]).name]
+    predicates, predicate_names, name = graph.columns.predicates, graph.predicate_names, graph.name
+    parts = [name(path.nodes[0])]
     for edge_idx, strength, target in zip(path.edges, path.strengths, path.nodes[1:]):
-        parts.append(f" --[{predicate_names[predicates[edge_idx]]} ({strength:.2f})]--> {node(target).name}")
+        parts.append(f" --[{predicate_names[predicates[edge_idx]]} ({strength:.2f})]--> {name(target)}")
     return "".join(parts)
 
 

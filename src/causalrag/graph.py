@@ -7,7 +7,8 @@ causality table), and produces an immutable graph, stored by column, that
 is safe for concurrent readers. Thresholded filtering lives in views built on
 top of this store (see the causal module); the base graph never mutates
 after construction. Every graph, ingested or loaded from an artifact, is
-built by the one constructor, from int columns, and passes the same checks.
+built by the one constructor, from the columns the artifact stores, and
+passes the same checks.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import sys
 import threading
 import zlib
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice
 from typing import BinaryIO, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ArtifactError, IngestionError, NotFoundError, ValidationError, open_text, tsv_rows
@@ -51,29 +52,6 @@ _VERSION = struct.Struct(">H")
 _HEADER = struct.Struct("<5I3QI")
 
 @dataclass(frozen=True, slots=True)
-class ConceptNode:
-    """A concept identified by CUI, with its surface forms and type codes."""
-
-    id: str
-    name: str
-    semantic_types: frozenset[str] = frozenset()
-    aliases: frozenset[str] = frozenset()
-
-
-def _concept_nodes(ids: Collection[str], *columns: Iterable) -> list[ConceptNode]:
-    """``ConceptNode(*row)`` for each row of ``ids`` and ``columns``, one column per field in order.
-
-    Each field's slot setter is mapped over its column: the stores the
-    generated frozen ``__init__`` makes, without a Python call per node. So
-    ``ConceptNode`` must not gain a ``__post_init__``, which this would skip.
-    """
-    nodes = list(map(object.__new__, repeat(ConceptNode, len(ids))))
-    for name, column in zip(ConceptNode.__slots__, (ids, *columns), strict=True):
-        deque(map(getattr(ConceptNode, name).__set__, nodes, column), maxlen=0)
-    return nodes
-
-
-@dataclass(frozen=True, slots=True)
 class KgEdge:
     """One directed predication: subject --predicate--> object."""
 
@@ -88,6 +66,20 @@ class IngestStats:
     rows_total: int = 0
     malformed_rows: int = 0
     duplicate_triples: int = 0
+
+
+class NodeColumns(NamedTuple):
+    """The graph's nodes by column, read-only, as the artifact stores them.
+
+    Node ``i`` is ``ids[i]``, named ``names[i]``, with semantic types
+    ``sets[node_sets[i]]`` and aliases ``sets[node_sets[n + i]]`` (``n``
+    nodes). ``sets`` holds each distinct set once.
+    """
+
+    ids: tuple[str, ...]
+    names: tuple[str, ...]
+    sets: tuple[frozenset[str], ...]
+    node_sets: memoryview
 
 
 class EdgeColumns(NamedTuple):
@@ -151,10 +143,12 @@ class SearchReads:
 class KnowledgeGraph(SearchReads):
     """Immutable directed labeled multigraph, stored by column.
 
-    Node ids and predicates are interned to ints before construction; each
-    edge is one slot in the subject, predicate, object and strength columns
-    (see ``EdgeColumns``), and ``KgEdge`` objects are built only on demand
-    by ``edge``. Edges strictly ascend by key ``(s * P + p) * N + o`` (``N``
+    Nodes are columns (see ``NodeColumns``), with no object per node;
+    ``name`` and ``semantic_types`` read one node by id. Node ids and
+    predicates are interned to ints before construction; each edge is one
+    slot in the subject, predicate, object and strength columns (see
+    ``EdgeColumns``), and ``KgEdge`` objects are built only on demand by
+    ``edge``. Edges strictly ascend by key ``(s * P + p) * N + o`` (``N``
     nodes, ``P`` predicates), the order downstream code relies on for
     reproducible tie-breaking, so a node's out-edges are one range of edge
     indices; its in-edges sit between two CSR offsets, in ascending order.
@@ -162,20 +156,28 @@ class KnowledgeGraph(SearchReads):
     predicates differ, and order by predicate int.
     """
 
-    def __init__(self, nodes, predicate_names, subjects, predicates, objects, strengths, stats: IngestStats):
-        """The graph of edge ``i`` = ``subjects[i] --predicates[i]--> objects[i]``
-        at ``strengths[i]``: ``array('i')`` columns of ints indexing ``nodes``
-        and ``predicate_names``, in ascending key order, and an ``array('d')``
-        of strengths. Checks every invariant, then lays out the adjacency.
+    def __init__(self, ids, names, sets, node_sets, predicate_names, subjects, predicates, objects, strengths, stats):
+        """The graph of the node columns ``ids``, ``names``, ``sets`` and
+        ``node_sets`` (an ``array('I')``; see ``NodeColumns``) and of edge
+        ``i`` = ``subjects[i] --predicates[i]--> objects[i]`` at
+        ``strengths[i]``: ``array('i')`` columns of ints indexing ``ids`` and
+        ``predicate_names``, in ascending key order, and an ``array('d')`` of
+        strengths. Checks every invariant, then lays out the adjacency.
 
         Each invariant is tested over a whole column; only when one fails is
         the first offending node or edge looked for, to name it.
         """
-        self._nodes: tuple[ConceptNode, ...] = tuple(nodes)
-        self._ids: tuple[str, ...] = tuple(node.id for node in self._nodes)
-        self._index = dict(zip(self._ids, range(len(self._ids))))
-        if not all(self._ids) or len(self._index) < len(self._ids) or not all(n.name for n in self._nodes):
-            raise ValidationError(_first_node_defect(self._nodes))
+        self._ids, self._names, self._sets = tuple(ids), tuple(names), tuple(sets)
+        n = len(self._ids)
+        if len(self._names) != n or len(node_sets) != 2 * n:
+            raise ValidationError(f"{n} nodes with {len(self._names)} names and {len(node_sets)} set ids")
+        self._index = dict(zip(self._ids, range(n)))
+        if not all(self._ids) or len(self._index) < n or not all(self._names):
+            raise ValidationError(_first_node_defect(self._ids, self._names))
+        if node_sets and max(node_sets) >= len(self._sets):
+            raise ValidationError(f"node set {max(node_sets)} out of range [0, {len(self._sets)})")
+        self._node_sets = node_sets
+        self.node_columns = NodeColumns(self._ids, self._names, self._sets, memoryview(node_sets).toreadonly())
         self.predicate_names: tuple[str, ...] = tuple(predicate_names)
         self._predicate_index = dict(zip(self.predicate_names, range(len(self.predicate_names))))
         if not all(self.predicate_names):
@@ -184,7 +186,7 @@ class KnowledgeGraph(SearchReads):
             duplicate = next(p for p, count in Counter(self.predicate_names).items() if count > 1)
             raise ValidationError(f"duplicate predicate {duplicate!r}")
 
-        n, columns = len(self._ids), (subjects, predicates, objects, strengths)
+        columns = (subjects, predicates, objects, strengths)
         if not _edges_clear(self._ids, self.predicate_names, *columns):
             raise ValidationError(_first_edge_defect(self._ids, self.predicate_names, *columns))
         self._subjects, self._predicates, self._objects, self._strengths = subjects, predicates, objects, strengths
@@ -215,11 +217,11 @@ class KnowledgeGraph(SearchReads):
     def has_node(self, node_id: str) -> bool:
         return node_id in self._index
 
-    def node(self, node_id: str) -> ConceptNode:
-        return self._nodes[self._position(node_id)]
+    def name(self, node_id: str) -> str:
+        return self._names[self._position(node_id)]
 
-    def nodes(self) -> Iterator[ConceptNode]:
-        return iter(self._nodes)
+    def semantic_types(self, node_id: str) -> frozenset[str]:
+        return self._sets[self._node_sets[self._position(node_id)]]
 
     def node_ids(self) -> tuple[str, ...]:
         return self._ids
@@ -326,17 +328,17 @@ def _group_edges(ids: Sequence[str], ends, idxs: Iterable[int]) -> dict[str, tup
     return grouped
 
 
-def _first_node_defect(nodes: Sequence[ConceptNode]) -> str:
+def _first_node_defect(ids: Sequence[str], names: Sequence[str]) -> str:
     """The first node, in order, with an empty id or name or a repeated id, and how."""
     seen: set[str] = set()
-    for node in nodes:
-        if not node.id:
+    for node_id, name in zip(ids, names):
+        if not node_id:
             return "node id must be non-empty"
-        if not node.name:
-            return f"node {node.id!r} has an empty name"
-        if node.id in seen:
-            return f"duplicate node id {node.id!r}"
-        seen.add(node.id)
+        if not name:
+            return f"node {node_id!r} has an empty name"
+        if node_id in seen:
+            return f"duplicate node id {node_id!r}"
+        seen.add(node_id)
     raise AssertionError("no node breaks an invariant")
 
 
@@ -534,17 +536,19 @@ def _read_triples(lines: Iterable[str], strength_for_predicate: Callable[[str], 
         raise IngestionError(f"all {rows_total} data rows were malformed")
 
     n, p_count = len(node_names), len(predicate_index)
-    share = functools.cache(lambda items: items)  # one frozenset object per distinct set
     parse = functools.cache(lambda field: frozenset(t.strip() for t in field.split(",") if t.strip()))
-    types = list(map(share, map(parse, node_fields)))
+    types = list(map(parse, node_fields))
     for position, fields in other_fields.items():
-        types[position] = share(types[position].union(*map(parse, fields)))
+        types[position] = types[position].union(*map(parse, fields))
     aliases = [frozenset()] * n
-    for position, names in node_aliases.items():
-        aliases[position] = share(frozenset(names))
-    nodes = _concept_nodes(node_index, node_names, types, aliases)
+    for position, surfaces in node_aliases.items():
+        aliases[position] = frozenset(surfaces)
+    # Each distinct set once, in order of first use: the type sets in node order, then the alias sets.
+    set_ids = {members: i for i, members in enumerate(dict.fromkeys(chain(types, aliases)))}
+    node_sets = array("I", map(set_ids.__getitem__, chain(types, aliases)))
+    ids, names, sets = tuple(node_index), tuple(node_names), tuple(set_ids)
     # The interning tables go before the sort, whose tables are the peak of an ingest.
-    del node_index, node_names, node_fields, node_aliases, other_fields, types, aliases
+    del node_index, node_names, node_fields, node_aliases, other_fields, types, aliases, set_ids
 
     # The core's edge order: ascending key, each repeated triple collapsed
     # to its row with the maximum strength.
@@ -570,7 +574,7 @@ def _read_triples(lines: Iterable[str], strength_for_predicate: Callable[[str], 
             "collapsed %d duplicate triple rows, keeping each triple's max strength", duplicates
         )
     stats = IngestStats(rows_total, malformed, duplicates)
-    return nodes, tuple(predicate_index), subjects, predicates, objects, strengths, stats
+    return ids, names, sets, node_sets, tuple(predicate_index), subjects, predicates, objects, strengths, stats
 
 
 def load_triples(path, strength_for_predicate: Callable[[str], float] | None = None) -> KnowledgeGraph:
@@ -582,28 +586,20 @@ def load_triples(path, strength_for_predicate: Callable[[str], float] | None = N
 
 
 def save_graph(graph: KnowledgeGraph, path) -> None:
-    """Write the graph as a format-3 artifact (laid out in ``load_graph``).
+    """Write the graph's columns as it holds them, as a format-3 artifact (laid out in ``load_graph``).
 
     The bytes go through ``open_replacing``, so an interrupted save leaves
     any earlier artifact whole; a device or pipe (say ``/dev/null``) is
     written through.
     """
-    nodes = tuple(graph.nodes())
-    sets: dict[frozenset[str], int] = {}
-    node_sets = array("I", [sets.setdefault(node.semantic_types, len(sets)) for node in nodes])
-    node_sets.extend([sets.setdefault(node.aliases, len(sets)) for node in nodes])
+    ids, names, sets, node_sets = graph.node_columns
     set_members = [sorted(members) for members in sets]
     members = [member for group in set_members for member in group]
-    encoded = [
-        string.encode("utf-8")
-        for strings in ([node.id for node in nodes], [node.name for node in nodes], graph.predicate_names, members)
-        for string in strings
-    ]
+    encoded = [string.encode("utf-8") for strings in (ids, names, graph.predicate_names, members) for string in strings]
     arrays = [
         array("I", map(len, encoded)),
         array("I", map(len, set_members)),
-        node_sets,
-        *(array(column.format, column.tobytes()) for column in graph.columns),
+        *(array(column.format, column.tobytes()) for column in (node_sets, *graph.columns)),
     ]
     if sys.byteorder == "big":
         for column in arrays:
@@ -611,7 +607,7 @@ def save_graph(graph: KnowledgeGraph, path) -> None:
     body = b"".join([arrays[0], b"".join(encoded), *arrays[1:]])
     stats = graph.stats
     header = _HEADER.pack(
-        len(nodes), len(graph.predicate_names), len(sets), len(members), graph.edge_count,
+        len(ids), len(graph.predicate_names), len(sets), len(members), graph.edge_count,
         stats.rows_total, stats.malformed_rows, stats.duplicate_triples, zlib.crc32(body),
     )
     head = _ARTIFACT_MAGIC + _VERSION.pack(_ARTIFACT_VERSION) + header
@@ -742,12 +738,9 @@ def _decode(data: memoryview) -> KnowledgeGraph:
 
     if sum(set_sizes) != n_members:
         raise ValidationError(f"sets hold {sum(set_sizes)} members, the header declares {n_members}")
-    if node_sets and max(node_sets) >= n_sets:
-        raise ValidationError(f"node set {max(node_sets)} out of range [0, {n_sets})")
     member_ends = list(accumulate(set_sizes, initial=2 * n + n_predicates))
     sets = [frozenset(strings[start:end]) for start, end in zip(member_ends, member_ends[1:])]
-    types, aliases = map(sets.__getitem__, node_sets[:n]), map(sets.__getitem__, node_sets[n:])
-    nodes = _concept_nodes(strings[:n], strings[n : 2 * n], types, aliases)
     return KnowledgeGraph(
-        nodes, strings[2 * n : 2 * n + n_predicates], subjects, predicates, objects, strengths, IngestStats(*stats)
+        strings[:n], strings[n : 2 * n], sets, node_sets, strings[2 * n : 2 * n + n_predicates],
+        subjects, predicates, objects, strengths, IngestStats(*stats),
     )

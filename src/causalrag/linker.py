@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import re
 from itertools import compress
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Collection, Iterable
 
 from .errors import open_text, tsv_rows
@@ -68,9 +68,8 @@ def build_index(
     for all of them, so a shared alias file can cover more concepts than one
     graph contains.
     """
-    nodes = tuple(graph.nodes())
-    ids = graph.node_ids()
-    surfaces = list(map(tuple, map(_tokens, map(attrgetter("name"), nodes))))
+    ids, names, sets, node_sets = graph.node_columns
+    surfaces = list(map(tuple, map(_tokens, names)))
     # One surface per name, each with its one id; names that share a surface
     # are grouped again, below, into one tuple of their ids.
     entries = dict(zip(surfaces, zip(ids)))
@@ -84,9 +83,10 @@ def build_index(
         entries.clear()
         for surface, node_id in zip(surfaces, ids):
             add(surface, node_id)
-    for node in compress(nodes, map(attrgetter("aliases"), nodes)):
-        for alias in node.aliases:
-            add(tuple(_tokens(alias)), node.id)
+    alias_sets = list(map(sets.__getitem__, node_sets[len(ids) :]))
+    for node_id, aliases in compress(zip(ids, alias_sets), alias_sets):
+        for alias in aliases:
+            add(tuple(_tokens(alias)), node_id)
 
     unknown = 0
     for cui, alias in extra_aliases:

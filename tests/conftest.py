@@ -5,9 +5,9 @@ from pathlib import Path
 import pytest
 
 from causalrag.causal import build_causal_view, default_causality_table
-from causalrag.graph import ConceptNode, KgEdge, KnowledgeGraph
+from causalrag.graph import KgEdge, KnowledgeGraph
 
-from .oracles import graph_from_edges
+from .oracles import ConceptNode, graph_from_edges
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

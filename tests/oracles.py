@@ -11,8 +11,10 @@ the unpruned DFS that ``find_paths`` used before its goal-directed search,
 as the slow reference that search must match path for path, in order.
 ``reference_ingest_triples`` keeps the string-keyed ingest that the
 interning one replaced, building through ``graph_from_edges``: the
-``KgEdge`` front that interns ids and predicates for the int-column
-constructor, as tests build their graphs. Keep them slow and obvious.
+``ConceptNode`` and ``KgEdge`` front that lays nodes out as the graph's
+columns and interns ids and predicates for the int-column constructor, as
+tests build their graphs. ``node_rows`` reads a graph's node columns back as
+``ConceptNode`` rows. Keep them slow and obvious.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import logging
 from array import array
 from collections import Counter
+from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterator
 
@@ -27,7 +30,6 @@ from causalrag.errors import IngestionError, ValidationError
 from causalrag.graph import (
     STRENGTH_COLUMN,
     TRIPLE_HEADER,
-    ConceptNode,
     IngestStats,
     KgEdge,
     KnowledgeGraph,
@@ -37,10 +39,45 @@ from causalrag.graph import (
 _logger = logging.getLogger(__name__)
 
 
+@dataclass(frozen=True)
+class ConceptNode:
+    """One node as a row: a concept identified by CUI, with its surface forms and type codes."""
+
+    id: str
+    name: str
+    semantic_types: frozenset[str] = frozenset()
+    aliases: frozenset[str] = frozenset()
+
+
+def node_columns(nodes) -> tuple:
+    """``KnowledgeGraph``'s four node arguments for ``ConceptNode`` rows: the
+    ids, the names, each distinct set once (first the type sets in node
+    order, then the alias sets) and each node's type set id, then each
+    node's alias set id."""
+    nodes = tuple(nodes)
+    sets: dict[frozenset[str], int] = {}
+    node_sets = array("I")
+    for field in ("semantic_types", "aliases"):
+        for node in nodes:
+            node_sets.append(sets.setdefault(getattr(node, field), len(sets)))
+    return tuple(node.id for node in nodes), tuple(node.name for node in nodes), tuple(sets), node_sets
+
+
+def node_rows(graph) -> list[ConceptNode]:
+    """Every node of ``graph`` as a ``ConceptNode``, in node order, read from its node columns."""
+    ids, names, sets, node_sets = graph.node_columns
+    n = len(ids)
+    return [
+        ConceptNode(node_id, name, sets[node_sets[i]], sets[node_sets[n + i]])
+        for i, (node_id, name) in enumerate(zip(ids, names))
+    ]
+
+
 def graph_from_edges(nodes, edges, stats=IngestStats()) -> KnowledgeGraph:
-    """The graph of ``KgEdge`` rows over ``nodes``: ids and predicates are
-    interned, in order of first use, into the constructor's int columns,
-    and the rows sorted into the constructor's key order."""
+    """The graph of ``KgEdge`` rows over ``ConceptNode`` rows ``nodes``: the
+    nodes laid out by ``node_columns``, ids and predicates interned, in order
+    of first use, into the constructor's int columns, and the rows sorted
+    into the constructor's key order."""
     nodes, edges = tuple(nodes), tuple(edges)
     index = {node.id: position for position, node in enumerate(nodes)}
     predicate_index: dict[str, int] = {}
@@ -54,7 +91,7 @@ def graph_from_edges(nodes, edges, stats=IngestStats()) -> KnowledgeGraph:
         rows.append((index[s], predicate_index.setdefault(p, len(predicate_index)), index[o], edge.strength))
     rows.sort(key=lambda row: row[:3])
     columns = [array(code, [row[k] for row in rows]) for k, code in enumerate("iiid")]
-    return KnowledgeGraph(nodes, tuple(predicate_index), *columns, stats)
+    return KnowledgeGraph(*node_columns(nodes), tuple(predicate_index), *columns, stats)
 
 
 def edges_of(graph) -> tuple[KgEdge, ...]:

@@ -21,11 +21,11 @@ from causalrag.enhancer import (
     total_score,
 )
 from causalrag.errors import ValidationError
-from causalrag.graph import ConceptNode, KgEdge
+from causalrag.graph import KgEdge
 from causalrag.retrieval import GraphPath
 from causalrag.templates import NO_EVIDENCE_MARKER, load_template
 
-from .oracles import graph_from_edges
+from .oracles import ConceptNode, graph_from_edges
 
 ENHANCE_TEMPLATE = load_template("path_enhancement.txt")
 

@@ -29,14 +29,14 @@ from causalrag.enhancer import (
     total_score,
 )
 from causalrag.errors import ValidationError
-from causalrag.graph import ConceptNode, KgEdge, KnowledgeGraph
+from causalrag.graph import KgEdge, KnowledgeGraph
 from causalrag.harness import Mode, load_dataset, render_report, run_evaluation
 from causalrag.llm import extract_answer_label
 from causalrag.retrieval import TIER_CAUSAL, TIER_FALLBACK, GraphPath, _selection_key
 from causalrag.templates import NO_EVIDENCE_MARKER
 
 from .conftest import FIXTURES
-from .oracles import graph_from_edges
+from .oracles import ConceptNode, graph_from_edges
 from .test_harness import build_fixture_pipeline
 
 TYPES = ("dsyn", "phsu", "sosy", "gngm", "orch")
@@ -105,14 +105,14 @@ def _query(rng: random.Random, graph: KnowledgeGraph, pools) -> set[str]:
     query = set(rng.sample(on_paths, min(len(on_paths), rng.randint(0, 3))))
     query |= set(rng.sample(ids, rng.randint(0 if query else 1, 3)))
     if rng.random() < 0.15:
-        untyped = [node_id for node_id in ids if not graph.node(node_id).semantic_types]
+        untyped = [node_id for node_id in ids if not graph.semantic_types(node_id)]
         query = set(rng.sample(untyped, min(len(untyped), rng.randint(1, 3)))) or query
     return query
 
 
 def _reference_scores(fused, query, graph, config):
     """The public formulas, applied path by path."""
-    semtypes = set().union(*(graph.node(node_id).semantic_types for node_id in query))
+    semtypes = set().union(*(graph.semantic_types(node_id) for node_id in query))
     rows = []
     for item in fused:
         cui = cui_overlap(query, item.path)
@@ -144,8 +144,8 @@ def test_score_paths_matches_the_formulas_path_by_path():
         cases["paths"] += bool(fused)
         cases["shared nodes"] += len(path_nodes) < sum(len(item.path.nodes) for item in fused)
         cases["query off every path"] += bool(query - path_nodes)
-        cases["query without types"] += not any(graph.node(cui).semantic_types for cui in query)
-        cases["untyped path node"] += any(not graph.node(node).semantic_types for node in path_nodes)
+        cases["query without types"] += not any(graph.semantic_types(cui) for cui in query)
+        cases["untyped path node"] += any(not graph.semantic_types(node) for node in path_nodes)
     assert min(cases.values()) >= 10, cases
 
 
@@ -163,10 +163,12 @@ def test_score_paths_reads_each_distinct_node_once(monkeypatch):
     pools = _random_pools(rng, graph)
     while sum(map(len, pools)) < 6:
         pools = _random_pools(rng, graph)
-    query = {node_id for node_id in graph.node_ids() if graph.node(node_id).semantic_types}
+    query = {node_id for node_id in graph.node_ids() if graph.semantic_types(node_id)}
     reads: Counter[str] = Counter()
-    node = KnowledgeGraph.node
-    monkeypatch.setattr(KnowledgeGraph, "node", lambda self, node_id: reads.update([node_id]) or node(self, node_id))
+    semantic_types = KnowledgeGraph.semantic_types
+    monkeypatch.setattr(
+        KnowledgeGraph, "semantic_types", lambda self, node_id: reads.update([node_id]) or semantic_types(self, node_id)
+    )
     score_paths(fuse_paths(pools), query, graph, EnhancerConfig())
     path_nodes = {node_id for pool in pools for path in pool for node_id in path.nodes}
     assert reads == Counter(query | path_nodes)
@@ -176,11 +178,11 @@ def test_score_paths_reads_each_distinct_node_once(monkeypatch):
 
 
 def _reference_render(path: GraphPath, graph: KnowledgeGraph) -> str:
-    parts = [graph.node(path.nodes[0]).name]
+    parts = [graph.name(path.nodes[0])]
     for edge_idx, strength in zip(path.edges, path.strengths):
         edge = graph.edge(edge_idx)
         parts.append(f" --[{edge.predicate} ({strength:.2f})]--> ")
-        parts.append(graph.node(edge.object).name)
+        parts.append(graph.name(edge.object))
     return "".join(parts)
 
 

@@ -12,7 +12,6 @@ import tracemalloc
 import zlib
 from array import array
 from collections import deque
-from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -20,11 +19,9 @@ from causalrag.causal import CausalityTable, build_causal_view
 from causalrag.config import load_config
 from causalrag.errors import ArtifactError, IngestionError, NotFoundError, ValidationError
 from causalrag.graph import (
-    ConceptNode,
     IngestStats,
     KgEdge,
     KnowledgeGraph,
-    _concept_nodes,
     _edges_clear,
     _first_edge_defect,
     ingest_triples,
@@ -35,7 +32,7 @@ from causalrag.graph import (
 )
 
 from .conftest import make_graph
-from .oracles import edges_of
+from .oracles import ConceptNode, edges_of, node_columns, node_rows
 
 HEADER = "subject_cui\tsubject_name\tsubject_semtypes\tpredicate\tobject_cui\tobject_name\tobject_semtypes"
 HEADER_WITH_STRENGTH = HEADER + "\tstrength"
@@ -130,8 +127,8 @@ def test_ingest_merges_names_types_and_aliases():
             row("C1", "Heart Attack", "AFFECTS", "C3", "Gamma", subj_types="fndg,dsyn"),
         ]
     )
-    node = graph.node("C1")
-    assert node.name == "Myocardial Infarction"
+    node = node_rows(graph)[0]
+    assert node.id == "C1" and node.name == "Myocardial Infarction"
     assert node.aliases == {"Heart Attack"}
     assert node.semantic_types == {"dsyn", "fndg"}
 
@@ -207,9 +204,7 @@ def test_ingest_idempotent():
     ]
     first = ingest_triples(lines)
     second = ingest_triples(lines)
-    assert [(n.id, n.name, n.semantic_types, n.aliases) for n in first.nodes()] == [
-        (n.id, n.name, n.semantic_types, n.aliases) for n in second.nodes()
-    ]
+    assert node_rows(first) == node_rows(second)
     assert edges_of(first) == edges_of(second)
 
 
@@ -240,19 +235,20 @@ _TREATS = (0, 0, 1, 0.5)
 
 
 def _from_int_edges(nodes, edges) -> KnowledgeGraph:
-    """The constructor on int ``(subject, predicate, object, strength)`` rows over ``_PREDICATES``."""
+    """The constructor on node columns ``nodes`` and on int
+    ``(subject, predicate, object, strength)`` rows over ``_PREDICATES``."""
     subjects, predicates, objects, strengths = ([edge[k] for edge in edges] for k in range(4))
     return KnowledgeGraph(
-        nodes, _PREDICATES, array("i", subjects), array("i", predicates), array("i", objects), array("d", strengths),
+        *nodes, _PREDICATES, array("i", subjects), array("i", predicates), array("i", objects), array("d", strengths),
         IngestStats(),
     )
 
 
 def test_graph_rejects_unknown_endpoints_and_bad_strength():
     with pytest.raises(ValidationError):
-        _from_int_edges([_ALPHA], [(0, 1, 1, 0.5)])
+        _from_int_edges(node_columns([_ALPHA]), [(0, 1, 1, 0.5)])
     with pytest.raises(ValidationError):
-        _from_int_edges([_ALPHA], [(1, 1, 0, 0.5)])
+        _from_int_edges(node_columns([_ALPHA]), [(1, 1, 0, 0.5)])
     with pytest.raises(ValidationError):
         make_graph([("A", "CAUSES", "B", 1.5)])
 
@@ -260,15 +256,18 @@ def test_graph_rejects_unknown_endpoints_and_bad_strength():
 @pytest.mark.parametrize(
     "nodes, edges, message",
     [
-        ([_ALPHA, ConceptNode("", "x")], [], "node id must be non-empty"),
-        ([_ALPHA, ConceptNode("B", "")], [], "node 'B' has an empty name"),
-        ([_ALPHA, _ALPHA], [], "duplicate node id 'A'"),
-        ([_ALPHA], [(-1, 1, 0, 0.5)], "edge 0 subject -1 out of range [0, 1)"),
-        ([_ALPHA], [(0, 1, 0, 0.5), (0, 1, 5, 0.5)], "edge 1 object 5 out of range [0, 1)"),
-        ([_ALPHA, _BETA], [_TREATS, (0, 1, 1, -0.1)], "edge ('A', 'CAUSES', 'B') strength -0.1 outside [0, 1]"),
-        ([_ALPHA, _BETA], [_TREATS, (0, 1, 1, float("nan"))], "edge ('A', 'CAUSES', 'B') strength nan outside [0, 1]"),
-        ([_ALPHA, _BETA], [_TREATS, _TREATS], "duplicate triple ('A', 'TREATS', 'B')"),
-        ([_ALPHA], [(0, 2, 0, 0.5)], "edge 0 predicate 2 out of range [0, 2)"),
+        (node_columns([_ALPHA, ConceptNode("", "x")]), [], "node id must be non-empty"),
+        (node_columns([_ALPHA, ConceptNode("B", "")]), [], "node 'B' has an empty name"),
+        (node_columns([_ALPHA, _ALPHA]), [], "duplicate node id 'A'"),
+        (node_columns([_ALPHA]), [(-1, 1, 0, 0.5)], "edge 0 subject -1 out of range [0, 1)"),
+        (node_columns([_ALPHA]), [(0, 1, 0, 0.5), (0, 1, 5, 0.5)], "edge 1 object 5 out of range [0, 1)"),
+        (node_columns([_ALPHA, _BETA]), [_TREATS, (0, 1, 1, -0.1)], "edge ('A', 'CAUSES', 'B') strength -0.1 outside [0, 1]"),
+        (node_columns([_ALPHA, _BETA]), [_TREATS, (0, 1, 1, float("nan"))], "edge ('A', 'CAUSES', 'B') strength nan outside [0, 1]"),
+        (node_columns([_ALPHA, _BETA]), [_TREATS, _TREATS], "duplicate triple ('A', 'TREATS', 'B')"),
+        (node_columns([_ALPHA]), [(0, 2, 0, 0.5)], "edge 0 predicate 2 out of range [0, 2)"),
+        ((("A", "B"), ("Alpha", "Beta"), (frozenset(),), array("I", [0] * 3)), [], "2 nodes with 2 names and 3 set ids"),
+        ((("A", "B"), ("Alpha",), (frozenset(),), array("I", [0] * 4)), [], "2 nodes with 1 names and 4 set ids"),
+        ((("A", "B"), ("Alpha", "Beta"), (frozenset(),), array("I", [0, 0, 0, 1])), [], "node set 1 out of range [0, 1)"),
     ],
 )
 def test_graph_checks_name_the_bad_node_or_edge(nodes, edges, message):
@@ -316,16 +315,16 @@ def test_column_edge_checks_agree_with_the_per_edge_walk():
         n, p_count = rng.randint(1, 6), rng.randint(1, 3)
         m = rng.randint(1, min(25, n * p_count * n))
         ids, names = tuple(f"N{i}" for i in range(n)), tuple(f"P{i}" for i in range(p_count))
-        nodes = [ConceptNode(node_id, f"node {node_id}") for node_id in ids]
+        nodes = node_columns(ConceptNode(node_id, f"node {node_id}") for node_id in ids)
         valid = _valid_edge_columns(rng, n, p_count, m)
         arrays = [array(code, column) for code, column in zip("iiid", valid)]
         assert _edges_clear(ids, names, *arrays)
-        assert KnowledgeGraph(nodes, names, *arrays, IngestStats()).edge_count == m
+        assert KnowledgeGraph(*nodes, names, *arrays, IngestStats()).edge_count == m
         for columns in _edge_defects(rng, n, p_count, m):
             arrays = [array(code, column) for code, column in zip("iiid", columns)]
             walk = _first_edge_defect(ids, names, *arrays)
             with pytest.raises(ValidationError) as info:
-                KnowledgeGraph(nodes, names, *arrays, IngestStats())
+                KnowledgeGraph(*nodes, names, *arrays, IngestStats())
             assert str(info.value) == walk
             planted += 1
     assert planted > 1000
@@ -343,58 +342,54 @@ def _node_columns(rng: random.Random, count: int) -> list[list]:
     return [ids, names, types, aliases]
 
 
-def test_column_built_nodes_are_the_nodes_the_constructor_builds():
-    columns = _node_columns(random.Random(29), 300)
-    built = _concept_nodes(*columns)
-    expected = [ConceptNode(*row) for row in zip(*columns)]
-    assert [type(node) for node in built] == [ConceptNode] * len(expected)
-    assert built == expected
-    assert list(map(hash, built)) == list(map(hash, expected))
-    assert list(map(repr, built)) == list(map(repr, expected))
-    # the set objects are the columns' own, so equal sets stay shared
-    assert all(
-        node.semantic_types is types and node.aliases is aliases for node, types, aliases in zip(built, *columns[2:])
-    )
-    for node in built[:5]:
-        for name in ConceptNode.__slots__:
-            with pytest.raises(FrozenInstanceError):
-                setattr(node, name, "changed")
-            with pytest.raises(FrozenInstanceError):
-                delattr(node, name)
-    assert built[:5] == expected[:5]
-    # A name that is no field is refused as on a constructed node (a
-    # TypeError from the slotted dataclass's ``__setattr__`` on Python 3.11).
-    refusals = []
-    for node in (built[0], expected[0]):
-        with pytest.raises(Exception) as info:
-            node.extra = "changed"
-        refusals.append(type(info.value))
-    assert refusals[0] is refusals[1]
-    assert _concept_nodes([], [], [], []) == []
+def test_node_columns_round_trip_through_an_artifact(tmp_path):
+    """Seeded node columns built by the constructor, saved, loaded and saved
+    again: the two saves are byte-equal, every per-id read equals its
+    column, and equal sets stay one object."""
+    rng = random.Random(29)
+    nodes = [ConceptNode(*row) for row in zip(*_node_columns(rng, 300))]
+    arrays = [array(code, column) for code, column in zip("iiid", _valid_edge_columns(rng, 300, 2, 600))]
+    graph = KnowledgeGraph(*node_columns(nodes), _PREDICATES, *arrays, IngestStats(600, 0, 0))
+    save_graph(graph, tmp_path / "first.crag")
+    loaded = load_graph(tmp_path / "first.crag")
+    save_graph(loaded, tmp_path / "second.crag")
+    assert (tmp_path / "second.crag").read_bytes() == (tmp_path / "first.crag").read_bytes()
+    for built in (graph, loaded):
+        assert node_rows(built) == nodes
+        assert [built.name(node.id) for node in nodes] == list(built.node_columns.names)
+        types = [built.semantic_types(node.id) for node in nodes]
+        assert types == [node.semantic_types for node in nodes]
+        read = types + [row.aliases for row in node_rows(built)]
+        assert len({id(members) for members in read}) == len(set(read)) == len(built.node_columns.sets)
 
 
-def test_concept_node_keeps_what_the_column_builder_relies_on():
-    """``_concept_nodes`` sets each slot and skips ``__init__``: a
-    ``__post_init__`` would never run, and a slot missed would stay unset."""
-    assert not hasattr(ConceptNode, "__post_init__")
-    assert ConceptNode.__slots__ == tuple(field.name for field in fields(ConceptNode))
+def _tracked_objects_added(load, path) -> int:
+    """How many more objects the cyclic collector tracks while ``load(path)``'s result is alive."""
+    gc.collect()
+    before = len(gc.get_objects())
+    graph = load(path)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert graph.node_count == 2000
+    return added
 
 
-def test_load_and_ingest_make_no_concept_node_init_call(tmp_path, fixtures_dir, monkeypatch):
-    calls = []
-    init = ConceptNode.__init__
-
-    def counting_init(self, *args, **kwargs):
-        calls.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ConceptNode, "__init__", counting_init)
-    assert ConceptNode("A", "Alpha") == _ALPHA and len(calls) == 1
-    graph = load_triples(fixtures_dir / "triples.tsv")
-    save_graph(graph, tmp_path / "graph.crag")
-    loaded = load_graph(tmp_path / "graph.crag")
-    assert graph.node_count > 0 and list(loaded.nodes()) == list(graph.nodes())
-    assert len(calls) == 1
+def test_load_and_ingest_add_no_object_per_node(tmp_path):
+    """A graph of N nodes, ingested or loaded, adds fewer than N / 4 objects
+    for the collector to walk: its nodes are columns, not objects."""
+    rng = random.Random(31)
+    ids, names, types, _ = _node_columns(rng, 2000)
+    fields = [",".join(sorted(members)) for members in types]
+    lines = [HEADER]
+    for _ in range(6000):
+        s, o = rng.randrange(2000), rng.randrange(2000)
+        lines.append(row(ids[s], names[s], rng.choice(_PREDICATES), ids[o], names[o], fields[s], fields[o]))
+    # every node on some row
+    lines += [row(ids[i], names[i], "TREATS", ids[i - 1], names[i - 1], fields[i], fields[i - 1]) for i in range(2000)]
+    (tmp_path / "triples.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    save_graph(load_triples(tmp_path / "triples.tsv"), tmp_path / "graph.crag")
+    assert _tracked_objects_added(load_triples, tmp_path / "triples.tsv") < 2000 / 4
+    assert _tracked_objects_added(load_graph, tmp_path / "graph.crag") < 2000 / 4
 
 
 def test_adjacency_unknown_node():
@@ -496,8 +491,8 @@ def test_artifact_round_trip(tmp_path):
     save_graph(graph, path)
     loaded = load_graph(path)
     assert edges_of(loaded) == edges_of(graph)
-    assert [n.id for n in loaded.nodes()] == [n.id for n in graph.nodes()]
-    assert loaded.node("C1").semantic_types == {"dsyn"}
+    assert loaded.node_ids() == graph.node_ids()
+    assert loaded.semantic_types("C1") == {"dsyn"}
     assert loaded.stats == graph.stats
 
 
@@ -621,7 +616,7 @@ def test_hand_built_payload_loads(tmp_path):
     assert edges_of(graph) == (
         KgEdge("A", "CAUSES", "B", 0.9), KgEdge("A", "CAUSES", "C", 1.0), KgEdge("B", "TREATS", "C", 0.7)
     )
-    assert list(graph.nodes()) == [
+    assert node_rows(graph) == [
         ConceptNode("A", "Alpha", frozenset({"dsyn"})),
         ConceptNode("B", "Beta", aliases=frozenset({"beta"})),
         ConceptNode("C", "Gamma"),
@@ -875,5 +870,5 @@ def test_ingest_peak_is_pinned_to_the_graph_size():
     finally:
         tracemalloc.stop()
     assert graph.stats.duplicate_triples > 0
-    assert any(node.aliases for node in graph.nodes())
+    assert any(node.aliases for node in node_rows(graph))
     assert peak / size <= 2.2

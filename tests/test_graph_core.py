@@ -17,9 +17,9 @@ import pytest
 
 from causalrag.causal import CausalityTable, apply_strength_updates, build_causal_view
 from causalrag.errors import NotFoundError
-from causalrag.graph import ConceptNode, KgEdge, KnowledgeGraph, load_graph, save_graph
+from causalrag.graph import KgEdge, KnowledgeGraph, load_graph, save_graph
 
-from .oracles import ReferenceGraph, graph_from_edges, recount_view_members
+from .oracles import ConceptNode, ReferenceGraph, graph_from_edges, node_rows, recount_view_members
 
 _PREDICATES = ("CAUSES", "TREATS", "ASSOCIATED_WITH", "RELATED_TO")
 _GRID = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
@@ -52,7 +52,7 @@ def _random_graph(rng: random.Random):
 
 def _assert_same_core(graph: KnowledgeGraph, ref: ReferenceGraph, rng: random.Random) -> None:
     assert graph.node_ids() == ref.node_ids()
-    assert list(graph.nodes()) == list(ref.nodes.values())
+    assert node_rows(graph) == list(ref.nodes.values())
     assert graph.node_count == len(ref.nodes) and graph.edge_count == len(ref.edges)
     assert graph.predicate_counts() == ref.predicate_counts()
     assert list(graph.predicate_counts()) == list(ref.predicate_counts())
@@ -67,11 +67,13 @@ def _assert_same_core(graph: KnowledgeGraph, ref: ReferenceGraph, rng: random.Ra
             with pytest.raises(NotFoundError):
                 graph.edge_index(*absent)
     for node_id in ref.node_ids():
-        assert graph.node(node_id) is graph.node(node_id) == ref.nodes[node_id]
+        node = ref.nodes[node_id]
+        assert graph.name(node_id) == node.name
+        assert graph.semantic_types(node_id) is graph.semantic_types(node_id) == node.semantic_types
         assert tuple(graph.out_edges(node_id)) == ref.out_edges(node_id), node_id
         for read in ("in_edges", "successors", "edges_into"):
             assert getattr(graph, read)(node_id) == getattr(ref, read)(node_id), (read, node_id)
-    for read in (graph.out_edges, graph.in_edges, graph.successors, graph.edges_into, graph.node):
+    for read in (graph.out_edges, graph.in_edges, graph.successors, graph.edges_into, graph.name, graph.semantic_types):
         with pytest.raises(NotFoundError):
             read("missing")
 

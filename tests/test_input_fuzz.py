@@ -29,7 +29,7 @@ from causalrag.linker import load_alias_file
 from causalrag.llm import STAGES, MockTranscript
 
 from .conftest import FIXTURES
-from .oracles import edges_of, reference_ingest_triples
+from .oracles import edges_of, node_rows, reference_ingest_triples
 
 CASES = 300
 
@@ -104,7 +104,7 @@ def _ingest_outcome(ingest, lines, weight, caplog):
     except CausalRagError as exc:
         outcome = (type(exc), str(exc))
     else:
-        nodes = [(n.id, n.name, n.semantic_types, n.aliases) for n in graph.nodes()]
+        nodes = [(n.id, n.name, n.semantic_types, n.aliases) for n in node_rows(graph)]
         outcome = (nodes, edges_of(graph), graph.predicate_names, graph.stats)
     return outcome, [record.getMessage() for record in caplog.records]
 

@@ -138,7 +138,7 @@ def test_only_graph_and_enhancer_name_semantic_types(path):
     uses = [
         node.lineno
         for node in _nodes(path)
-        if "semantic_types" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "arg", None))
+        if "semantic_types" in (getattr(node, field, None) for field in ("id", "attr", "arg", "name"))
     ]
     if path.name in ("graph.py", "enhancer.py"):
         assert uses, f"{path.name} no longer names semantic_types: update this guard"

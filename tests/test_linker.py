@@ -4,10 +4,10 @@ import random
 import re
 import sys
 
-from causalrag.graph import ConceptNode, KgEdge
+from causalrag.graph import KgEdge
 from causalrag.linker import LinkerIndex, _tokens, build_index, load_alias_file
 
-from .oracles import graph_from_edges
+from .oracles import ConceptNode, graph_from_edges
 from .test_retrieval import _RecordingMap
 
 

@@ -18,7 +18,7 @@ from causalrag.causal import (
 from causalrag.config import default_config
 from causalrag.cot import ChainOfThought
 from causalrag.errors import NotFoundError, ValidationError
-from causalrag.graph import ConceptNode, KgEdge
+from causalrag.graph import KgEdge
 from causalrag.harness import Mode, Pipeline, QAItem
 from causalrag.linker import build_index
 from causalrag.llm import EndpointConfig, LlmGateway, LlmResponse, ModelAssignment
@@ -38,6 +38,7 @@ from causalrag.retrieval import (
 
 from .conftest import RecordingLinker, make_graph
 from .oracles import (
+    ConceptNode,
     brute_force_find_paths,
     edges_of,
     enumerate_simple_paths_unpruned,
