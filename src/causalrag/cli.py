@@ -118,7 +118,9 @@ def _build_pipeline(args, config: PipelineConfig) -> Pipeline:
     aliases = load_alias_file(args.aliases) if args.aliases else ()
     linker = build_index(graph, aliases)
     transcript = MockTranscript.load(args.mock_transcript) if args.mock_transcript else None
-    gateway = LlmGateway(endpoint=EndpointConfig.from_env(), transcript=transcript)
+    # An all-mock run never calls the endpoint, so it makes no HTTP session.
+    endpoint = None if config.assignment.all_mock() else EndpointConfig.from_env()
+    gateway = LlmGateway(endpoint=endpoint, transcript=transcript)
     return Pipeline(graph=graph, causal_view=view, linker=linker, gateway=gateway, config=config)
 
 

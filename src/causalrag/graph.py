@@ -679,21 +679,18 @@ def load_graph(path) -> KnowledgeGraph:
     against the file's size before anything is allocated, and the graph is
     checked in full even when the checksum matches: the checksum catches
     corruption, it does not vouch for the writer. Any defect raises
-    ``ArtifactError``. Versions 1 and 2, whose edges follow row order, are
-    refused with a hint to rebuild.
+    ``ArtifactError``. Every other version, such as the pickle-based 1 or
+    the row-ordered 2, is refused with a hint to rebuild.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 6 or blob[:4] != _ARTIFACT_MAGIC:
         raise ArtifactError(f"{path}: not a causalrag graph artifact")
     (version,) = _VERSION.unpack_from(blob, 4)
-    if version in (1, 2):
-        raise ArtifactError(
-            f"{path}: artifact version {version} is no longer read; rebuild it with causalrag build-graph"
-        )
     if version != _ARTIFACT_VERSION:
         raise ArtifactError(
-            f"{path}: artifact version {version} unsupported (expected {_ARTIFACT_VERSION})"
+            f"{path}: artifact version {version} unsupported (expected {_ARTIFACT_VERSION});"
+            " rebuild it with causalrag build-graph"
         )
     try:
         return _decode(memoryview(blob)[6:])

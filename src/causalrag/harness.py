@@ -125,6 +125,8 @@ class Pipeline:
             raise ValidationError("causal_view must be a view of graph")
         if linker.graph is not graph:
             raise ValidationError("linker must be built from graph")
+        if causal_view.theta != config.theta:
+            raise ValidationError(f"causal_view is at theta {causal_view.theta}, not config.theta {config.theta}")
         self.graph = graph
         self.causal_view = causal_view
         self.linker = linker

@@ -180,11 +180,12 @@ class LlmGateway:
     """Stage-tagged completion client with retries and mock replay.
 
     Each calling thread makes one call at a time, so the number of live calls
-    in flight is bounded by the caller's worker count. Without a ``transport``,
-    live calls go over HTTP through one ``requests.Session``, made on the first
-    live call and shared by every calling thread: its connection pool gives
-    each call in flight a connection of its own and keeps up to ten per host
-    open for the next calls. ``close`` closes it.
+    in flight is bounded by the caller's worker count. A gateway given an
+    ``endpoint`` and no ``transport`` makes one ``requests.Session`` when it
+    is built, and every live call from every calling thread goes over HTTP
+    through it: its connection pool gives each call in flight a connection of
+    its own and keeps up to ten per host open for the next calls. ``close``
+    closes it; the CLI closes its gateway when a command ends.
     """
 
     def __init__(
@@ -196,65 +197,52 @@ class LlmGateway:
     ):
         self.endpoint = endpoint
         self.transcript = transcript
-        self._transport = transport or self._http
         self.backoff_seconds = backoff_seconds
         self._session = None
-        self._session_lock = threading.Lock()
+        if transport is None and endpoint is not None:
+            import requests
 
-    def _http(self, request: LlmRequest, endpoint: EndpointConfig) -> LlmResponse:
-        with self._session_lock:
-            if self._session is None:
-                import requests
-
-                self._session = requests.Session()
-            session = self._session
-        return _http_transport(session, request, endpoint)
+            self._session = requests.Session()
+            transport = functools.partial(_http_transport, self._session)
+        self._transport = transport
 
     def close(self) -> None:
-        """Close the HTTP session and its connections, if a live call opened one."""
-        with self._session_lock:
-            session, self._session = self._session, None
-        if session is not None:
-            session.close()
+        """Close the HTTP session and its connections, if the gateway made one."""
+        if self._session is not None:
+            self._session.close()
 
     def complete(self, request: LlmRequest) -> LlmResponse:
+        """Replay the transcript for a mock stage; otherwise call the endpoint,
+        retrying transient failures with exponential backoff."""
         if request.model == MOCK_MODEL:
-            return self._complete_mock(request)
-        return self._complete_live(request)
-
-    def _complete_mock(self, request: LlmRequest) -> LlmResponse:
-        if self.transcript is None:
-            raise TranscriptError(
-                f"stage {request.stage!r} is assigned the mock model but no transcript is loaded"
-            )
-        ordinal, text = self.transcript.next_response(request.stage)
-        return LlmResponse(text=text, transcript_ordinal=ordinal)
-
-    def _complete_live(self, request: LlmRequest) -> LlmResponse:
+            if self.transcript is None:
+                raise TranscriptError(
+                    f"stage {request.stage!r} is assigned the mock model but no transcript is loaded"
+                )
+            ordinal, text = self.transcript.next_response(request.stage)
+            return LlmResponse(text=text, transcript_ordinal=ordinal)
         if self.endpoint is None:
             raise TransportError(
                 f"no endpoint configured (set {ENDPOINT_ENV}) for model {request.model!r}"
             )
-        last_error: TransportError | None = None
-        for attempt in range(MAX_ATTEMPTS):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             try:
                 return self._transport(request, self.endpoint)
             except TransportError as exc:
-                last_error = exc
                 if not exc.transient:
                     raise
-                if attempt + 1 < MAX_ATTEMPTS:
-                    delay = self.backoff_seconds * (2**attempt)
-                    logger.debug(
-                        "transient LLM failure (attempt %d/%d): %s; retrying in %.1fs",
-                        attempt + 1,
-                        MAX_ATTEMPTS,
-                        exc,
-                        delay,
-                    )
-                    if delay > 0:
-                        time.sleep(delay)
-        raise TransportError(f"giving up after {MAX_ATTEMPTS} attempts: {last_error}")
+                if attempt == MAX_ATTEMPTS:
+                    raise TransportError(f"giving up after {MAX_ATTEMPTS} attempts: {exc}") from exc
+                delay = self.backoff_seconds * 2 ** (attempt - 1)
+                logger.debug(
+                    "transient LLM failure (attempt %d/%d): %s; retrying in %.1fs",
+                    attempt,
+                    MAX_ATTEMPTS,
+                    exc,
+                    delay,
+                )
+                if delay > 0:
+                    time.sleep(delay)
 
 
 # -- answer extraction ----------------------------------------------------------

@@ -397,6 +397,25 @@ def test_pipeline_refuses_a_linker_built_from_another_graph():
         )
 
 
+def test_pipeline_refuses_a_causal_view_at_another_theta():
+    """The report echoes ``config.theta``, so a view at any other theta would
+    yield a report that names the wrong one."""
+    config = load_config(FIXTURES / "config.yaml")
+    graph = load_triples(FIXTURES / "triples.tsv", config.causality.weight)
+    gateway = LlmGateway(transcript=MockTranscript.load(FIXTURES / TRANSCRIPTS[Mode.FULL]))
+    for theta in (0.4, 0.6):
+        with pytest.raises(
+            ValidationError, match=rf"^causal_view is at theta {theta}, not config.theta {config.theta}$"
+        ):
+            Pipeline(
+                graph=graph,
+                causal_view=build_causal_view(graph, config.causality, theta),
+                linker=build_index(graph),
+                gateway=gateway,
+                config=config,
+            )
+
+
 def test_no_enhancer_keeps_raw_segment_paths():
     pipeline = build_fixture_pipeline(Mode.NO_ENHANCER)
     items = load_dataset(FIXTURES / "dataset.jsonl")

@@ -176,6 +176,17 @@ def test_three_transient_failures_exhaust_retries():
     assert calls["n"] == 3
 
 
+@pytest.mark.parametrize("failures, backoff, sleeps", [(99, 0.5, [0.5, 1.0]), (1, 0.5, [0.5]), (99, 0.0, [])])
+def test_transient_failures_back_off_by_doubling_delays(monkeypatch, failures, backoff, sleeps):
+    slept = []
+    monkeypatch.setattr("time.sleep", slept.append)
+    transport, _ = _failing_transport(failures)
+    gateway = LlmGateway(endpoint=EndpointConfig(url="http://example/llm"), transport=transport, backoff_seconds=backoff)
+    with contextlib.suppress(TransportError):
+        gateway.complete(_request(model="gpt-model"))
+    assert slept == sleeps
+
+
 def test_transport_error_is_non_transient_unless_marked():
     assert TransportError("x").transient is False
     assert TransportError("x", transient=True).transient is True
@@ -377,6 +388,97 @@ def test_live_calls_from_more_threads_than_cores_share_one_session(monkeypatch):
     assert texts == ["Answer: A"] * 4
     assert len(server.clients) == 4
     assert len(sessions) == 1
+
+
+def _counted_sessions(monkeypatch):
+    """Replaces ``requests.Session`` with one that answers every post with a
+    chat reply; returns the sessions made, the session of each post and the
+    sessions closed."""
+    import requests
+
+    made, posted, closed = [], [], []
+
+    class CountedSession(requests.Session):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+        def post(self, url, **kwargs):
+            posted.append(self)
+            return _Reply(_chat_reply())
+
+        def close(self):
+            closed.append(self)
+            super().close()
+
+    monkeypatch.setattr(requests, "Session", CountedSession)
+    return made, posted, closed
+
+
+def test_a_gateway_with_a_transport_or_no_endpoint_makes_no_session(monkeypatch):
+    made, posted, closed = _counted_sessions(monkeypatch)
+    transport, calls = _failing_transport(0)
+    endpoint = EndpointConfig(url="http://example/llm")
+    gateways = [
+        LlmGateway(endpoint=endpoint, transport=transport),
+        LlmGateway(transcript=MockTranscript([("cot", 0, "replayed")])),
+        LlmGateway(),
+    ]
+    assert gateways[0].complete(_request(model="gpt-model")).text == "fine"
+    assert gateways[1].complete(_request()).text == "replayed"
+    with pytest.raises(TransportError, match="no endpoint"):
+        gateways[2].complete(_request(model="gpt-model"))
+    for gateway in gateways:
+        gateway.close()
+    assert calls["n"] == 1
+    assert made == posted == closed == []
+
+
+def test_close_closes_the_session_live_calls_used(monkeypatch):
+    made, posted, closed = _counted_sessions(monkeypatch)
+    gateway = LlmGateway(endpoint=EndpointConfig(url="http://example/llm"))
+    texts = [gateway.complete(_request(model="gpt-model")).text for _ in range(2)]
+    assert texts == ["Answer: A"] * 2
+    assert closed == []
+    gateway.close()
+    assert len(made) == 1
+    assert posted == made * 2
+    assert closed == made
+
+
+def test_an_all_mock_cli_run_makes_no_session_with_an_endpoint_set(monkeypatch, tmp_path):
+    from causalrag.cli import main
+
+    fixtures = Path(__file__).parent / "fixtures"
+    made, _, _ = _counted_sessions(monkeypatch)
+    monkeypatch.setenv("LLM_ENDPOINT", "http://example/llm")
+    artifact = tmp_path / "toy.crag"
+    assert main(["build-graph", str(fixtures / "triples.tsv"), "--output", str(artifact)]) == 0
+    code = main(
+        [
+            "answer",
+            "--graph", str(artifact),
+            "--question", "Which cancer is most directly attributable to smoking?",
+            "--option", "A=Lung cancer",
+            "--option", "B=Stroke",
+            "--config", str(fixtures / "config.yaml"),
+            "--mock-transcript", str(fixtures / "transcript_full.jsonl"),
+        ]
+    )
+    assert code == 0
+    assert made == []
+
+
+def test_endpoint_config_reads_the_environment(monkeypatch):
+    monkeypatch.setenv("LLM_API_KEY", "sk-test")
+    monkeypatch.delenv("LLM_ENDPOINT", raising=False)
+    assert EndpointConfig.from_env() is None
+    monkeypatch.setenv("LLM_ENDPOINT", "")
+    assert EndpointConfig.from_env() is None
+    monkeypatch.setenv("LLM_ENDPOINT", "http://example/llm")
+    assert EndpointConfig.from_env() == EndpointConfig(url="http://example/llm", api_key="sk-test")
+    monkeypatch.delenv("LLM_API_KEY")
+    assert EndpointConfig.from_env() == EndpointConfig(url="http://example/llm", api_key="")
 
 
 def test_live_without_endpoint_is_transport_error():
